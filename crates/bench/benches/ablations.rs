@@ -2,8 +2,9 @@
 //!
 //! * Step-2 partition backend: direct scan vs segment tree (§III-E);
 //! * slab assignment: the paper's replication vs unique-owner;
-//! * Algorithm-2 partition backend: per-slab full scan vs the shared
-//!   output-sensitive slab index;
+//! * Algorithm-2 cell plan: one cell per slab on the calling thread vs
+//!   refined cells on the work-stealing pool;
+//! * Step-8 merge: one sequential pass vs the Figure 6 tree;
 //! * output sensitivity: fixed n, increasing overlap (and therefore k) —
 //!   the work must track k, not n² (the paper's core claim vs Karinthi
 //!   et al.).
@@ -74,32 +75,24 @@ fn bench_output_sensitivity(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_algo2_partition_backend(c: &mut Criterion) {
-    // The tentpole ablation: every slab scanning the full inputs (O(n·p))
-    // vs one shared binning pass feeding each slab only its overlapping
-    // contours (O(n + Σ overlaps)).
-    use polyclip::core::algo2::PartitionBackend as Algo2Backend;
-    let mut g = c.benchmark_group("ablation_algo2_partition_backend");
+fn bench_algo2_grid_plan(c: &mut Criterion) {
+    // The unrefined plan (one cell per event-quantile slab, run in slab
+    // order on the calling thread) vs the refining plan (heavy slabs split
+    // into ~6 cells per worker on the work-stealing pool).
+    let mut g = c.benchmark_group("ablation_algo2_grid_plan");
     g.sample_size(10);
-    let seq = ClipOptions::sequential();
     let (a, b) = synthetic_pair(40_000, 42);
-    for (name, backend) in [
-        ("full_scan", Algo2Backend::FullScan),
-        ("slab_index", Algo2Backend::SlabIndex),
+    for (name, grid) in [
+        ("slab_index", GridConfig::default()),
+        ("adaptive_grid", GridConfig::refined()),
     ] {
+        let opts = ClipOptions {
+            grid,
+            ..ClipOptions::sequential()
+        };
         for slabs in [4usize, 16] {
             g.bench_with_input(BenchmarkId::new(name, slabs), &slabs, |bch, &p| {
-                bch.iter(|| {
-                    clip_pair_slabs_backend(
-                        &a,
-                        &b,
-                        BoolOp::Union,
-                        p,
-                        &seq,
-                        MergeStrategy::Sequential,
-                        backend,
-                    )
-                })
+                bch.iter(|| clip_pair_slabs(&a, &b, BoolOp::Union, p, &opts))
             });
         }
     }
@@ -111,14 +104,17 @@ fn bench_merge_strategy(c: &mut Criterion) {
     // tree reduction (the paper's future-work extension).
     let mut g = c.benchmark_group("ablation_merge_strategy");
     g.sample_size(10);
-    let seq = ClipOptions::sequential();
     let (a, b) = synthetic_pair(40_000, 42);
-    for (name, strategy) in [
+    for (name, merge) in [
         ("sequential", MergeStrategy::Sequential),
         ("tree", MergeStrategy::Tree),
     ] {
+        let opts = ClipOptions {
+            merge,
+            ..ClipOptions::sequential()
+        };
         g.bench_function(name, |bch| {
-            bch.iter(|| clip_pair_slabs_with(&a, &b, BoolOp::Union, 16, &seq, strategy))
+            bch.iter(|| clip_pair_slabs(&a, &b, BoolOp::Union, 16, &opts))
         });
     }
     g.finish();
@@ -160,7 +156,7 @@ criterion_group!(
     benches,
     bench_partition_backend,
     bench_slab_assignment,
-    bench_algo2_partition_backend,
+    bench_algo2_grid_plan,
     bench_output_sensitivity,
     bench_merge_strategy,
     bench_intersection_discovery

@@ -1,26 +1,26 @@
 //! Machine-readable Algorithm-2 phase benchmark: partition / clip / merge
 //! wall-clock at p ∈ {1, 2, 4, 8, 16} slabs on a fixed datagen workload,
-//! for all three partition backends.
+//! for the two cell plans: `slab_index` (the default, one cell per
+//! event-quantile slab, run in slab order on the calling thread) and
+//! `adaptive_grid` (`GridConfig::refined()`, heavy slabs split into
+//! slab×column cells on the work-stealing pool).
 //!
 //! ```sh
 //! cargo run --release -p polyclip-bench --bin bench_algo2            # full run
 //! cargo run --release -p polyclip-bench --bin bench_algo2 -- --smoke # CI smoke
 //! cargo run --release -p polyclip-bench --bin bench_algo2 -- \
-//!     --smoke --backend adaptive_grid                                # one backend
+//!     --smoke --backend adaptive_grid                                # one plan
 //! ```
 //!
 //! Writes `BENCH_algo2.json` (override with `--out <path>`), then re-reads
-//! and validates the file so a truncated artifact fails loudly. Two headline
-//! comparisons at p = 8: the partition phase (`slab_index` must not scan the
-//! full inputs once per slab, so its partition total shrinks relative to
-//! `full_scan` as p grows) and the load imbalance (`adaptive_grid` splits
-//! hot slabs into slab×column cells and work-steals them, so its
-//! `load_imbalance` must stay ≤ 1.1 on blob_pair where the slab backends
-//! drift well above it). Grid runs also record `chunks_total`,
-//! `chunks_stolen`, `steal_ms`, `merge_serial_ms` and the per-worker
-//! `busy_ms` histogram.
+//! and validates the file so a truncated artifact fails loudly. The headline
+//! comparison at p = 8 is the load imbalance: `adaptive_grid` splits hot
+//! slabs into cells and work-steals them, so its `load_imbalance` stays
+//! near 1 on blob_pair where the unrefined slabs drift well above it. Every
+//! run also records `chunks_total`, `chunks_stolen`, `steal_ms`,
+//! `merge_serial_ms` and the per-worker `busy_ms` histogram (one lane for
+//! `slab_index`).
 
-use polyclip::core::algo2::PartitionBackend;
 use polyclip::datagen::synthetic_pair;
 use polyclip::prelude::*;
 use polyclip_bench::json::Value;
@@ -78,36 +78,25 @@ fn main() -> ExitCode {
             a.vertex_count(),
             b.vertex_count()
         );
-        for (backend_name, backend) in [
-            ("full_scan", PartitionBackend::FullScan),
-            ("slab_index", PartitionBackend::SlabIndex),
-            ("adaptive_grid", PartitionBackend::AdaptiveGrid),
+        for (backend_name, grid) in [
+            ("slab_index", GridConfig::default()),
+            ("adaptive_grid", GridConfig::refined()),
         ] {
             if backend_filter.as_deref().is_some_and(|f| f != backend_name) {
                 continue;
             }
+            let opts = ClipOptions {
+                grid,
+                ..opts.clone()
+            };
+            let budgeted_opts = ClipOptions {
+                grid,
+                ..budgeted_opts.clone()
+            };
             for &p in &SLAB_COUNTS {
-                let (r, wall) = time_best(reps, || {
-                    clip_pair_slabs_backend(
-                        a,
-                        b,
-                        BoolOp::Union,
-                        p,
-                        &opts,
-                        MergeStrategy::Sequential,
-                        backend,
-                    )
-                });
+                let (r, wall) = time_best(reps, || clip_pair_slabs(a, b, BoolOp::Union, p, &opts));
                 let (_, budgeted_wall) = time_best(reps, || {
-                    clip_pair_slabs_backend(
-                        a,
-                        b,
-                        BoolOp::Union,
-                        p,
-                        &budgeted_opts,
-                        MergeStrategy::Sequential,
-                        backend,
-                    )
+                    clip_pair_slabs(a, b, BoolOp::Union, p, &budgeted_opts)
                 });
                 let budget_overhead = budgeted_wall.as_secs_f64() / wall.as_secs_f64().max(1e-12);
                 let li = r.times.load_imbalance();

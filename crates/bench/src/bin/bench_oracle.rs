@@ -43,7 +43,7 @@ fn main() -> ExitCode {
         .iter()
         .map(|&s| s.max(16))
         .collect();
-    let engine = ScanbeamOracle::new(PartitionBackend::SlabIndex, 4);
+    let engine = ScanbeamOracle::new(4);
     let fo = FosterOverfeltOracle;
 
     let mut runs: Vec<Value> = Vec::new();

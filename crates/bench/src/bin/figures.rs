@@ -280,12 +280,11 @@ fn fig8() -> Vec<ResultTable> {
 }
 
 /// Figure 9: partition / clip / merge phase breakdown vs slab count for two
-/// dataset pairs (I = 1∪2, II = 3∪4), on the slab backend and the adaptive
-/// grid. Grid rows additionally surface the work-stealing counters
+/// dataset pairs (I = 1∪2, II = 3∪4), on the default cell plan and the
+/// refining one, with the work-stealing counters
 /// ([`PhaseTimes::chunks_total`], `chunks_stolen`, `steal_ms`,
-/// `merge_serial_ms`) that the slab backends leave at zero.
+/// `merge_serial_ms`).
 fn fig9(cfg: &Config) -> Vec<ResultTable> {
-    use polyclip::core::algo2::PartitionBackend as Backend;
     let mut t = ResultTable::new(
         "fig9_phases",
         &[
@@ -315,20 +314,16 @@ fn fig9(cfg: &Config) -> Vec<ResultTable> {
     for (label, ia, ib) in [("I(1-2)", 1usize, 2usize), ("II(3-4)", 3, 4)] {
         let a = layer(ia, cfg.scale, ia as u64 * 1000 + 7).merged();
         let b = layer(ib, cfg.scale, ib as u64 * 1000 + 7).merged();
-        for (backend_name, backend) in [
-            ("slab_index", Backend::SlabIndex),
-            ("adaptive_grid", Backend::AdaptiveGrid),
+        for (backend_name, grid) in [
+            ("slab_index", GridConfig::default()),
+            ("adaptive_grid", GridConfig::refined()),
         ] {
+            let opts = ClipOptions {
+                grid,
+                ..opts.clone()
+            };
             for &slabs in SLAB_SWEEP {
-                let r = clip_pair_slabs_backend(
-                    &a,
-                    &b,
-                    BoolOp::Union,
-                    slabs,
-                    &opts,
-                    MergeStrategy::Sequential,
-                    backend,
-                );
+                let r = clip_pair_slabs(&a, &b, BoolOp::Union, slabs, &opts);
                 let clip_max = r
                     .times
                     .per_slab_clip

@@ -19,15 +19,21 @@
 //! Per-phase wall-clock timers reproduce the partition/clip/merge breakdown
 //! of the paper's Figure 9 and the per-slab load profile of Figure 11.
 //!
-//! Partitioning is **output-sensitive** by default: instead of every slab
-//! worker scanning the full inputs (O(n·p) bbox tests), one shared
-//! [`SlabIndex`] bins each contour into the contiguous range of slabs its
-//! y-extent overlaps, and each worker touches only its own bucket —
-//! O(n + Σ overlaps) total. Contours fully inside their slab are passed to
-//! the engine by reference, without clipping or cloning; only
-//! boundary-crossing contours go through the band clip, into a reusable
-//! per-worker scratch buffer. [`PartitionBackend::FullScan`] keeps the
-//! original scan path for ablation; both produce bit-identical results.
+//! Partitioning is **output-sensitive**: instead of every slab worker
+//! scanning the full inputs (O(n·p) bbox tests), one shared [`SlabIndex`]
+//! bins each contour into the contiguous range of slabs its y-extent
+//! overlaps, and each worker touches only its own bucket — O(n + Σ
+//! overlaps) total. Contours fully inside their slab are passed to the
+//! engine by reference, without clipping or cloning; only boundary-crossing
+//! contours go through the band clip, into a reusable per-worker scratch
+//! buffer.
+//!
+//! Every multi-slab run executes a [`GridPlan`] through one driver. The
+//! default [`crate::grid::GridConfig`] plans one cell per event-quantile
+//! slab and runs the cells in plan order on the calling thread; a refining
+//! config (`oversub > 0`) splits heavy slabs into finer cells and runs them
+//! on the work-stealing pool ([`polyclip_parprim::stealpool`]).
+//! [`ClipOptions::merge`] picks the Step-8 merge.
 
 use crate::budget::{self, Gate, MeterSnapshot};
 use crate::classify::BoolOp;
@@ -38,9 +44,8 @@ use crate::slabindex::SlabIndex;
 use crate::stats::ClipStats;
 use polyclip_geom::{Contour, OrdF64, Point, PolygonSet};
 use polyclip_parprim::{par_sort_dedup_gated, stealpool};
-use polyclip_seqclip::{band_clip, band_clip_contour_into, xband_clip_contour_into};
+use polyclip_seqclip::{band_clip_contour_into, xband_clip_contour_into};
 use polyclip_sweep::SweepScratch;
-use rayon::prelude::*;
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -55,8 +60,8 @@ pub struct PhaseTimes {
     /// [`ClipOptions::sanitize`] is off; a single read-only scan (no
     /// allocation) when the input is clean.
     pub sanitize: Duration,
-    /// Shared slab-index build (contour binning). Zero on the
-    /// [`PartitionBackend::FullScan`] path and on single-slab runs.
+    /// Shared slab-index build (contour binning) plus cell planning. Zero
+    /// on single-slab runs.
     pub index: Duration,
     /// Time each slab spent in `rectangleClip` (partitioning, Steps 4–5).
     pub per_slab_partition: Vec<Duration>,
@@ -100,8 +105,8 @@ pub struct PhaseTimes {
     /// of recomputing it.
     pub prepared_reused: bool,
     /// Number of chunks handed to the work-stealing pool: grid cells, plus
-    /// pool-side merge nodes under [`MergeStrategy::Tree`]. Zero on the
-    /// statically-assigned slab paths.
+    /// pool-side merge nodes under [`MergeStrategy::Tree`]. Zero on
+    /// single-slab runs.
     pub chunks_total: usize,
     /// Chunks executed by a worker other than the one whose deque they were
     /// first pushed onto — the stealing pool's rebalancing traffic.
@@ -110,14 +115,15 @@ pub struct PhaseTimes {
     /// victim deques), summed across workers.
     pub steal: Duration,
     /// Per-worker busy time on the stealing pool: wall clock spent executing
-    /// chunks (cell clips and pool-side merges), indexed by worker. Empty on
-    /// the statically-assigned slab paths.
+    /// chunks (cell clips and pool-side merges), indexed by worker. One lane
+    /// for unrefined plans, which run on the calling thread; empty on
+    /// single-slab runs.
     pub per_worker_busy: Vec<Duration>,
     /// The slice of [`PhaseTimes::merge`] that ran serially on the calling
     /// thread after the fan-out, i.e. is not attributable to any worker's
-    /// lane: the whole Step-8 merge on the slab paths and on the grid's
-    /// [`MergeStrategy::Sequential`] finish, only salvage merges completed
-    /// inline after a partial run under [`MergeStrategy::Tree`].
+    /// lane: the concatenate–split–stitch finish under
+    /// [`MergeStrategy::Sequential`], only salvage merges completed inline
+    /// after a partial run under [`MergeStrategy::Tree`].
     pub merge_serial: Duration,
 }
 
@@ -155,18 +161,19 @@ impl PhaseTimes {
     /// LI = (max_lane + merge_serial) / (mean_lane + merge_serial / lanes)
     /// ```
     ///
-    /// On the work-stealing grid path the lanes are
+    /// When the pool ran two or more workers the lanes are
     /// [`PhaseTimes::per_worker_busy`] (each worker's total chunk-execution
-    /// time); on the static slab paths they are
-    /// [`PhaseTimes::per_slab_clip`]. Earlier revisions dropped the merge
-    /// term entirely, which let a run with a long serial Step-8 tail report
-    /// a flattering ratio; folding the serial residual into both sides
-    /// makes LI → 1.0 require genuinely balanced *end-to-end* critical
-    /// paths. Retry time ([`PhaseTimes::retry_total`]) stays excluded: a
-    /// slab that panicked or was watchdog-cancelled and then recovered
-    /// would otherwise report its failed attempt as load.
+    /// time); otherwise they are [`PhaseTimes::per_slab_clip`], the load
+    /// each cell would put on its own thread — a one-lane busy histogram
+    /// would report 1.0 whatever the balance. Earlier revisions dropped the
+    /// merge term entirely, which let a run with a long serial Step-8 tail
+    /// report a flattering ratio; folding the serial residual into both
+    /// sides makes LI → 1.0 require genuinely balanced *end-to-end*
+    /// critical paths. Retry time ([`PhaseTimes::retry_total`]) stays
+    /// excluded: a slab that panicked or was watchdog-cancelled and then
+    /// recovered would otherwise report its failed attempt as load.
     pub fn load_imbalance(&self) -> f64 {
-        let lanes = if self.per_worker_busy.is_empty() {
+        let lanes = if self.per_worker_busy.len() < 2 {
             &self.per_slab_clip
         } else {
             &self.per_worker_busy
@@ -211,53 +218,22 @@ pub struct Algo2Result {
     pub degradations: Vec<Degradation>,
 }
 
-/// How Algorithm 2 fuses its per-slab partial outputs (Step 8).
+/// How Algorithm 2 fuses its per-cell partial outputs (Step 8), carried
+/// on [`ClipOptions::merge`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum MergeStrategy {
     /// One sequential pass over all partials — the paper's implementation.
     #[default]
     Sequential,
-    /// Binary reduction tree over the slabs (the paper's Figure 6 /
-    /// future-work parallel merge): `O(log p)` levels, merges within a
-    /// level run concurrently.
+    /// Binary reduction tree over the cells (the paper's Figure 6 /
+    /// future-work parallel merge): each node of the plan's merge tree
+    /// dissolves one seam as soon as both children land.
     Tree,
-}
-
-/// How Algorithm 2 hands each slab worker its share of the inputs
-/// (Steps 4–5). Both backends produce bit-identical results; `FullScan`
-/// exists for ablation benchmarks and as the reference implementation the
-/// equivalence tests check against.
-///
-/// Not to be confused with [`polyclip_sweep::PartitionBackend`]
-/// ([`ClipOptions::backend`]), which selects the *scanbeam* edge-partition
-/// structure inside the engine.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum PartitionBackend {
-    /// Every slab worker scans both full inputs and band-clips what
-    /// overlaps: O(n) per slab, O(n·p) total — the original implementation.
-    FullScan,
-    /// One shared [`SlabIndex`] bins contours into slabs up front; each
-    /// worker touches only its bucket, borrows fully-inside contours, and
-    /// band-clips crossers into a reusable scratch buffer: O(n + Σ overlaps)
-    /// total.
-    #[default]
-    SlabIndex,
-    /// Builds the same shared [`SlabIndex`], then recursively splits slabs
-    /// whose binned vertex mass exceeds the even-share threshold — first at
-    /// interior event quantiles (y), then across columns (x) — until the
-    /// plan holds roughly [`crate::grid::GridConfig::oversub`] × workers
-    /// cells. Cells execute on a work-stealing deque pool
-    /// ([`polyclip_parprim::stealpool`]) instead of static slab assignment,
-    /// so one heavy region no longer pins a single worker's lane. With
-    /// [`crate::grid::GridConfig::matched`] the plan degenerates to exactly
-    /// the base slabs and the output is bit-identical to `SlabIndex`.
-    AdaptiveGrid,
 }
 
 /// One slab worker's contribution: its partial output plus everything the
 /// aggregate needs (stats, degradations, phase timings).
-#[derive(Default)]
-pub(crate) struct SlabPartial {
+struct SlabPartial {
     output: PolygonSet,
     stats: ClipStats,
     degradations: Vec<Degradation>,
@@ -293,7 +269,7 @@ struct SlabGates<'a> {
 /// is still clean — attempt 1 retries the identical computation on the
 /// cancel-only recovery gate (transient faults, one slow slab); if that
 /// dies too, a final attempt re-runs the slab on the *pristine*
-/// configuration — sequential, default partition backend, fault plan
+/// configuration — sequential, direct-scan beam partition, fault plan
 /// stripped. The pristine attempt computes the same band on the same engine
 /// family, so a successful fallback is bit-identical to an unfaulted run.
 /// Only when all three attempts die does the slab surface
@@ -417,108 +393,15 @@ where
     }
 }
 
-/// The [`PartitionBackend::FullScan`] slab body: band-clip both full inputs
-/// (or clone them verbatim for an unbanded single-slab run), then clip.
-#[allow(clippy::too_many_arguments)]
-fn run_slab(
-    slab: usize,
-    band: Option<(f64, f64)>,
-    subject: &PolygonSet,
-    clip_p: &PolygonSet,
-    op: BoolOp,
-    seq: &ClipOptions,
-    gates: &SlabGates<'_>,
-    scratch: &mut SweepScratch,
-) -> Result<SlabPartial, ClipError> {
-    run_slab_ladder(slab, seq, gates, scratch, |opts, gate, scratch| {
-        let t0 = Instant::now();
-        let (s_band, c_band): (Cow<'_, PolygonSet>, Cow<'_, PolygonSet>) = match band {
-            Some((lo, hi)) => (
-                Cow::Owned(band_clip(subject, lo, hi)),
-                Cow::Owned(band_clip(clip_p, lo, hi)),
-            ),
-            // Unbanded single-slab run: the engine only reads the inputs,
-            // so borrow them instead of deep-cloning both sets.
-            None => (Cow::Borrowed(subject), Cow::Borrowed(clip_p)),
-        };
-        let t_partition = t0.elapsed();
-        let t1 = Instant::now();
-        try_clip_with_stats_in(&s_band, &c_band, op, opts, gate, scratch)
-            .map(|outcome| (outcome, t_partition, t1.elapsed()))
-    })
-}
-
-/// The [`PartitionBackend::SlabIndex`] slab body: walk only this slab's
-/// bucket of the shared index. Fully-inside contours are borrowed with no
-/// clipping; boundary crossers are band-clipped through one reusable
-/// scratch buffer (a single allocation that grows to the largest contour
-/// and is reused across the whole bucket). The resulting contour sequence
-/// is exactly what `band_clip` would have produced — same contours, same
-/// order, same validity filtering — so the engine sees a bit-identical
-/// instance.
-#[allow(clippy::too_many_arguments)]
-fn run_slab_indexed(
-    slab: usize,
-    band: (f64, f64),
-    index: &SlabIndex<'_>,
-    op: BoolOp,
-    seq: &ClipOptions,
-    gates: &SlabGates<'_>,
-    sweep_scratch: &mut SweepScratch,
-) -> Result<SlabPartial, ClipError> {
-    // Per-entry dispositions for the second pass. `PolygonSet::push` (the
-    // full-scan path) silently drops invalid (< 3 point) contours, so the
-    // same filter applies here to keep the instances identical.
-    const SKIP: u32 = u32::MAX;
-    const BORROW: u32 = u32::MAX - 1;
-    run_slab_ladder(slab, seq, gates, sweep_scratch, |opts, gate, sweep| {
-        let (lo, hi) = band;
-        let entries = index.slab(slab);
-        let t0 = Instant::now();
-        let mut scratch: Vec<Point> = Vec::new();
-        let mut arena: Vec<Contour> = Vec::new();
-        let mut slots: Vec<u32> = Vec::with_capacity(entries.len());
-        for e in entries {
-            let c = index.contour(e.contour);
-            if e.inside {
-                slots.push(if c.is_valid() { BORROW } else { SKIP });
-            } else {
-                let clipped = band_clip_contour_into(c, lo, hi, &mut scratch);
-                if clipped.is_valid() {
-                    slots.push(arena.len() as u32);
-                    arena.push(clipped);
-                } else {
-                    slots.push(SKIP);
-                }
-            }
-        }
-        let mut subject_refs: Vec<&Contour> = Vec::new();
-        let mut clip_refs: Vec<&Contour> = Vec::new();
-        for (e, &slot) in entries.iter().zip(&slots) {
-            let c = match slot {
-                SKIP => continue,
-                BORROW => index.contour(e.contour),
-                i => &arena[i as usize],
-            };
-            if index.is_subject(e.contour) {
-                subject_refs.push(c);
-            } else {
-                clip_refs.push(c);
-            }
-        }
-        let t_partition = t0.elapsed();
-        let t1 = Instant::now();
-        try_clip_refs_in(&subject_refs, &clip_refs, op, opts, gate, sweep)
-            .map(|outcome| (outcome, t_partition, t1.elapsed()))
-    })
-}
-
 /// Clip a pair of polygon sets with the slab-partitioned Algorithm 2.
 ///
-/// `n_slabs` is the paper's `p` (one slab per thread); the per-slab work
-/// runs on the current rayon pool. `opts` configures fill rule etc.; the
-/// per-slab engine always runs sequentially, parallelism comes from the
-/// slab fan-out, exactly as in the paper.
+/// `n_slabs` is the paper's `p` (one slab per thread). `opts` configures
+/// fill rule etc.; the per-cell engine always runs sequentially,
+/// parallelism comes from the cell fan-out, exactly as in the paper. The
+/// default [`ClipOptions::grid`] plans one cell per slab and runs the cells
+/// in slab order on the calling thread; a refining config runs its cells
+/// on the work-stealing pool, min(`n_slabs`, available parallelism, cells)
+/// workers wide.
 ///
 /// Lenient wrapper over [`try_clip_pair_slabs`]: errors (non-finite input,
 /// a slab dead on every recovery attempt) yield an empty result.
@@ -529,101 +412,24 @@ pub fn clip_pair_slabs(
     n_slabs: usize,
     opts: &ClipOptions,
 ) -> Algo2Result {
-    clip_pair_slabs_with(
-        subject,
-        clip_p,
-        op,
-        n_slabs,
-        opts,
-        MergeStrategy::Sequential,
-    )
-}
-
-/// [`clip_pair_slabs`] with an explicit Step-8 merge strategy.
-pub fn clip_pair_slabs_with(
-    subject: &PolygonSet,
-    clip_p: &PolygonSet,
-    op: BoolOp,
-    n_slabs: usize,
-    opts: &ClipOptions,
-    merge_strategy: MergeStrategy,
-) -> Algo2Result {
-    try_clip_pair_slabs_with(subject, clip_p, op, n_slabs, opts, merge_strategy).unwrap_or_default()
-}
-
-/// [`clip_pair_slabs_with`] with an explicit partition backend — the
-/// lenient wrapper over [`try_clip_pair_slabs_backend`].
-pub fn clip_pair_slabs_backend(
-    subject: &PolygonSet,
-    clip_p: &PolygonSet,
-    op: BoolOp,
-    n_slabs: usize,
-    opts: &ClipOptions,
-    merge_strategy: MergeStrategy,
-    backend: PartitionBackend,
-) -> Algo2Result {
-    try_clip_pair_slabs_backend(subject, clip_p, op, n_slabs, opts, merge_strategy, backend)
-        .unwrap_or_default()
+    try_clip_pair_slabs(subject, clip_p, op, n_slabs, opts).unwrap_or_default()
 }
 
 /// Fallible Algorithm 2 with per-slab panic isolation.
 ///
-/// Every slab worker runs under `catch_unwind`; a panicked slab is retried
+/// Every cell worker runs under `catch_unwind`; a panicked cell is retried
 /// once and then recomputed on the pristine sequential engine (see
 /// [`Degradation::SlabRetry`] / [`Degradation::SlabFallback`]). Errors are
-/// typed: non-finite inputs are rejected up front, and a slab that dies on
+/// typed: non-finite inputs are rejected up front, and a cell that dies on
 /// every rung of the ladder surfaces as [`ClipError::SlabPanic`].
+/// [`ClipOptions::grid`] picks the cell plan and [`ClipOptions::merge`] the
+/// Step-8 merge.
 pub fn try_clip_pair_slabs(
     subject: &PolygonSet,
     clip_p: &PolygonSet,
     op: BoolOp,
     n_slabs: usize,
     opts: &ClipOptions,
-) -> Result<Algo2Result, ClipError> {
-    try_clip_pair_slabs_with(
-        subject,
-        clip_p,
-        op,
-        n_slabs,
-        opts,
-        MergeStrategy::Sequential,
-    )
-}
-
-/// [`try_clip_pair_slabs`] with an explicit Step-8 merge strategy, on the
-/// default partition backend ([`PartitionBackend::SlabIndex`]).
-pub fn try_clip_pair_slabs_with(
-    subject: &PolygonSet,
-    clip_p: &PolygonSet,
-    op: BoolOp,
-    n_slabs: usize,
-    opts: &ClipOptions,
-    merge_strategy: MergeStrategy,
-) -> Result<Algo2Result, ClipError> {
-    try_clip_pair_slabs_backend(
-        subject,
-        clip_p,
-        op,
-        n_slabs,
-        opts,
-        merge_strategy,
-        PartitionBackend::default(),
-    )
-}
-
-/// The fully-explicit Algorithm-2 entry point: merge strategy *and*
-/// partition backend. Both backends are bit-identical in output, stats and
-/// degradations (asserted by the `equivalence` proptest); they differ only
-/// in partition-phase cost and in [`PhaseTimes::index`].
-#[allow(clippy::too_many_arguments)]
-pub fn try_clip_pair_slabs_backend(
-    subject: &PolygonSet,
-    clip_p: &PolygonSet,
-    op: BoolOp,
-    n_slabs: usize,
-    opts: &ClipOptions,
-    merge_strategy: MergeStrategy,
-    backend: PartitionBackend,
 ) -> Result<Algo2Result, ClipError> {
     let t_start = Instant::now();
     // Arm the budget exactly once, at this public boundary: the relative
@@ -727,70 +533,41 @@ pub fn try_clip_pair_slabs_backend(
         return drive_single_slab(drive, &mut SweepScratch::new());
     }
 
-    // Equal-event-count slab boundaries over [ymin, ymax].
+    // Equal-event-count slab boundaries over [ymin, ymax], one shared
+    // binning pass over both inputs (instead of p full scans), and the cell
+    // plan on top. The plan is a pure function of the boundaries, the index
+    // and the event schedule — worker count enters only as the paper's p
+    // (the requested slab count), never the machine's thread count, so
+    // results are machine-independent.
     let boundaries = slab_boundaries(&ys, n_slabs);
-
-    // The shared binning pass (SlabIndex and AdaptiveGrid backends): one
-    // parallel sweep over both inputs replaces p full scans.
     let t_ix = Instant::now();
-    let index = match backend {
-        PartitionBackend::SlabIndex | PartitionBackend::AdaptiveGrid => {
-            Some(SlabIndex::build(subject, clip_p, &boundaries))
-        }
-        PartitionBackend::FullScan => None,
-    };
-
-    if backend == PartitionBackend::AdaptiveGrid {
-        let ix = index.as_ref().expect("grid backend builds an index");
-        // The plan is a pure function of the boundaries, the index masses
-        // and the event schedule — worker count enters only as the paper's
-        // p (the requested slab count), never the machine's thread count,
-        // so results are machine-independent.
-        let plan = crate::grid::plan_grid(&boundaries, ix, &ys, &opts.grid, n_slabs);
-        let t_index = t_ix.elapsed();
-        return drive_grid(
-            drive,
-            &plan,
-            ix,
-            None,
-            t_index,
-            merge_strategy,
-            n_slabs,
-            SweepScratch::new,
-            drop,
-        );
-    }
-
-    let t_index = if index.is_some() {
-        t_ix.elapsed()
-    } else {
-        Duration::ZERO
-    };
-
-    drive_slabs(
+    let index = SlabIndex::build(subject, clip_p, &boundaries);
+    let plan = crate::grid::plan_grid(&boundaries, &index, &ys, &opts.grid, n_slabs);
+    let t_index = t_ix.elapsed();
+    drive_grid(
         drive,
-        &boundaries,
-        index.as_ref(),
+        &plan,
+        &index,
         None,
         t_index,
-        merge_strategy,
+        n_slabs,
         SweepScratch::new,
         drop,
     )
 }
 
-/// Everything the slab fan-out drivers need beyond the partition source:
-/// the inputs as the workers will see them (already sanitized), armed
-/// gates, per-worker options, pre-aggregated sanitize results, and the
-/// provenance fields that end up in [`PhaseTimes`]. Shared by the cold
-/// path ([`try_clip_pair_slabs_backend`]) and the prepared path
-/// ([`crate::prepared::try_clip_prepared_backend`]).
+/// Everything the drivers need beyond the partition source: the inputs as
+/// the workers will see them (already sanitized), armed gates, per-worker
+/// options, pre-aggregated sanitize results, and the provenance fields that
+/// end up in [`PhaseTimes`]. Shared by the cold path
+/// ([`try_clip_pair_slabs`]) and the prepared path
+/// ([`crate::prepared::try_clip_prepared`]).
 pub(crate) struct SlabDrive<'a> {
     pub subject: &'a PolygonSet,
     pub clip_p: &'a PolygonSet,
     pub op: BoolOp,
     /// The caller's options (consulted for `validate_output`,
-    /// `budget.allow_partial`).
+    /// `budget.allow_partial`, `grid` and `merge`).
     pub opts: &'a ClipOptions,
     /// Worker options: sequential, sanitize/validate off, cancel-only
     /// budget.
@@ -819,7 +596,13 @@ pub(crate) fn drive_single_slab(
         global: d.gate,
         recovery: d.recovery_gate,
     };
-    let partial = run_slab(0, None, d.subject, d.clip_p, d.op, d.seq, &gates, scratch)?;
+    // The engine only reads the inputs, so the one unbanded slab borrows
+    // them whole.
+    let partial = run_slab_ladder(0, d.seq, &gates, scratch, |opts, gate, scratch| {
+        let t0 = Instant::now();
+        try_clip_with_stats_in(d.subject, d.clip_p, d.op, opts, gate, scratch)
+            .map(|outcome| (outcome, Duration::ZERO, t0.elapsed()))
+    })?;
     let t_retry = partial.t_retry;
     let mut stats = partial.stats;
     stats.input_repairs += d.pre_repairs;
@@ -863,218 +646,6 @@ pub(crate) fn drive_single_slab(
     })
 }
 
-/// Steps 4–8: the slab fan-out, partial collection, merge and output
-/// ladder, shared by the cold and prepared paths.
-///
-/// `index` selects the partition backend (`Some` = bucketed, `None` = full
-/// scan). `skip[i]` marks slabs whose output is provably empty — the
-/// prepared path's query-side pruning (an intersection in a slab without
-/// query contours, or an empty bucket) — which are recorded as completed
-/// with zero-duration partials instead of running the engine. `acquire` /
-/// `release` supply each worker chunk's scratch arena: the cold path makes
-/// a fresh arena per chunk, the prepared path checks arenas out of the
-/// layer's cross-request pool.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn drive_slabs<A, R>(
-    d: SlabDrive<'_>,
-    boundaries: &[f64],
-    index: Option<&SlabIndex<'_>>,
-    skip: Option<&[bool]>,
-    t_index: Duration,
-    merge_strategy: MergeStrategy,
-    acquire: A,
-    release: R,
-) -> Result<Algo2Result, ClipError>
-where
-    A: Fn() -> SweepScratch + Sync,
-    R: Fn(SweepScratch) + Sync,
-{
-    let slabs = boundaries.len() - 1;
-    let (gate, recovery_gate) = (d.gate, d.recovery_gate);
-
-    // The watchdog: derive each slab's deadline from the global allowance
-    // and its estimated load share. A slab gets twice its fair share of the
-    // remaining time (floored at the uniform 1/slabs share so tiny buckets
-    // are not starved, capped at the global deadline) — generous enough
-    // that balanced runs never trip it, tight enough that one runaway slab
-    // is cancelled and re-laddered while its siblings finish.
-    let entry_counts: Option<Vec<usize>> = index
-        .as_ref()
-        .map(|ix| (0..slabs).map(|i| ix.slab(i).len()).collect());
-    let now = Instant::now();
-    let slab_deadline = |i: usize| -> Option<Instant> {
-        let deadline = gate.deadline()?;
-        let remaining = deadline.saturating_duration_since(now);
-        let uniform = 1.0 / slabs as f64;
-        let share = match &entry_counts {
-            Some(counts) => {
-                let total: usize = counts.iter().sum();
-                if total == 0 {
-                    uniform
-                } else {
-                    counts[i] as f64 / total as f64
-                }
-            }
-            None => uniform,
-        };
-        let frac = (2.0 * share.max(uniform)).min(1.0);
-        Some(now + remaining.mul_f64(frac))
-    };
-
-    // Steps 4–6 per slab, in parallel, each under the recovery ladder.
-    // Slabs are fanned out in contiguous chunks (about one per thread);
-    // each chunk owns one scratch arena reused across its slabs, so a
-    // worker's later slabs replay the capacity its first slab allocated.
-    // Chunks are emitted in order, so `partials` stays in slab order.
-    let chunk = slabs.div_ceil(rayon::current_num_threads().max(1)).max(1);
-    let partials: Vec<Result<SlabPartial, ClipError>> = (0..slabs.div_ceil(chunk))
-        .into_par_iter()
-        .flat_map_iter(|ci| {
-            let mut scratch = acquire();
-            let out = (ci * chunk..((ci + 1) * chunk).min(slabs))
-                .map(|i| {
-                    if skip.is_some_and(|s| s[i]) {
-                        return Ok(SlabPartial::default());
-                    }
-                    let band = (boundaries[i], boundaries[i + 1]);
-                    let watchdog = gate.child_with_deadline(slab_deadline(i));
-                    let gates = SlabGates {
-                        attempt: &watchdog,
-                        global: gate,
-                        recovery: recovery_gate,
-                    };
-                    match &index {
-                        Some(ix) => {
-                            run_slab_indexed(i, band, ix, d.op, d.seq, &gates, &mut scratch)
-                        }
-                        None => run_slab(
-                            i,
-                            Some(band),
-                            d.subject,
-                            d.clip_p,
-                            d.op,
-                            d.seq,
-                            &gates,
-                            &mut scratch,
-                        ),
-                    }
-                })
-                .collect::<Vec<_>>();
-            release(scratch);
-            out
-        })
-        .collect();
-    let mut parts: Vec<PolygonSet> = Vec::with_capacity(slabs);
-    let mut per_slab_partition: Vec<Duration> = Vec::with_capacity(slabs);
-    let mut per_slab_clip: Vec<Duration> = Vec::with_capacity(slabs);
-    let mut retry_total = Duration::ZERO;
-    let mut stats = ClipStats {
-        input_repairs: d.pre_repairs,
-        prepared_reused: d.prepared_reused,
-        ..ClipStats::default()
-    };
-    let mut degradations: Vec<Degradation> = d.pre_degradations;
-    // Partial-result collection: with `allow_partial`, slabs lost to a
-    // deadline/work-budget trip are skipped and the survivors merged;
-    // cancellation and geometry errors always end the run, as does a blown
-    // budget in strict (default) mode or a run with zero finished slabs.
-    let mut first_trip: Option<ClipError> = None;
-    let mut lost_slabs = 0usize;
-    for partial in partials {
-        match partial {
-            Ok(p) => {
-                parts.push(p.output);
-                per_slab_partition.push(p.t_partition);
-                per_slab_clip.push(p.t_clip);
-                retry_total += p.t_retry;
-                stats.absorb(&p.stats);
-                degradations.extend(p.degradations);
-            }
-            Err(e) => {
-                if !d.opts.budget.allow_partial || !budget::is_budget_trip(&e) {
-                    return Err(e);
-                }
-                lost_slabs += 1;
-                if first_trip.is_none() {
-                    first_trip = Some(e);
-                }
-            }
-        }
-    }
-    let completed_slabs = slabs - lost_slabs;
-    if completed_slabs == 0 {
-        // Nothing to salvage: surface the first trip.
-        return Err(first_trip.expect("no slabs and no error is impossible"));
-    }
-    stats.completed_slabs = completed_slabs;
-    stats.total_slabs = slabs;
-    if lost_slabs > 0 {
-        degradations.push(Degradation::PartialResult {
-            completed_slabs,
-            total_slabs: slabs,
-        });
-    }
-
-    // Step 8: merge partial outputs at the interior slab boundaries.
-    let t_merge = Instant::now();
-    let interior = &boundaries[1..boundaries.len() - 1];
-    let output = match merge_strategy {
-        MergeStrategy::Sequential => merge_slab_outputs(parts.into_iter(), interior, d.seq),
-        MergeStrategy::Tree => merge_slab_outputs_tree(parts, interior, d.seq),
-    };
-    let merge = t_merge.elapsed();
-
-    // Output ladder on the merged result (once, not per slab).
-    let (output, stats, degradations) = if d.opts.validate_output {
-        let mut outcome = ClipOutcome {
-            result: output,
-            stats,
-            degradations,
-        };
-        crate::engine::repair_output(d.subject, d.clip_p, d.op, d.opts, &mut outcome);
-        (outcome.result, outcome.stats, outcome.degradations)
-    } else {
-        (output, stats, degradations)
-    };
-
-    let work = gate.meter().snapshot();
-    Ok(Algo2Result {
-        output,
-        times: PhaseTimes {
-            sanitize: d.t_sanitize,
-            index: t_index,
-            per_slab_partition,
-            per_slab_clip,
-            merge,
-            retry_total,
-            total: d.t_start.elapsed(),
-            refine_rounds_incremental: stats.refine_rounds_incremental,
-            beams_rebuilt: stats.beams_rebuilt,
-            arena_hwm_bytes: work.peak_scratch_bytes,
-            arena_reused_bytes: work.scratch_reused_bytes,
-            work,
-            prepare_build: d.prepare_build,
-            prepared_reused: d.prepared_reused,
-            // The whole Step-8 merge ran serially on this thread.
-            merge_serial: merge,
-            ..Default::default()
-        },
-        slabs,
-        stats,
-        degradations,
-    })
-}
-
-/// The [`PartitionBackend::AdaptiveGrid`] cell body. A matched (unrefined)
-/// cell takes byte-for-byte the [`run_slab_indexed`] path: same disposition
-/// codes, same borrow/clip decisions, same contour order — the backbone of
-/// the grid/slab bit-identity guarantee. A refined cell re-tests each
-/// bucket entry against the cell rectangle, y-band-clips first (cuts are
-/// computed from the *original* edges, so y-siblings produce bit-identical
-/// seam vertices), then x-band-clips the y-banded contour (both x-siblings
-/// clip the same y-banded input, so column-seam vertices are bit-identical
-/// too).
-#[allow(clippy::too_many_arguments)]
 /// Lazily-computed slab-banded contour pieces shared by the refined cells
 /// of one base slab, indexed by (slab, position-in-bucket). A refined cell
 /// re-bands the already-small slab piece instead of rescanning the full
@@ -1135,6 +706,17 @@ impl SlabBandMemo {
     }
 }
 
+/// The cell body. An unrefined cell walks its slab's bucket of the shared
+/// index: fully-inside contours are borrowed with no clipping, boundary
+/// crossers are band-clipped into one reusable scratch buffer, and the
+/// contour sequence is exactly what `band_clip` of both full inputs would
+/// have produced — same contours, same order, same validity filtering — so
+/// the engine sees a bit-identical instance. A refined cell re-tests each
+/// bucket entry against the cell rectangle, y-band-clips first (cuts are
+/// computed from the *original* edges, so y-siblings produce bit-identical
+/// seam vertices), then x-band-clips the y-banded contour (both x-siblings
+/// clip the same y-banded input, so column-seam vertices are bit-identical
+/// too).
 #[allow(clippy::too_many_arguments)]
 fn run_cell(
     cell_id: usize,
@@ -1146,6 +728,9 @@ fn run_cell(
     gates: &SlabGates<'_>,
     sweep_scratch: &mut SweepScratch,
 ) -> Result<SlabPartial, ClipError> {
+    // Per-entry dispositions for the second pass. `PolygonSet::push`
+    // silently drops invalid (< 3 point) contours, so the same filter
+    // applies here.
     const SKIP: u32 = u32::MAX;
     const BORROW: u32 = u32::MAX - 1;
     run_slab_ladder(cell_id, seq, gates, sweep_scratch, |opts, gate, sweep| {
@@ -1288,11 +873,18 @@ fn lock<'a, T>(m: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// The adaptive-grid driver: executes the plan's cells (and, under
-/// [`MergeStrategy::Tree`], its merge nodes) on the work-stealing pool,
-/// then finishes Step 8 and assembles the result. The grid analogue of
-/// [`drive_slabs`], sharing its recovery ladder, watchdog policy, partial
-/// salvage and output-validation semantics.
+/// Steps 4–8, shared by the cold and prepared paths: executes the plan's
+/// cells (and, under [`MergeStrategy::Tree`], its merge nodes) on the
+/// work-stealing pool, each cell under the recovery ladder and its own
+/// watchdog, then finishes Step 8, salvages partial runs and runs the
+/// output ladder once on the merged result.
+///
+/// `skip[s]` marks base slabs whose output is provably empty — the
+/// prepared path's query-side pruning — whose cells are recorded as
+/// completed with zero-duration partials instead of running the engine.
+/// `acquire` / `release` supply each worker's scratch arena: the cold path
+/// makes a fresh arena, the prepared path checks arenas out of the layer's
+/// cross-request pool.
 ///
 /// `workers` is the paper's `p` — it sizes the pool, never the plan, so
 /// output depends only on the plan. Under [`MergeStrategy::Sequential`]
@@ -1308,7 +900,6 @@ pub(crate) fn drive_grid<A, R>(
     index: &SlabIndex<'_>,
     skip: Option<&[bool]>,
     t_index: Duration,
-    merge_strategy: MergeStrategy,
     workers: usize,
     acquire: A,
     release: R,
@@ -1319,18 +910,28 @@ where
 {
     let cells = plan.cells.len();
     let (gate, recovery_gate) = (d.gate, d.recovery_gate);
-    let eager_tree = merge_strategy == MergeStrategy::Tree;
-    // Pool width: the requested p, capped by the hardware (extra threads on
-    // an oversubscribed host only add scheduling noise — the *plan* is a
-    // pure function of p, so output is identical at any width) and by the
-    // cell count (idle workers have nothing to steal).
-    let hw = std::thread::available_parallelism().map_or(usize::MAX, usize::from);
-    let n_workers = workers.max(1).min(hw).min(cells.max(1));
+    let eager_tree = d.opts.merge == MergeStrategy::Tree;
+    // Pool width. An unrefined plan runs on the calling thread: extra
+    // workers cut its latency but grow peak RSS far more, through glibc's
+    // per-thread malloc arenas (EXPERIMENTS.md). A refining plan runs at the
+    // requested p, capped by the hardware (extra threads on an
+    // oversubscribed host only add scheduling noise — the *plan* is a pure
+    // function of p, so output is identical at any width) and by the cell
+    // count (idle workers have nothing to steal).
+    let n_workers = if d.opts.grid.oversub == 0 {
+        1
+    } else {
+        let hw = std::thread::available_parallelism().map_or(usize::MAX, usize::from);
+        workers.max(1).min(hw).min(cells.max(1))
+    };
     let chunks_total = cells + if eager_tree { plan.nodes.len() } else { 0 };
 
-    // Per-cell watchdog deadlines from the plan's mass shares — the same
-    // policy as `drive_slabs`: twice the fair share, floored at the uniform
-    // share, capped at the global deadline.
+    // Per-cell watchdog deadlines from the plan's mass shares: twice the
+    // fair share of the remaining time, floored at the uniform share (so
+    // tiny cells are not starved) and capped at the global deadline —
+    // generous enough that balanced runs never trip it, tight enough that
+    // one runaway cell is cancelled and re-laddered while its siblings
+    // finish.
     let now = Instant::now();
     let deadlines: Vec<Option<Instant>> = (0..cells)
         .map(|i| {
@@ -1366,24 +967,27 @@ where
     let arrivals: Vec<AtomicU8> = (0..plan.nodes.len()).map(|_| AtomicU8::new(0)).collect();
     let node_ns: Vec<AtomicU64> = (0..plan.nodes.len()).map(|_| AtomicU64::new(0)).collect();
     // Lazily-populated per-worker scratch arenas: a worker's later cells
-    // replay the capacity its first cell allocated, exactly like the
-    // chunked rayon fan-out in `drive_slabs`.
+    // replay the capacity its first cell allocated.
     let scratches: Vec<Mutex<Option<SweepScratch>>> =
         (0..n_workers).map(|_| Mutex::new(None)).collect();
     let fatal: Mutex<Option<ClipError>> = Mutex::new(None);
     let first_trip: Mutex<Option<ClipError>> = Mutex::new(None);
     let abort = AtomicBool::new(false);
 
-    // Slab-banded piece memo for refined cells (absent on a matched plan,
-    // where each cell IS its slab and bands straight off the index exactly
-    // like `drive_slabs` — keeping bit-identity to `SlabIndex` untouched).
+    // Slab-banded piece memo for refined cells (absent on an unrefined
+    // plan, where each cell IS its slab and bands straight off the index).
     let memo = plan
         .cells
         .iter()
         .any(|c| c.refined)
         .then(|| SlabBandMemo::new(plan, index));
 
-    let seeds: Vec<GridJob> = (0..cells).map(GridJob::Cell).collect();
+    // Seeded in reverse: each deque's owner pops LIFO, so every worker
+    // starts on its earliest cell and a one-worker run goes in plan order.
+    // The watchdog deadlines above are armed up front, so a stall in an
+    // early cell would otherwise also expire the deadlines of the cells
+    // queued behind it.
+    let seeds: Vec<GridJob> = (0..cells).rev().map(GridJob::Cell).collect();
     let stop = || abort.load(Ordering::Acquire) || gate.poll().is_some();
     let exec = |worker: usize, job: GridJob| -> Vec<GridJob> {
         match job {
@@ -1803,54 +1407,6 @@ pub(crate) fn finish_merge(frags: Vec<SeamFragment>, opts: &ClipOptions) -> Poly
     pass
 }
 
-/// Parallel tree-reduction merge — the paper's Figure 6, which it leaves as
-/// future work ("Step 8 … can be parallelized as illustrated in Fig. 6 for
-/// stronger scaling"): partial outputs sit at the leaves of a binary tree;
-/// each internal node merges its two children at the single slab boundary
-/// separating them, and the `O(log p)` levels run concurrently within each
-/// level.
-///
-/// Produces the same polygon set as [`merge_slab_outputs`] (asserted in
-/// tests); the `ablation_tree_merge` bench compares the two.
-pub fn merge_slab_outputs_tree(
-    parts: Vec<PolygonSet>,
-    interior_boundaries: &[f64],
-    opts: &ClipOptions,
-) -> PolygonSet {
-    if parts.len() <= 1 {
-        return parts.into_iter().next().unwrap_or_default();
-    }
-    debug_assert_eq!(parts.len(), interior_boundaries.len() + 1);
-    // Pair up (partial, boundary-above) so each reduction level knows which
-    // seams its merges dissolve.
-    let mut level: Vec<(PolygonSet, Vec<f64>)> = parts
-        .into_iter()
-        .enumerate()
-        .map(|(i, p)| {
-            let above = interior_boundaries.get(i).copied();
-            (p, above.into_iter().collect())
-        })
-        .collect();
-    while level.len() > 1 {
-        level = level
-            .par_chunks(2)
-            .map(|pair| {
-                if pair.len() == 1 {
-                    return pair[0].clone();
-                }
-                let (a, seams_a) = &pair[0];
-                let (b, seams_b) = &pair[1];
-                // The seam joining the two halves is the last of `a`'s.
-                let join = *seams_a.last().expect("non-top chunk has a seam");
-                let merged = merge_slab_outputs([a.clone(), b.clone()].into_iter(), &[join], opts);
-                // Seams still open after this node: b's trailing seam.
-                (merged, seams_b.clone())
-            })
-            .collect();
-    }
-    level.into_iter().next().map(|(p, _)| p).unwrap_or_default()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1864,6 +1420,20 @@ mod tests {
 
     fn seq() -> ClipOptions {
         ClipOptions::sequential()
+    }
+
+    fn tree() -> ClipOptions {
+        ClipOptions {
+            merge: MergeStrategy::Tree,
+            ..seq()
+        }
+    }
+
+    fn refined() -> ClipOptions {
+        ClipOptions {
+            grid: crate::grid::GridConfig::refined(),
+            ..seq()
+        }
     }
 
     #[test]
@@ -1986,8 +1556,8 @@ mod tests {
         let b = PolygonSet::from_xy(&[(2.0, -1.0), (6.0, 4.0), (3.0, 11.0), (1.0, 5.0)]);
         for op in [BoolOp::Intersection, BoolOp::Union, BoolOp::Xor] {
             for slabs in [2usize, 3, 5, 8] {
-                let s = clip_pair_slabs_with(&a, &b, op, slabs, &seq(), MergeStrategy::Sequential);
-                let t = clip_pair_slabs_with(&a, &b, op, slabs, &seq(), MergeStrategy::Tree);
+                let s = clip_pair_slabs(&a, &b, op, slabs, &seq());
+                let t = clip_pair_slabs(&a, &b, op, slabs, &tree());
                 assert!(
                     (eo_area(&s.output) - eo_area(&t.output)).abs() < 1e-9,
                     "op {op:?} slabs {slabs}"
@@ -2007,7 +1577,7 @@ mod tests {
         // by many seams comes back as one 4-vertex contour.
         let a = sq(0.0, 0.0, 1.0, 10.0);
         let b = sq(0.25, 2.0, 0.75, 8.0);
-        let r = clip_pair_slabs_with(&a, &b, BoolOp::Union, 6, &seq(), MergeStrategy::Tree);
+        let r = clip_pair_slabs(&a, &b, BoolOp::Union, 6, &tree());
         assert_eq!(r.output.len(), 1);
         assert_eq!(r.output.contours()[0].len(), 4);
     }
@@ -2127,68 +1697,120 @@ mod tests {
     }
 
     #[test]
+    fn load_imbalance_reads_slab_lanes_when_the_pool_ran_one_worker() {
+        // An unrefined plan runs on one pool worker: its single busy lane
+        // would read 1.0 whatever the balance, so LI falls back to the
+        // per-cell clip times, (7 + 11) / (6 + 11/2) as above.
+        let t = PhaseTimes {
+            per_slab_clip: vec![Duration::from_millis(5), Duration::from_millis(7)],
+            per_worker_busy: vec![Duration::from_millis(12)],
+            merge: Duration::from_millis(11),
+            merge_serial: Duration::from_millis(11),
+            ..Default::default()
+        };
+        assert!((t.load_imbalance() - 18.0 / 11.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn pool_width_is_one_unless_the_config_refines() {
+        // Dense stacked strips: heavy enough that the refining config
+        // splits them into many cells.
+        let contours: Vec<_> = (0..120)
+            .map(|i| rect(0.0, i as f64 * 0.25, 4.0, i as f64 * 0.25 + 0.2))
+            .collect();
+        let a = PolygonSet::from_contours(contours);
+        let b = sq(1.0, 0.0, 3.0, 30.0);
+        for merge in [MergeStrategy::Sequential, MergeStrategy::Tree] {
+            let unrefined = ClipOptions { merge, ..seq() };
+            let r = clip_pair_slabs(&a, &b, BoolOp::Union, 4, &unrefined);
+            assert_eq!(r.slabs, 4, "{merge:?}");
+            assert_eq!(r.times.per_worker_busy.len(), 1, "{merge:?}");
+
+            let refining = ClipOptions { merge, ..refined() };
+            let g = clip_pair_slabs(&a, &b, BoolOp::Union, 4, &refining);
+            let hw = std::thread::available_parallelism().map_or(1, usize::from);
+            assert!(g.slabs > 4, "{merge:?}: expected refinement");
+            assert_eq!(
+                g.times.per_worker_busy.len(),
+                4.min(hw).min(g.slabs),
+                "{merge:?}"
+            );
+        }
+    }
+
+    #[test]
     fn full_scan_backend_matches_slab_index_backend() {
+        // The original Algorithm-2 partition band-clipped both *full*
+        // inputs into every slab. The default plan bins contours by the
+        // slab index instead; output and engine counters must not differ.
         let a = PolygonSet::from_xy(&[(0.0, 0.0), (4.0, 0.3), (5.0, 9.7), (0.5, 10.0)]);
         let b = PolygonSet::from_xy(&[(2.0, -1.0), (6.0, 4.0), (3.0, 11.0), (1.0, 5.0)]);
+        let mut ys: Vec<OrdF64> = a
+            .contours()
+            .iter()
+            .chain(b.contours())
+            .flat_map(|c| c.points().iter().map(|p| OrdF64::new(p.y)))
+            .collect();
+        ys.sort_unstable();
+        ys.dedup();
         for op in [BoolOp::Intersection, BoolOp::Union, BoolOp::Xor] {
             for slabs in [2usize, 4, 8] {
-                let strategy = MergeStrategy::Sequential;
-                let full = clip_pair_slabs_backend(
-                    &a,
-                    &b,
-                    op,
-                    slabs,
-                    &seq(),
-                    strategy,
-                    PartitionBackend::FullScan,
-                );
-                let indexed = clip_pair_slabs_backend(
-                    &a,
-                    &b,
-                    op,
-                    slabs,
-                    &seq(),
-                    strategy,
-                    PartitionBackend::SlabIndex,
-                );
-                assert_eq!(full.output, indexed.output, "op {op:?} slabs {slabs}");
-                assert_eq!(full.stats, indexed.stats, "op {op:?} slabs {slabs}");
-                assert_eq!(full.times.index, Duration::ZERO);
+                let boundaries = slab_boundaries(&ys, slabs);
+                let n = boundaries.len() - 1;
+                let mut stats = ClipStats::default();
+                let mut parts = Vec::with_capacity(n);
+                for w in boundaries.windows(2) {
+                    let (sa, sb) = (
+                        polyclip_seqclip::band_clip(&a, w[0], w[1]),
+                        polyclip_seqclip::band_clip(&b, w[0], w[1]),
+                    );
+                    let one = crate::engine::try_clip_with_stats(&sa, &sb, op, &seq())
+                        .expect("clean clip");
+                    stats.absorb(&one.stats);
+                    parts.push(one.result);
+                }
+                stats.completed_slabs = n;
+                stats.total_slabs = n;
+                let full = merge_slab_outputs(parts.into_iter(), &boundaries[1..n], &seq());
+                let indexed = clip_pair_slabs(&a, &b, op, slabs, &seq());
+                assert_eq!(full, indexed.output, "op {op:?} slabs {slabs}");
+                assert_eq!(stats, indexed.stats, "op {op:?} slabs {slabs}");
+                assert_eq!(n, indexed.slabs, "op {op:?} slabs {slabs}");
             }
         }
     }
 
     #[test]
     fn matched_adaptive_grid_is_bit_identical_to_slab_index() {
-        // With refinement disabled the grid's cells are exactly the base
-        // slabs; output, stats and degradations must match the SlabIndex
-        // backend bit for bit under both merge strategies.
+        // A refining config without a split budget plans exactly the base
+        // slabs but runs them on the stealing pool, min(p, available
+        // parallelism) workers wide: output, stats and degradations must
+        // match the default plan on the calling thread bit for bit under
+        // both merge strategies.
         let a = PolygonSet::from_xy(&[(0.0, 0.0), (4.0, 0.3), (5.0, 9.7), (0.5, 10.0)]);
         let b = PolygonSet::from_xy(&[(2.0, -1.0), (6.0, 4.0), (3.0, 11.0), (1.0, 5.0)]);
-        let mut opts = seq();
-        opts.grid = crate::grid::GridConfig::matched();
+        let pooled = crate::grid::GridConfig {
+            oversub: 1,
+            max_cells: 0,
+            ..Default::default()
+        };
         for op in [BoolOp::Intersection, BoolOp::Union, BoolOp::Xor] {
             for slabs in [2usize, 4, 8] {
-                for strategy in [MergeStrategy::Sequential, MergeStrategy::Tree] {
-                    let indexed = clip_pair_slabs_backend(
+                for merge in [MergeStrategy::Sequential, MergeStrategy::Tree] {
+                    let indexed =
+                        clip_pair_slabs(&a, &b, op, slabs, &ClipOptions { merge, ..seq() });
+                    let grid = clip_pair_slabs(
                         &a,
                         &b,
                         op,
                         slabs,
-                        &opts,
-                        strategy,
-                        PartitionBackend::SlabIndex,
+                        &ClipOptions {
+                            grid: pooled,
+                            merge,
+                            ..seq()
+                        },
                     );
-                    let grid = clip_pair_slabs_backend(
-                        &a,
-                        &b,
-                        op,
-                        slabs,
-                        &opts,
-                        strategy,
-                        PartitionBackend::AdaptiveGrid,
-                    );
-                    let tag = format!("op {op:?} slabs {slabs} strategy {strategy:?}");
+                    let tag = format!("op {op:?} slabs {slabs} merge {merge:?}");
                     assert_eq!(grid.output, indexed.output, "{tag}");
                     assert_eq!(grid.stats, indexed.stats, "{tag}");
                     assert_eq!(grid.degradations, indexed.degradations, "{tag}");
@@ -2200,8 +1822,9 @@ mod tests {
 
     #[test]
     fn adaptive_grid_default_config_is_deterministic_and_correct() {
-        // Dense stacked strips force y-refinement under the default config:
-        // heavy enough per slab to clear the planner's 64-mass floor.
+        // Dense stacked strips force y-refinement under the refining
+        // config: heavy enough per slab to clear the planner's 64-mass
+        // floor.
         let contours: Vec<_> = (0..120)
             .map(|i| rect(0.0, i as f64 * 0.25, 4.0, i as f64 * 0.25 + 0.2))
             .collect();
@@ -2209,17 +1832,7 @@ mod tests {
         let b = sq(1.0, 0.0, 3.0, 30.0);
         for op in [BoolOp::Intersection, BoolOp::Union] {
             let runs: Vec<Algo2Result> = (0..2)
-                .map(|_| {
-                    clip_pair_slabs_backend(
-                        &a,
-                        &b,
-                        op,
-                        4,
-                        &seq(),
-                        MergeStrategy::Sequential,
-                        PartitionBackend::AdaptiveGrid,
-                    )
-                })
+                .map(|_| clip_pair_slabs(&a, &b, op, 4, &refined()))
                 .collect();
             assert_eq!(
                 runs[0].output, runs[1].output,
@@ -2251,32 +1864,25 @@ mod tests {
         let a = PolygonSet::from_contours(contours);
         let b =
             PolygonSet::from_contours(vec![rect(1.0, 0.0, 3.0, 10.0), rect(7.0, 0.0, 9.0, 10.0)]);
-        let mut opts = seq();
-        opts.grid = crate::grid::GridConfig {
+        let grid = crate::grid::GridConfig {
             oversub: 8,
             ..Default::default()
         };
         for op in [BoolOp::Intersection, BoolOp::Union] {
-            for strategy in [MergeStrategy::Sequential, MergeStrategy::Tree] {
-                let g = clip_pair_slabs_backend(
+            for merge in [MergeStrategy::Sequential, MergeStrategy::Tree] {
+                let g = clip_pair_slabs(
                     &a,
                     &b,
                     op,
                     2,
-                    &opts,
-                    strategy,
-                    PartitionBackend::AdaptiveGrid,
+                    &ClipOptions {
+                        grid,
+                        merge,
+                        ..seq()
+                    },
                 );
-                let s = clip_pair_slabs_backend(
-                    &a,
-                    &b,
-                    op,
-                    2,
-                    &opts,
-                    strategy,
-                    PartitionBackend::SlabIndex,
-                );
-                let tag = format!("op {op:?} strategy {strategy:?}");
+                let s = clip_pair_slabs(&a, &b, op, 2, &ClipOptions { merge, ..seq() });
+                let tag = format!("op {op:?} merge {merge:?}");
                 assert!(
                     (eo_area(&g.output) - eo_area(&s.output)).abs() < 1e-9,
                     "{tag}: grid {} slab {}",

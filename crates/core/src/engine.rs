@@ -100,14 +100,16 @@ pub struct ClipOptions {
     /// parallel paths on small inputs (useful for testing), large values
     /// keep small workloads sequential and amortization-friendly.
     pub grain: Option<usize>,
-    /// Cell-planning knobs for the Algorithm-2
-    /// [`crate::algo2::PartitionBackend::AdaptiveGrid`] backend (ignored by
-    /// every other path): over-decomposition factor, cell-count ceiling,
-    /// and whether column (vertical) splits are allowed. The default aims
-    /// for ~6 cells per worker; [`crate::grid::GridConfig::matched`]
-    /// disables refinement, making the grid bit-identical to the
-    /// `SlabIndex` backend.
+    /// Algorithm-2 cell planning (ignored by every other path):
+    /// over-decomposition factor, cell-count ceiling, and whether column
+    /// (vertical) splits are allowed. The default plans one cell per
+    /// event-quantile slab and runs them on the calling thread;
+    /// [`crate::grid::GridConfig::refined`] splits heavy slabs into ~6
+    /// cells per worker on the work-stealing pool.
     pub grid: crate::grid::GridConfig,
+    /// How Algorithm 2 merges its per-cell outputs at the seams (Step 8).
+    /// Ignored by every other path.
+    pub merge: crate::algo2::MergeStrategy,
 }
 
 impl Default for ClipOptions {
@@ -125,6 +127,7 @@ impl Default for ClipOptions {
             incremental_refine: true,
             grain: None,
             grid: crate::grid::GridConfig::default(),
+            merge: crate::algo2::MergeStrategy::Sequential,
         }
     }
 }

@@ -1,10 +1,13 @@
-//! Adaptive 2-D cell planning for [`crate::algo2::PartitionBackend::AdaptiveGrid`].
+//! Cell planning for Algorithm 2 ([`crate::algo2`]): every multi-slab run
+//! executes a [`GridPlan`].
 //!
-//! Static y-slabs balance *event counts*, not work: a slab that catches a
-//! dense tangle of contours takes several times longer than its siblings
-//! and the whole fan-out waits on it (the p=8 `load_imbalance` plateau in
-//! `BENCH_algo2.json`). Following the ParGeo recipe, the grid backend
-//! over-decomposes instead: starting from the same event-quantile slabs,
+//! The default [`GridConfig`] plans exactly the paper's event-quantile
+//! slabs, one cell each. Static y-slabs balance *event counts*, not work,
+//! though: a slab that catches a dense tangle of contours takes several
+//! times longer than its siblings and the whole fan-out waits on it (the
+//! p=8 `load_imbalance` plateau in `BENCH_algo2.json`). Following the
+//! ParGeo recipe, a refining config over-decomposes instead: starting from
+//! the same event-quantile slabs,
 //! any slab whose *mass* (vertex count binned by the CSR
 //! [`crate::slabindex::SlabIndex`]) exceeds a threshold is recursively
 //! split — preferably at the median interior event y, falling back to a
@@ -15,28 +18,29 @@
 //! hostage by a straggler.
 //!
 //! The planner also records the *merge tree*: one node per split, children
-//! before parents, plus a top level that pairs up the base slabs exactly
-//! like [`crate::algo2::merge_slab_outputs_tree`] does. Sequential-merge
-//! runs ignore the tree and dissolve every seam in one pass; tree-merge
-//! runs execute each node as a pool job as soon as both children land.
+//! before parents, plus a top level that pairs up neighbouring base slabs
+//! level by level (the paper's Figure 6). Sequential-merge runs ignore the
+//! tree and dissolve every seam in one pass; tree-merge runs execute each
+//! node as a pool job as soon as both children land.
 //!
 //! Everything here is a pure function of the slab boundaries, the index
 //! contents, the event schedule and the configuration — never of thread
-//! counts or timing — so a plan (and therefore the backend's output) is
+//! counts or timing — so a plan (and therefore the output) is
 //! deterministic across machines and runs.
 
 use crate::slabindex::SlabIndex;
 use polyclip_geom::{BBox, Contour, OrdF64};
 
-/// Tuning knobs for the adaptive grid, carried on
+/// Cell-planning knobs for Algorithm 2, carried on
 /// [`crate::ClipOptions::grid`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct GridConfig {
     /// Target over-decomposition factor: the planner aims for about
-    /// `oversub × workers` cells. `0` disables refinement entirely — the
-    /// cells are exactly the base slabs ("matched" mode), which makes the
-    /// grid backend bit-identical to [`crate::algo2::PartitionBackend::SlabIndex`]
-    /// under either merge strategy (asserted by the equivalence proptests).
+    /// `oversub × workers` cells, run on the work-stealing pool. `0` (the
+    /// default) disables refinement — the cells are exactly the base slabs,
+    /// run in order on the calling thread, bit-identical to band-clipping
+    /// each slab from the full inputs under either merge strategy
+    /// (asserted by the equivalence proptests).
     pub oversub: usize,
     /// Hard ceiling on the number of cells, whatever `oversub` asks for.
     pub max_cells: usize,
@@ -49,7 +53,7 @@ pub struct GridConfig {
 impl Default for GridConfig {
     fn default() -> Self {
         GridConfig {
-            oversub: 6,
+            oversub: 0,
             max_cells: 256,
             columns: true,
         }
@@ -57,11 +61,10 @@ impl Default for GridConfig {
 }
 
 impl GridConfig {
-    /// Matched mode: no refinement, cells == base slabs. The configuration
-    /// under which `AdaptiveGrid` is bit-identical to `SlabIndex`.
-    pub fn matched() -> Self {
+    /// The refining plan: about six cells per worker, on the stealing pool.
+    pub fn refined() -> Self {
         GridConfig {
-            oversub: 0,
+            oversub: 6,
             ..GridConfig::default()
         }
     }
@@ -81,9 +84,10 @@ pub struct Cell {
     /// (so the cell body must re-test y-extents instead of trusting the
     /// index's per-slab `inside` flag).
     pub refined: bool,
-    /// Estimated work: summed vertex count of bucket contours overlapping
-    /// the cell rectangle. Drives both the split decision and the cell's
-    /// watchdog-deadline share.
+    /// Estimated work: on a refining plan, the summed in-cell vertex count
+    /// of bucket contours overlapping the cell rectangle; on an unrefined
+    /// plan, the slab's bucket entry count. Drives both the split decision
+    /// and the cell's watchdog-deadline share.
     pub mass: u64,
 }
 
@@ -135,14 +139,6 @@ pub struct GridPlan {
     pub total_mass: u64,
 }
 
-impl GridPlan {
-    /// True when the plan is exactly the base slabs (no refinement
-    /// happened, whether because `oversub == 0` or no slab was heavy).
-    pub fn is_matched(&self, base_slabs: usize) -> bool {
-        self.cells.len() == base_slabs && self.seam_xs.is_empty()
-    }
-}
-
 /// Per-contour geometry cache for the planner. `cell_mass` runs twice per
 /// split candidate, and recomputing a bbox plus a full vertex scan each time
 /// made *planning* the dominant grid cost at high `p` (the `index_ms` column
@@ -152,6 +148,7 @@ impl GridPlan {
 /// count equals the linear inclusive filter `y0 <= p.y && p.y <= y1`
 /// exactly (NaN ys are dropped at build time; they never pass the filter
 /// either), so plans are byte-identical to the uncached planner's.
+#[derive(Default)]
 struct MassCache {
     bbox: Vec<Option<BBox>>,
     ys: Vec<Option<Vec<f64>>>,
@@ -261,9 +258,20 @@ pub(crate) fn plan_grid(
     if base_slabs == 0 {
         return GridPlan::default();
     }
-    let mut cache = MassCache::new(index);
+    // An unrefined plan never splits, so it skips the per-contour mass
+    // cache and weighs each slab by its bucket entry count, which the
+    // binning already produced.
+    let refine = cfg.oversub > 0;
+    let mut cache = if refine {
+        MassCache::new(index)
+    } else {
+        MassCache::default()
+    };
     let masses: Vec<u64> = (0..base_slabs)
         .map(|s| {
+            if !refine {
+                return index.slab(s).len() as u64;
+            }
             cache.cell_mass(
                 index,
                 s,
@@ -276,7 +284,7 @@ pub(crate) fn plan_grid(
         .collect();
     let total_mass: u64 = masses.iter().sum();
 
-    let target_cells = if cfg.oversub == 0 {
+    let target_cells = if !refine {
         base_slabs
     } else {
         (cfg.oversub * workers.max(1)).clamp(base_slabs, cfg.max_cells.max(base_slabs))
@@ -298,8 +306,8 @@ pub(crate) fn plan_grid(
         seam_xs: Vec::new(),
     };
 
-    // Refine each base slab, then pair the per-slab subtrees level-wise
-    // exactly like `merge_slab_outputs_tree` pairs slabs.
+    // Refine each base slab, then pair neighbouring per-slab subtrees
+    // level by level.
     let mut level: Vec<(Child, Option<f64>)> = (0..base_slabs)
         .map(|s| {
             let cell = Cell {
@@ -314,7 +322,7 @@ pub(crate) fn plan_grid(
             // Fuel bounds the split depth per slab: enough to reach the
             // target fan-out with slack, finite even when splits stop
             // reducing mass (contours spanning both halves).
-            let child = if cfg.oversub == 0 {
+            let child = if !refine {
                 pl.leaf(cell)
             } else {
                 pl.refine(cell, 8)
@@ -476,8 +484,7 @@ mod tests {
         let boundaries = [0.0, 2.5, 5.0, 7.5, 10.0];
         let ix = SlabIndex::build(&a, &b, &boundaries);
         let ys = schedule([&a, &b]);
-        let plan = plan_grid(&boundaries, &ix, &ys, &GridConfig::matched(), 4);
-        assert!(plan.is_matched(4));
+        let plan = plan_grid(&boundaries, &ix, &ys, &GridConfig::default(), 4);
         assert_eq!(plan.cells.len(), 4);
         for (s, c) in plan.cells.iter().enumerate() {
             assert_eq!(c.slab, s);
@@ -627,7 +634,7 @@ mod tests {
         let boundaries = [0.0, 5.0, 10.0];
         let ix = SlabIndex::build(&a, &b, &boundaries);
         let ys = schedule([&a, &b]);
-        let cfg = GridConfig::default();
+        let cfg = GridConfig::refined();
         let p1 = plan_grid(&boundaries, &ix, &ys, &cfg, 4);
         let p2 = plan_grid(&boundaries, &ix, &ys, &cfg, 4);
         assert_eq!(p1.cells.len(), p2.cells.len());

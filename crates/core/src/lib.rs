@@ -70,10 +70,7 @@ pub mod stitch;
 pub mod tess;
 pub mod validate;
 
-pub use algo2::{
-    clip_pair_slabs, clip_pair_slabs_backend, clip_pair_slabs_with, try_clip_pair_slabs,
-    try_clip_pair_slabs_backend, try_clip_pair_slabs_with, Algo2Result, MergeStrategy, PhaseTimes,
-};
+pub use algo2::{clip_pair_slabs, try_clip_pair_slabs, Algo2Result, MergeStrategy, PhaseTimes};
 pub use budget::{CancelToken, ExecBudget, MeterSnapshot, WorkMeter};
 pub use classify::BoolOp;
 pub use engine::{
@@ -87,12 +84,11 @@ pub use oracle::{
     ORACLE_REL_TOL,
 };
 pub use overlay::{
-    overlay_difference, overlay_intersection, overlay_intersection_grid, overlay_union,
-    try_overlay_difference, try_overlay_intersection, try_overlay_union, Layer, OverlayResult,
-    SlabAssignment,
+    overlay_difference, overlay_intersection, overlay_union, try_overlay_difference,
+    try_overlay_intersection, try_overlay_union, Layer, OverlayResult, SlabAssignment,
 };
 pub use pram::{pram_cost, PhaseCost, PramCostModel};
-pub use prepared::{clip_prepared, try_clip_prepared, try_clip_prepared_backend, PreparedLayer};
+pub use prepared::{clip_prepared, try_clip_prepared, PreparedLayer};
 pub use resilience::{ClipError, ClipOutcome, Degradation, FaultPlan, InputRole, RepairRung};
 pub use sanitize::{sanitize_set, SanitizeOptions, SanitizeReport};
 pub use slabindex::{SlabEntry, SlabIndex};

@@ -8,7 +8,7 @@
 //! structurally unrelated implementations,
 //!
 //! * [`ScanbeamOracle`] — the production engine (Algorithm 2 over the
-//!   scanbeam sweep), in any backend/parallelism/prepared configuration;
+//!   scanbeam sweep), in any cell-plan/parallelism/prepared configuration;
 //! * [`FosterOverfeltOracle`] — the independent Foster–Overfelt clipper
 //!   from [`polyclip_seqclip::foster_overfelt`], which shares **no**
 //!   sweep, partition, dissolve, or stitching code with the engine;
@@ -30,7 +30,6 @@ use polyclip_geom::predicates::orient2d_sign;
 use polyclip_geom::{region_area, symmetric_difference_area, Point, PolygonSet, EPS_COLLINEAR_REL};
 use polyclip_seqclip::{fo_clip, FoOp};
 
-use crate::algo2::{MergeStrategy, PartitionBackend};
 use crate::classify::BoolOp;
 use crate::engine::ClipOptions;
 use crate::prepared::PreparedLayer;
@@ -87,36 +86,21 @@ pub trait ClipOracle {
     ) -> Result<PolygonSet, OracleError>;
 }
 
-/// How the [`ScanbeamOracle`] drives the engine.
-#[derive(Clone, Copy, Debug)]
-enum EngineMode {
-    /// Cold Algorithm-2 run with the given partition backend.
-    Backend(PartitionBackend),
+/// The production scanbeam engine as an oracle, in a fixed configuration
+/// (cold or prepared path, slab count, options).
+pub struct ScanbeamOracle {
     /// Freeze the subject into a [`PreparedLayer`], then clip the query
     /// against it — exercises the prepared fast path end to end.
-    Prepared,
-}
-
-/// The production scanbeam engine as an oracle, in a fixed configuration
-/// (backend or prepared path, slab count, options).
-pub struct ScanbeamOracle {
-    name: &'static str,
-    mode: EngineMode,
+    prepared: bool,
     n_slabs: usize,
     opts: ClipOptions,
 }
 
 impl ScanbeamOracle {
-    /// Cold engine run over `backend` with `n_slabs` slabs.
-    pub fn new(backend: PartitionBackend, n_slabs: usize) -> Self {
-        let name = match backend {
-            PartitionBackend::FullScan => "scanbeam-fullscan",
-            PartitionBackend::SlabIndex => "scanbeam-slabindex",
-            PartitionBackend::AdaptiveGrid => "scanbeam-adaptivegrid",
-        };
+    /// Cold Algorithm-2 run with `n_slabs` slabs.
+    pub fn new(n_slabs: usize) -> Self {
         ScanbeamOracle {
-            name,
-            mode: EngineMode::Backend(backend),
+            prepared: false,
             n_slabs,
             opts: ClipOptions::default(),
         }
@@ -125,14 +109,13 @@ impl ScanbeamOracle {
     /// Prepared-layer path: build once from the subject, clip the query.
     pub fn prepared(n_slabs: usize) -> Self {
         ScanbeamOracle {
-            name: "scanbeam-prepared",
-            mode: EngineMode::Prepared,
-            n_slabs,
-            opts: ClipOptions::default(),
+            prepared: true,
+            ..ScanbeamOracle::new(n_slabs)
         }
     }
 
-    /// Replace the engine options (sanitize/budget/fault settings).
+    /// Replace the engine options (grid plan, merge, sanitize/budget/fault
+    /// settings).
     pub fn with_options(mut self, opts: ClipOptions) -> Self {
         self.opts = opts;
         self
@@ -146,7 +129,12 @@ impl ScanbeamOracle {
 
 impl ClipOracle for ScanbeamOracle {
     fn name(&self) -> &'static str {
-        self.name
+        match (self.prepared, self.opts.grid.oversub > 0) {
+            (false, false) => "scanbeam-slabindex",
+            (false, true) => "scanbeam-adaptivegrid",
+            (true, false) => "scanbeam-prepared",
+            (true, true) => "scanbeam-prepared-adaptivegrid",
+        }
     }
 
     fn clip(
@@ -155,26 +143,13 @@ impl ClipOracle for ScanbeamOracle {
         clip: &PolygonSet,
         op: BoolOp,
     ) -> Result<PolygonSet, OracleError> {
-        match self.mode {
-            EngineMode::Backend(backend) => crate::algo2::try_clip_pair_slabs_backend(
-                subject,
-                clip,
-                op,
-                self.n_slabs,
-                &self.opts,
-                MergeStrategy::Sequential,
-                backend,
-            )
-            .map(|r| r.output)
-            .map_err(OracleError::Failed),
-            EngineMode::Prepared => {
-                let layer =
-                    PreparedLayer::build(subject, &self.opts).map_err(OracleError::Failed)?;
-                crate::prepared::try_clip_prepared(&layer, clip, op, self.n_slabs, &self.opts)
-                    .map(|r| r.output)
-                    .map_err(OracleError::Failed)
-            }
-        }
+        let r = if self.prepared {
+            let layer = PreparedLayer::build(subject, &self.opts).map_err(OracleError::Failed)?;
+            crate::prepared::try_clip_prepared(&layer, clip, op, self.n_slabs, &self.opts)
+        } else {
+            crate::algo2::try_clip_pair_slabs(subject, clip, op, self.n_slabs, &self.opts)
+        };
+        r.map(|r| r.output).map_err(OracleError::Failed)
     }
 }
 
@@ -568,6 +543,7 @@ pub fn compare_outputs(a: &PolygonSet, b: &PolygonSet) -> DiffReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::grid::GridConfig;
     use polyclip_geom::contour::rect;
 
     fn sq(x0: f64, y0: f64, x1: f64, y1: f64) -> PolygonSet {
@@ -579,8 +555,11 @@ mod tests {
         let a = sq(0.0, 0.0, 2.0, 2.0);
         let b = sq(1.0, 1.0, 3.0, 3.0);
         let fo = FosterOverfeltOracle;
-        for backend in [PartitionBackend::FullScan, PartitionBackend::SlabIndex] {
-            let eng = ScanbeamOracle::new(backend, 4);
+        for grid in [GridConfig::default(), GridConfig::refined()] {
+            let eng = ScanbeamOracle::new(4).with_options(ClipOptions {
+                grid,
+                ..ClipOptions::default()
+            });
             for op in [
                 BoolOp::Intersection,
                 BoolOp::Union,

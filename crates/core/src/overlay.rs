@@ -22,7 +22,7 @@
 use crate::algo2::{slab_boundaries, try_clip_pair_slabs, Algo2Result};
 use crate::budget::{self, Gate};
 use crate::classify::BoolOp;
-use crate::engine::{clip, try_clip_with_stats_gated, ClipOptions};
+use crate::engine::{try_clip_with_stats_gated, ClipOptions};
 use crate::resilience::{self, ClipError, Degradation, InputRole};
 use polyclip_geom::{BBox, OrdF64, PolygonSet};
 use polyclip_parprim::par_sort_dedup_gated;
@@ -374,91 +374,6 @@ pub fn try_overlay_union(
     try_clip_pair_slabs(&ma, &mb, BoolOp::Union, n_slabs, &opts)
 }
 
-/// Uniform-grid overlay intersection — the related-work baseline the paper
-/// argues against ("a uniform grid based partitioning approach is discussed
-/// in [19] … this works well only with good load distribution").
-///
-/// A `cells × cells` grid is superimposed; every candidate pair is owned by
-/// the grid cell containing the bottom-left corner of its MBR overlap (so
-/// no duplicates), and cells are processed in parallel. With spatially
-/// skewed data most pairs land in few cells — the load imbalance the
-/// paper's event-quantile slabs avoid; the `ablation_slab_assignment` bench
-/// family quantifies the difference.
-pub fn overlay_intersection_grid(
-    a: &Layer,
-    b: &Layer,
-    cells: usize,
-    opts: &ClipOptions,
-) -> OverlayResult {
-    let t_start = Instant::now();
-    // Per-cell clips are lenient `clip` calls that each arm their own
-    // budget, so re-arming a deadline per pair would be wrong: keep only
-    // the cancel token for this ablation baseline.
-    let seq = ClipOptions {
-        parallel: false,
-        sanitize: false,
-        validate_output: false,
-        budget: opts.budget.cancel_only(),
-        ..opts.clone()
-    };
-    let t_part = Instant::now();
-    let boxes_a: Vec<BBox> = a.features.iter().map(|f| f.bbox()).collect();
-    let boxes_b: Vec<BBox> = b.features.iter().map(|f| f.bbox()).collect();
-    let pairs = candidate_pairs(&boxes_a, &boxes_b);
-
-    let world = a.bbox().union(&b.bbox());
-    let cells = cells.max(1);
-    let (cw, ch) = (
-        (world.width() / cells as f64).max(f64::MIN_POSITIVE),
-        (world.height() / cells as f64).max(f64::MIN_POSITIVE),
-    );
-    let cell_of = |x: f64, y: f64| -> usize {
-        let cx = (((x - world.xmin) / cw) as usize).min(cells - 1);
-        let cy = (((y - world.ymin) / ch) as usize).min(cells - 1);
-        cy * cells + cx
-    };
-    let mut tasks: Vec<Vec<(u32, u32)>> = vec![Vec::new(); cells * cells];
-    for &(i, j) in &pairs {
-        let (ba, bb) = (&boxes_a[i as usize], &boxes_b[j as usize]);
-        tasks[cell_of(ba.xmin.max(bb.xmin), ba.ymin.max(bb.ymin))].push((i, j));
-    }
-    let partition = t_part.elapsed();
-    let tasks_executed = pairs.len();
-
-    let cell_results: Vec<(Vec<PolygonSet>, Duration)> = tasks
-        .par_iter()
-        .map(|list| {
-            let t0 = Instant::now();
-            let outs: Vec<PolygonSet> = list
-                .iter()
-                .map(|&(i, j)| {
-                    clip(
-                        &a.features[i as usize],
-                        &b.features[j as usize],
-                        BoolOp::Intersection,
-                        &seq,
-                    )
-                })
-                .filter(|o| !o.is_empty())
-                .collect();
-            (outs, t0.elapsed())
-        })
-        .collect();
-
-    let per_slab_clip: Vec<Duration> = cell_results.iter().map(|r| r.1).collect();
-    let features: Vec<PolygonSet> = cell_results.into_iter().flat_map(|r| r.0).collect();
-
-    OverlayResult {
-        features,
-        candidate_pairs: pairs.len(),
-        tasks_executed,
-        per_slab_clip,
-        partition,
-        total: t_start.elapsed(),
-        degradations: Vec::new(),
-    }
-}
-
 /// Erase overlay: each feature of `a` minus the union of its overlapping
 /// `b` features (the GIS "erase" operation). Pair discovery and slab
 /// distribution follow [`overlay_intersection`].
@@ -652,7 +567,7 @@ fn slab_of(boundaries: &[f64], y: f64) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::eo_area;
+    use crate::engine::{clip, eo_area};
     use polyclip_geom::contour::rect;
 
     fn grid_layer(nx: usize, ny: usize, cell: f64, size: f64, off: f64) -> Layer {
@@ -770,20 +685,6 @@ mod tests {
         assert!(!a.is_empty());
         let bb = a.bbox();
         assert_eq!((bb.xmin, bb.ymin), (0.0, 0.0));
-    }
-
-    #[test]
-    fn grid_backend_matches_slab_backend() {
-        let a = grid_layer(5, 5, 1.0, 0.9, 0.0);
-        let b = grid_layer(5, 5, 1.0, 0.9, 0.45);
-        let opts = ClipOptions::sequential();
-        let slab = overlay_intersection(&a, &b, 4, SlabAssignment::UniqueOwner, &opts);
-        let grid = overlay_intersection_grid(&a, &b, 4, &opts);
-        let area_s: f64 = slab.features.iter().map(eo_area).sum();
-        let area_g: f64 = grid.features.iter().map(eo_area).sum();
-        assert!((area_s - area_g).abs() < 1e-9);
-        assert_eq!(slab.features.len(), grid.features.len());
-        assert_eq!(slab.candidate_pairs, grid.candidate_pairs);
     }
 
     #[test]

@@ -31,8 +31,9 @@
 //! event schedule are reproduced here exactly (the merged quantiles are
 //! computed by two-array selection over the frozen and query schedules),
 //! every slab worker sees bit-identical inputs, and the output is
-//! bit-identical to the cold [`try_clip_pair_slabs_backend`] — asserted by
-//! the `prepared` proptest and by `bench_prepared` before any timing is
+//! bit-identical to the cold
+//! [`try_clip_pair_slabs`](crate::algo2::try_clip_pair_slabs) — asserted
+//! by the `prepared` proptest and by `bench_prepared` before any timing is
 //! recorded.
 //!
 //! The one divergence is *work*, not output: a slab whose bucket provably
@@ -61,10 +62,7 @@
 //! }
 //! ```
 
-use crate::algo2::{
-    drive_grid, drive_single_slab, drive_slabs, Algo2Result, MergeStrategy, PartitionBackend,
-    SlabDrive,
-};
+use crate::algo2::{drive_grid, drive_single_slab, Algo2Result, SlabDrive};
 use crate::budget;
 use crate::classify::BoolOp;
 use crate::engine::ClipOptions;
@@ -328,43 +326,21 @@ pub fn clip_prepared(
     try_clip_prepared(layer, query, op, n_slabs, opts).unwrap_or_default()
 }
 
-/// Fallible prepared clip on the default merge strategy and partition
-/// backend. Bit-identical in output to
-/// [`try_clip_pair_slabs_backend`](crate::algo2::try_clip_pair_slabs_backend)
-/// called with `(layer.subject(), query)` under the same options.
+/// Fallible prepared clip. Bit-identical in output to
+/// [`try_clip_pair_slabs`](crate::algo2::try_clip_pair_slabs) called with
+/// `(layer.subject(), query)` under the same options.
+///
+/// Performs only query-side work (see the module docs), then hands the
+/// fan-out to the same driver as the cold path, with two provenance marks
+/// in the result: [`PhaseTimes::prepared_reused`] is true and
+/// [`PhaseTimes::prepare_build`] carries the layer's one-time build cost
+/// (both under [`crate::algo2::PhaseTimes`]).
 pub fn try_clip_prepared(
     layer: &PreparedLayer,
     query: &PolygonSet,
     op: BoolOp,
     n_slabs: usize,
     opts: &ClipOptions,
-) -> Result<Algo2Result, ClipError> {
-    try_clip_prepared_backend(
-        layer,
-        query,
-        op,
-        n_slabs,
-        opts,
-        MergeStrategy::Sequential,
-        PartitionBackend::default(),
-    )
-}
-
-/// The fully-explicit prepared clip: merge strategy and partition backend.
-///
-/// Performs only query-side work (see the module docs), then hands the
-/// fan-out to the same slab driver as the cold path, with two provenance
-/// marks in the result: [`PhaseTimes::prepared_reused`] is true and
-/// [`PhaseTimes::prepare_build`] carries the layer's one-time build cost
-/// (both under [`crate::algo2::PhaseTimes`]).
-pub fn try_clip_prepared_backend(
-    layer: &PreparedLayer,
-    query: &PolygonSet,
-    op: BoolOp,
-    n_slabs: usize,
-    opts: &ClipOptions,
-    merge_strategy: MergeStrategy,
-    backend: PartitionBackend,
 ) -> Result<Algo2Result, ClipError> {
     let t_start = Instant::now();
     // Same arming discipline as the cold path: the budget becomes absolute
@@ -503,19 +479,14 @@ pub fn try_clip_prepared_backend(
         };
     }
 
-    let index = match backend {
-        PartitionBackend::SlabIndex | PartitionBackend::AdaptiveGrid => Some(
-            SlabIndex::from_spans(&layer.subject, query, spans, &boundaries),
-        ),
-        PartitionBackend::FullScan => None,
-    };
-
-    if backend == PartitionBackend::AdaptiveGrid {
-        let ix = index.as_ref().expect("grid backend builds an index");
-        // The plan wants the merged event schedule for y-split candidates;
-        // both halves are sorted and disjoint (`extra` kept only y's absent
-        // from the frozen schedule), so one linear merge rebuilds it.
-        let mut ys: Vec<OrdF64> = Vec::with_capacity(merged_len);
+    let index = SlabIndex::from_spans(&layer.subject, query, spans, &boundaries);
+    // A refining plan wants the merged event schedule for y-split
+    // candidates; both halves are sorted and disjoint (`extra` kept only
+    // y's absent from the frozen schedule), so one linear merge rebuilds
+    // it. An unrefined plan never splits and skips the merge.
+    let mut ys: Vec<OrdF64> = Vec::new();
+    if opts.grid.oversub > 0 {
+        ys.reserve(merged_len);
         let (mut i, mut j) = (0, 0);
         while i < layer.ys.len() && j < extra.len() {
             if layer.ys[i] < extra[j] {
@@ -528,29 +499,16 @@ pub fn try_clip_prepared_backend(
         }
         ys.extend_from_slice(&layer.ys[i..]);
         ys.extend_from_slice(&extra[j..]);
-        let plan = crate::grid::plan_grid(&boundaries, ix, &ys, &opts.grid, n_slabs);
-        let t_index = t_ix.elapsed();
-        return drive_grid(
-            drive,
-            &plan,
-            ix,
-            Some(&skip),
-            t_index,
-            merge_strategy,
-            n_slabs,
-            || layer.checkout(),
-            |s| layer.checkin(s),
-        );
     }
+    let plan = crate::grid::plan_grid(&boundaries, &index, &ys, &opts.grid, n_slabs);
     let t_index = t_ix.elapsed();
-
-    drive_slabs(
+    drive_grid(
         drive,
-        &boundaries,
-        index.as_ref(),
+        &plan,
+        &index,
         Some(&skip),
         t_index,
-        merge_strategy,
+        n_slabs,
         || layer.checkout(),
         |s| layer.checkin(s),
     )
@@ -559,7 +517,7 @@ pub fn try_clip_prepared_backend(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algo2::{slab_boundaries, try_clip_pair_slabs_backend};
+    use crate::algo2::{slab_boundaries, try_clip_pair_slabs};
     use crate::engine::eo_area;
     use polyclip_geom::contour::rect;
 
@@ -630,16 +588,7 @@ mod tests {
             BoolOp::Xor,
         ] {
             for p in [1usize, 2, 4, 8] {
-                let cold = try_clip_pair_slabs_backend(
-                    &a,
-                    &b,
-                    op,
-                    p,
-                    &seq(),
-                    MergeStrategy::Sequential,
-                    PartitionBackend::SlabIndex,
-                )
-                .unwrap();
+                let cold = try_clip_pair_slabs(&a, &b, op, p, &seq()).unwrap();
                 let warm = try_clip_prepared(&layer, &b, op, p, &seq()).unwrap();
                 assert_eq!(cold.output, warm.output, "op {op:?} p {p}");
                 assert_eq!(cold.slabs, warm.slabs, "op {op:?} p {p}");
@@ -662,16 +611,7 @@ mod tests {
         let layer = PreparedLayer::build(&a, &seq()).unwrap();
         let q = sq(0.5, 0.1, 1.5, 0.8);
         let warm = try_clip_prepared(&layer, &q, BoolOp::Intersection, 8, &seq()).unwrap();
-        let cold = try_clip_pair_slabs_backend(
-            &a,
-            &q,
-            BoolOp::Intersection,
-            8,
-            &seq(),
-            MergeStrategy::Sequential,
-            PartitionBackend::SlabIndex,
-        )
-        .unwrap();
+        let cold = try_clip_pair_slabs(&a, &q, BoolOp::Intersection, 8, &seq()).unwrap();
         assert_eq!(warm.output, cold.output);
         assert!((eo_area(&warm.output) - 0.7).abs() < 1e-9);
         let skipped = warm
@@ -707,16 +647,7 @@ mod tests {
         assert!(layer.repairs() > 0);
         let q = sq(1.0, 1.0, 3.0, 3.0);
         let warm = try_clip_prepared(&layer, &q, BoolOp::Intersection, 4, &opts).unwrap();
-        let cold = try_clip_pair_slabs_backend(
-            &dirty,
-            &q,
-            BoolOp::Intersection,
-            4,
-            &opts,
-            MergeStrategy::Sequential,
-            PartitionBackend::SlabIndex,
-        )
-        .unwrap();
+        let cold = try_clip_pair_slabs(&dirty, &q, BoolOp::Intersection, 4, &opts).unwrap();
         assert_eq!(warm.output, cold.output);
         assert_eq!(warm.degradations, cold.degradations);
         assert_eq!(warm.stats.input_repairs, cold.stats.input_repairs);
@@ -771,47 +702,29 @@ mod tests {
         let u = clip_prepared(&layer, &empty, BoolOp::Union, 4, &seq());
         assert!((eo_area(&u.output) - 48.0).abs() < 1e-9);
         // Cold twin agrees bit-for-bit.
-        let cold_u = try_clip_pair_slabs_backend(
-            &a,
-            &empty,
-            BoolOp::Union,
-            4,
-            &seq(),
-            MergeStrategy::Sequential,
-            PartitionBackend::SlabIndex,
-        )
-        .unwrap();
+        let cold_u = try_clip_pair_slabs(&a, &empty, BoolOp::Union, 4, &seq()).unwrap();
         assert_eq!(u.output, cold_u.output);
     }
 
     #[test]
-    fn full_scan_backend_matches_indexed_backend_prepared() {
+    fn refined_grid_matches_default_grid_prepared() {
         let a = PolygonSet::from_xy(&[(0.0, 0.0), (4.0, 0.3), (5.0, 9.7), (0.5, 10.0)]);
         let layer = PreparedLayer::build(&a, &seq()).unwrap();
         let b = PolygonSet::from_xy(&[(2.0, -1.0), (6.0, 4.0), (3.0, 11.0), (1.0, 5.0)]);
+        let refined = ClipOptions {
+            grid: crate::grid::GridConfig::refined(),
+            ..seq()
+        };
         for op in [BoolOp::Intersection, BoolOp::Union, BoolOp::Xor] {
             for p in [2usize, 4, 8] {
-                let full = try_clip_prepared_backend(
-                    &layer,
-                    &b,
-                    op,
-                    p,
-                    &seq(),
-                    MergeStrategy::Sequential,
-                    PartitionBackend::FullScan,
-                )
-                .unwrap();
-                let ix = try_clip_prepared_backend(
-                    &layer,
-                    &b,
-                    op,
-                    p,
-                    &seq(),
-                    MergeStrategy::Sequential,
-                    PartitionBackend::SlabIndex,
-                )
-                .unwrap();
-                assert_eq!(full.output, ix.output, "op {op:?} p {p}");
+                let grid = try_clip_prepared(&layer, &b, op, p, &refined).unwrap();
+                let cold = try_clip_pair_slabs(&a, &b, op, p, &refined).unwrap();
+                let plain = try_clip_prepared(&layer, &b, op, p, &seq()).unwrap();
+                assert_eq!(grid.output, cold.output, "op {op:?} p {p}");
+                assert!(
+                    (eo_area(&grid.output) - eo_area(&plain.output)).abs() < 1e-9,
+                    "op {op:?} p {p}"
+                );
             }
         }
     }

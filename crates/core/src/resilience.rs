@@ -582,7 +582,7 @@ pub(crate) fn fault_residual_storm(opts: &crate::ClipOptions) -> bool {
 }
 
 /// The pristine configuration a failed slab falls back to: sequential,
-/// default partition backend, fault plan stripped. Fill rule and virtual
+/// direct-scan beam partition, fault plan stripped. Fill rule and virtual
 /// vertex handling are preserved — they affect the answer.
 pub(crate) fn pristine(opts: &crate::ClipOptions) -> crate::ClipOptions {
     crate::ClipOptions {

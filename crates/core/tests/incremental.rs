@@ -7,11 +7,9 @@
 //! fields that *describe* the optimization), and identical degradation
 //! reports with `incremental_refine` on and off.
 
-use polyclip_core::algo2::{
-    try_clip_pair_slabs_backend, MergeStrategy, PartitionBackend as SlabBackend,
-};
+use polyclip_core::algo2::try_clip_pair_slabs;
 use polyclip_core::stats::ClipStats;
-use polyclip_core::{try_clip_with_stats, BoolOp, ClipOptions};
+use polyclip_core::{try_clip_with_stats, BoolOp, ClipOptions, GridConfig};
 use polyclip_datagen::degenerate::{shingled_strips, sliver_fan};
 use polyclip_geom::{Contour, Point, PolygonSet};
 use polyclip_sweep::PartitionBackend;
@@ -171,37 +169,25 @@ fn torture_workload_refines_incrementally_without_rebuilds() {
     }
 }
 
-// Algorithm 2 inherits the guarantee: per-slab engines run with the same
-// `incremental_refine` switch and reuse one scratch arena across slabs, so
-// the equivalence must hold through the slab fan-out and merge — across
-// both partition backends and slab counts 1 and 4.
+// Algorithm 2 inherits the guarantee: per-cell engines run with the same
+// `incremental_refine` switch and reuse one scratch arena per worker, so
+// the equivalence must hold through the cell fan-out and merge — for the
+// default and a refining cell plan, at slab counts 1 and 4.
 #[test]
 fn algo2_is_bit_identical_with_and_without_incremental_refine() {
     let (subject, clip_p) = torture_pair();
     for op in ALL_OPS {
         for slabs in [1usize, 4] {
-            for backend in [SlabBackend::FullScan, SlabBackend::SlabIndex] {
-                let on = try_clip_pair_slabs_backend(
-                    &subject,
-                    &clip_p,
-                    op,
-                    slabs,
-                    &opts_with(false, PartitionBackend::DirectScan, true),
-                    MergeStrategy::Sequential,
-                    backend,
-                )
-                .unwrap();
-                let off = try_clip_pair_slabs_backend(
-                    &subject,
-                    &clip_p,
-                    op,
-                    slabs,
-                    &opts_with(false, PartitionBackend::DirectScan, false),
-                    MergeStrategy::Sequential,
-                    backend,
-                )
-                .unwrap();
-                let ctx = format!("op {op:?} slabs {slabs} backend {backend:?}");
+            for grid in [GridConfig::default(), GridConfig::refined()] {
+                let run = |incremental: bool| {
+                    let opts = ClipOptions {
+                        grid,
+                        ..opts_with(false, PartitionBackend::DirectScan, incremental)
+                    };
+                    try_clip_pair_slabs(&subject, &clip_p, op, slabs, &opts).unwrap()
+                };
+                let (on, off) = (run(true), run(false));
+                let ctx = format!("op {op:?} slabs {slabs} grid {grid:?}");
                 assert_eq!(on.output, off.output, "{ctx}: output differs");
                 assert_eq!(scrub(on.stats), scrub(off.stats), "{ctx}: stats differ");
                 assert_eq!(

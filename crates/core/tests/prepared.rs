@@ -4,15 +4,15 @@
 //! a pure optimization. For random polygon pairs on a duplicate-heavy grid
 //! — and for every degeneracy-torture subject — `clip_prepared` on a frozen
 //! layer must produce **bit-identical** output to the cold slab clipper at
-//! the same op, partition backend, and slab count. And because one layer is
+//! the same op, cell plan, and slab count. And because one layer is
 //! meant to serve a whole process, clipping it from many threads at once —
 //! some budgeted, some cancelled mid-flight — must neither panic nor leak
 //! one request's statistics into another's.
 
-use polyclip_core::algo2::{try_clip_pair_slabs_backend, MergeStrategy, PartitionBackend};
+use polyclip_core::algo2::try_clip_pair_slabs;
 use polyclip_core::budget::ExecBudget;
-use polyclip_core::prepared::{try_clip_prepared_backend, PreparedLayer};
-use polyclip_core::{BoolOp, ClipOptions};
+use polyclip_core::prepared::{try_clip_prepared, PreparedLayer};
+use polyclip_core::{BoolOp, ClipOptions, GridConfig};
 use polyclip_datagen::torture_corpus;
 use polyclip_geom::{Contour, PolygonSet};
 use proptest::prelude::*;
@@ -25,7 +25,10 @@ const OPS: [BoolOp; 4] = [
     BoolOp::Difference,
     BoolOp::Xor,
 ];
-const BACKENDS: [PartitionBackend; 2] = [PartitionBackend::FullScan, PartitionBackend::SlabIndex];
+/// The default cell plan and a refining one.
+fn grids() -> [GridConfig; 2] {
+    [GridConfig::default(), GridConfig::refined()]
+}
 const SLABS: [usize; 2] = [1, 4];
 
 fn xorshift(s: &mut u64) -> u64 {
@@ -63,35 +66,20 @@ fn gen_set(seed: u64, max_contours: u64) -> PolygonSet {
     p
 }
 
-/// Every (op, backend, p) combination: the prepared clip of `query` against
+/// Every (op, grid, p) combination: the prepared clip of `query` against
 /// a layer frozen from `subject` must match the cold path bit-for-bit.
 fn assert_prepared_matches_cold(subject: &PolygonSet, query: &PolygonSet, ctx: &str) {
-    let opts = ClipOptions::sequential();
-    let layer = PreparedLayer::build(subject, &opts).expect("finite subject");
+    let layer = PreparedLayer::build(subject, &ClipOptions::sequential()).expect("finite subject");
     for op in OPS {
-        for backend in BACKENDS {
+        for grid in grids() {
+            let opts = ClipOptions {
+                grid,
+                ..ClipOptions::sequential()
+            };
             for p in SLABS {
-                let cold = try_clip_pair_slabs_backend(
-                    subject,
-                    query,
-                    op,
-                    p,
-                    &opts,
-                    MergeStrategy::Sequential,
-                    backend,
-                )
-                .expect("cold clip");
-                let warm = try_clip_prepared_backend(
-                    &layer,
-                    query,
-                    op,
-                    p,
-                    &opts,
-                    MergeStrategy::Sequential,
-                    backend,
-                )
-                .expect("prepared clip");
-                let ctx = format!("{ctx}: op {op:?} backend {backend:?} p {p}");
+                let cold = try_clip_pair_slabs(subject, query, op, p, &opts).expect("cold clip");
+                let warm = try_clip_prepared(&layer, query, op, p, &opts).expect("prepared clip");
+                let ctx = format!("{ctx}: op {op:?} grid {grid:?} p {p}");
                 assert_eq!(cold.output, warm.output, "output: {ctx}");
                 assert_eq!(cold.slabs, warm.slabs, "slab count: {ctx}");
                 assert_eq!(cold.degradations, warm.degradations, "degradations: {ctx}");

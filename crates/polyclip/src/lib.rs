@@ -123,19 +123,14 @@ pub use polyclip_sweep as sweep;
 
 /// The most common imports in one place.
 pub mod prelude {
-    pub use polyclip_core::algo2::{
-        clip_pair_slabs, clip_pair_slabs_backend, clip_pair_slabs_with, MergeStrategy,
-        PartitionBackend,
-    };
+    pub use polyclip_core::algo2::{clip_pair_slabs, MergeStrategy};
     pub use polyclip_core::GridConfig;
     pub use polyclip_core::{
         clip, clip_with_stats, dissolve, eo_area, measure_op, overlay_difference,
         overlay_intersection, overlay_union, Algo2Result, BoolOp, ClipOptions, ClipStats, Layer,
         OverlayResult, PhaseTimes, SlabAssignment,
     };
-    pub use polyclip_core::{
-        clip_prepared, try_clip_prepared, try_clip_prepared_backend, PreparedLayer,
-    };
+    pub use polyclip_core::{clip_prepared, try_clip_prepared, PreparedLayer};
     pub use polyclip_core::{
         compare_outputs, ClipOracle, DiffReport, FosterOverfeltOracle, OracleError, ScanbeamOracle,
         ORACLE_REL_TOL,
@@ -146,9 +141,9 @@ pub mod prelude {
         trapezoids, triangulate, validate, Trapezoid, ValidationReport, Violation,
     };
     pub use polyclip_core::{
-        try_clip, try_clip_pair_slabs, try_clip_pair_slabs_backend, try_clip_pair_slabs_with,
-        try_clip_with_stats, try_overlay_difference, try_overlay_intersection, try_overlay_union,
-        ClipError, ClipOutcome, Degradation, FaultPlan, InputRole, RepairRung,
+        try_clip, try_clip_pair_slabs, try_clip_with_stats, try_overlay_difference,
+        try_overlay_intersection, try_overlay_union, ClipError, ClipOutcome, Degradation,
+        FaultPlan, InputRole, RepairRung,
     };
     pub use polyclip_core::{CancelToken, ExecBudget, MeterSnapshot, WorkMeter};
     pub use polyclip_geom::{BBox, Contour, FillRule, Point, PolygonSet};

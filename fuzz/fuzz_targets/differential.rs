@@ -64,8 +64,7 @@ fuzz_target!(|data: &[u8]| {
         BoolOp::Difference,
         BoolOp::Xor,
     ][flags as usize % 4];
-    let backend =
-        [PartitionBackend::FullScan, PartitionBackend::SlabIndex][(flags >> 2) as usize % 2];
+    let grid = [GridConfig::default(), GridConfig::refined()][(flags >> 2) as usize % 2];
     let n_slabs = 1 + (flags >> 3) as usize % 4;
 
     let fo = FosterOverfeltOracle;
@@ -74,7 +73,10 @@ fuzz_target!(|data: &[u8]| {
         Err(OracleError::Unsupported(_)) => return, // outside the contract
         Err(OracleError::Failed(e)) => panic!("FO oracle failed on supported input: {e}"),
     };
-    let engine = ScanbeamOracle::new(backend, n_slabs);
+    let engine = ScanbeamOracle::new(n_slabs).with_options(ClipOptions {
+        grid,
+        ..ClipOptions::default()
+    });
     let out = match engine.clip(&subject, &clip_p, op) {
         Ok(out) => out,
         Err(_) => return, // typed rejection is a valid outcome
@@ -83,7 +85,7 @@ fuzz_target!(|data: &[u8]| {
     let d = compare_outputs(&out, &reference);
     assert!(
         d.within_tolerance(ORACLE_REL_TOL),
-        "{:?} {backend:?} p={n_slabs}: engine and Foster–Overfelt disagree: \
+        "{:?} {grid:?} p={n_slabs}: engine and Foster–Overfelt disagree: \
          engine area {:.12}, oracle area {:.12}, sym-diff {:.3e}\n\
          subject: {}\nclip: {}",
         op,

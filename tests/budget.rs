@@ -30,7 +30,7 @@ fn square(x0: f64, y0: f64, s: f64) -> PolygonSet {
 // (a) A zero deadline is already expired when the budget is armed: every
 // entry point must return `DeadlineExceeded` — from the first checkpoint,
 // before any real work — and never panic. Covers all four ops on the
-// single-pair engine and both Algorithm-2 partition backends.
+// single-pair engine and the default and a refining Algorithm-2 plan.
 #[test]
 fn zero_deadline_trips_every_op_and_backend() {
     let subject = shingled_strips(11, Point::new(-0.8, -0.8), 1.6, 1.6, 16, 1e-9);
@@ -50,19 +50,15 @@ fn zero_deadline_trips_every_op_and_backend() {
                 ),
                 "{op:?} parallel={parallel}: engine did not trip"
             );
-            for backend in [PartitionBackend::FullScan, PartitionBackend::SlabIndex] {
-                let r = try_clip_pair_slabs_backend(
-                    &subject,
-                    &clip_p,
-                    op,
-                    4,
-                    &opts,
-                    MergeStrategy::Sequential,
-                    backend,
-                );
+            for grid in [GridConfig::default(), GridConfig::refined()] {
+                let gridded = ClipOptions {
+                    grid,
+                    ..opts.clone()
+                };
+                let r = try_clip_pair_slabs(&subject, &clip_p, op, 4, &gridded);
                 assert!(
                     matches!(r, Err(ClipError::DeadlineExceeded)),
-                    "{op:?} {backend:?} parallel={parallel}: algo2 did not trip"
+                    "{op:?} {grid:?} parallel={parallel}: algo2 did not trip"
                 );
             }
         }
@@ -318,10 +314,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     // (d) No budget set → results, stats and degradations are bit-identical
-    // to the armed-but-unbounded run, on the engine and on both Algorithm-2
-    // backends. This is the "machinery is free when unused" guarantee: the
-    // unlimited path may differ from a generously-budgeted one only if a
-    // checkpoint perturbed the computation, which this test forbids.
+    // to the armed-but-unbounded run, on the engine and on the default and
+    // a refining Algorithm-2 plan. This is the "machinery is free when
+    // unused" guarantee: the unlimited path may differ from a
+    // generously-budgeted one only if a checkpoint perturbed the
+    // computation, which this test forbids.
     #[test]
     fn no_budget_is_bit_identical(
         a in arb_polygon(3..12),
@@ -344,15 +341,13 @@ proptest! {
             let again = try_clip_with_stats(&a, &b, op, &plain_opts).unwrap();
             prop_assert_eq!(&plain.result, &again.result);
 
-            for backend in [PartitionBackend::FullScan, PartitionBackend::SlabIndex] {
-                let p2 = try_clip_pair_slabs_backend(
-                    &a, &b, op, 3, &plain_opts, MergeStrategy::Sequential, backend,
-                ).unwrap();
-                let a2 = try_clip_pair_slabs_backend(
-                    &a, &b, op, 3, &armed_opts, MergeStrategy::Sequential, backend,
-                ).unwrap();
-                prop_assert_eq!(&p2.output, &a2.output, "{:?} {:?}: algo2 output differs", op, backend);
-                prop_assert_eq!(p2.stats, a2.stats, "{:?} {:?}: algo2 stats differ", op, backend);
+            for grid in [GridConfig::default(), GridConfig::refined()] {
+                let plain2 = ClipOptions { grid, ..plain_opts.clone() };
+                let armed2 = ClipOptions { grid, ..armed_opts.clone() };
+                let p2 = try_clip_pair_slabs(&a, &b, op, 3, &plain2).unwrap();
+                let a2 = try_clip_pair_slabs(&a, &b, op, 3, &armed2).unwrap();
+                prop_assert_eq!(&p2.output, &a2.output, "{:?} {:?}: algo2 output differs", op, grid);
+                prop_assert_eq!(p2.stats, a2.stats, "{:?} {:?}: algo2 stats differ", op, grid);
             }
         }
     }

@@ -2,8 +2,9 @@
 //!
 //! Feeds the [`polyclip::datagen::degenerate`] torture corpus — spikes,
 //! duplicate vertices, collinear runs, slivers, pinched rings, coincident
-//! edges, junk contours — through every operation, both Algorithm-2
-//! partition backends, and p ∈ {1, 4}, with output validation enabled.
+//! edges, junk contours — through every operation, the default and a
+//! refining Algorithm-2 cell plan, and p ∈ {1, 4}, with output validation
+//! enabled.
 //! The contract under test:
 //!
 //! * nothing panics and nothing errors;
@@ -28,7 +29,10 @@ const ALL_OPS: [BoolOp; 4] = [
     BoolOp::Xor,
 ];
 
-const BACKENDS: [PartitionBackend; 2] = [PartitionBackend::FullScan, PartitionBackend::SlabIndex];
+/// The default cell plan and a refining one.
+fn grids() -> [GridConfig; 2] {
+    [GridConfig::default(), GridConfig::refined()]
+}
 
 /// Sequential engine with the full robustness ladder armed.
 fn hardened() -> ClipOptions {
@@ -61,24 +65,17 @@ fn canon_area(p: &PolygonSet) -> f64 {
 fn torture_corpus_yields_canonical_output_across_backends() {
     for case in torture_corpus(2026) {
         for op in ALL_OPS {
-            for backend in BACKENDS {
+            for grid in grids() {
                 for p in [1usize, 4] {
-                    let r = try_clip_pair_slabs_backend(
-                        &case.subject,
-                        &case.clip,
-                        op,
-                        p,
-                        &hardened(),
-                        MergeStrategy::Sequential,
-                        backend,
-                    )
-                    .unwrap_or_else(|e| {
-                        panic!("{}: {op:?} {backend:?} p={p} errored: {e}", case.name)
-                    });
+                    let opts = ClipOptions { grid, ..hardened() };
+                    let r = try_clip_pair_slabs(&case.subject, &case.clip, op, p, &opts)
+                        .unwrap_or_else(|e| {
+                            panic!("{}: {op:?} {grid:?} p={p} errored: {e}", case.name)
+                        });
                     let rep = validate(&r.output);
                     assert!(
                         rep.violations.is_empty(),
-                        "{}: {op:?} {backend:?} p={p} left violations: {}",
+                        "{}: {op:?} {grid:?} p={p} left violations: {}",
                         case.name,
                         rep.violations
                             .iter()

@@ -71,16 +71,8 @@ fn hundred_thousand_vertex_multipolygon_round_trips_and_clips() {
         validate_output: true,
         ..ClipOptions::default()
     };
-    let r = try_clip_pair_slabs_backend(
-        &layer,
-        &window,
-        BoolOp::Intersection,
-        8,
-        &opts,
-        MergeStrategy::Sequential,
-        PartitionBackend::SlabIndex,
-    )
-    .expect("clip failed");
+    let r =
+        try_clip_pair_slabs(&layer, &window, BoolOp::Intersection, 8, &opts).expect("clip failed");
     let rep = validate(&r.output);
     assert!(
         rep.violations.is_empty(),

@@ -221,17 +221,21 @@ const ALL_OPS: [BoolOp; 4] = [
     BoolOp::Xor,
 ];
 
-/// Engine configurations under differential test: all three partition
-/// backends and the prepared-layer path, each at p ∈ {1, 4}. The adaptive
-/// grid runs with its default (refining) config, so the work-stealing cell
-/// path and the two-axis seam dissolve face the oracle directly.
+/// Engine configurations under differential test: the cold and the
+/// prepared-layer path, each under the default and a refining cell plan, at
+/// p ∈ {1, 4}. The refining plan puts the work-stealing cell path and the
+/// two-axis seam dissolve in front of the oracle directly.
 fn engine_configs() -> Vec<ScanbeamOracle> {
     let mut v = Vec::new();
     for p in [1usize, 4] {
-        v.push(ScanbeamOracle::new(PartitionBackend::FullScan, p));
-        v.push(ScanbeamOracle::new(PartitionBackend::SlabIndex, p));
-        v.push(ScanbeamOracle::new(PartitionBackend::AdaptiveGrid, p));
-        v.push(ScanbeamOracle::prepared(p));
+        for grid in [GridConfig::default(), GridConfig::refined()] {
+            let opts = ClipOptions {
+                grid,
+                ..ClipOptions::default()
+            };
+            v.push(ScanbeamOracle::new(p).with_options(opts.clone()));
+            v.push(ScanbeamOracle::prepared(p).with_options(opts));
+        }
     }
     v
 }

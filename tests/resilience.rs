@@ -84,8 +84,9 @@ fn never_panics_on_adversarial_catalog() {
     }
 }
 
-/// The torture corpus through both Algorithm-2 partition backends, with
-/// and without the robustness ladder: nothing may panic or error.
+/// The torture corpus through the default and a refining Algorithm-2 cell
+/// plan, with and without the robustness ladder: nothing may panic or
+/// error.
 #[test]
 fn never_panics_on_torture_corpus_across_backends() {
     let armed = ClipOptions {
@@ -97,19 +98,15 @@ fn never_panics_on_torture_corpus_across_backends() {
         ..seq()
     };
     for case in torture_corpus(42) {
-        for backend in [PartitionBackend::FullScan, PartitionBackend::SlabIndex] {
+        for grid in [GridConfig::default(), GridConfig::refined()] {
             for opts in [&armed, &disarmed] {
+                let opts = ClipOptions {
+                    grid,
+                    ..opts.clone()
+                };
                 for op in ALL_OPS {
-                    let r = try_clip_pair_slabs_backend(
-                        &case.subject,
-                        &case.clip,
-                        op,
-                        3,
-                        opts,
-                        MergeStrategy::Sequential,
-                        backend,
-                    );
-                    assert!(r.is_ok(), "{}: {op:?} {backend:?} errored", case.name);
+                    let r = try_clip_pair_slabs(&case.subject, &case.clip, op, 3, &opts);
+                    assert!(r.is_ok(), "{}: {op:?} {grid:?} errored", case.name);
                 }
             }
         }
