@@ -4,7 +4,6 @@
 //! * slab assignment: the paper's replication vs unique-owner;
 //! * Algorithm-2 cell plan: one cell per slab on the calling thread vs
 //!   refined cells on the work-stealing pool;
-//! * Step-8 merge: one sequential pass vs the Figure 6 tree;
 //! * output sensitivity: fixed n, increasing overlap (and therefore k) —
 //!   the work must track k, not n² (the paper's core claim vs Karinthi
 //!   et al.).
@@ -99,27 +98,6 @@ fn bench_algo2_grid_plan(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_merge_strategy(c: &mut Criterion) {
-    // Sequential single-pass merge (the paper's Step 8) vs the Figure 6
-    // tree reduction (the paper's future-work extension).
-    let mut g = c.benchmark_group("ablation_merge_strategy");
-    g.sample_size(10);
-    let (a, b) = synthetic_pair(40_000, 42);
-    for (name, merge) in [
-        ("sequential", MergeStrategy::Sequential),
-        ("tree", MergeStrategy::Tree),
-    ] {
-        let opts = ClipOptions {
-            merge,
-            ..ClipOptions::sequential()
-        };
-        g.bench_function(name, |bch| {
-            bch.iter(|| clip_pair_slabs(&a, &b, BoolOp::Union, 16, &opts))
-        });
-    }
-    g.finish();
-}
-
 fn bench_intersection_discovery(c: &mut Criterion) {
     // Lemma 4's inversion-based discovery vs the classical Bentley–Ottmann
     // sweep (paper §II's reference line-intersection approach).
@@ -158,7 +136,6 @@ criterion_group!(
     bench_slab_assignment,
     bench_algo2_grid_plan,
     bench_output_sensitivity,
-    bench_merge_strategy,
     bench_intersection_discovery
 );
 criterion_main!(benches);

@@ -17,9 +17,8 @@
 //! comparison at p = 8 is the load imbalance: `adaptive_grid` splits hot
 //! slabs into cells and work-steals them, so its `load_imbalance` stays
 //! near 1 on blob_pair where the unrefined slabs drift well above it. Every
-//! run also records `chunks_total`, `chunks_stolen`, `steal_ms`,
-//! `merge_serial_ms` and the per-worker `busy_ms` histogram (one lane for
-//! `slab_index`).
+//! run also records `chunks_stolen`, `steal_ms`, `merge_serial_ms` and the
+//! per-worker `busy_ms` histogram (one lane for `slab_index`).
 
 use polyclip::datagen::synthetic_pair;
 use polyclip::prelude::*;
@@ -126,7 +125,6 @@ fn main() -> ExitCode {
                     ("load_imbalance", Value::Num(r.times.load_imbalance())),
                     ("budget_overhead", Value::Num(budget_overhead)),
                     ("out_contours", Value::Num(r.output.len() as f64)),
-                    ("chunks_total", Value::Num(r.times.chunks_total as f64)),
                     ("chunks_stolen", Value::Num(r.times.chunks_stolen as f64)),
                     ("steal_ms", msf(r.times.steal)),
                     ("merge_serial_ms", msf(r.times.merge_serial)),

@@ -133,7 +133,7 @@ fn main() -> ExitCode {
                     "prepared output diverged from cold path \
                      ({workload}/{query_name}, p = {p})"
                 );
-                assert!(warm.times.prepared_reused && !cold.times.prepared_reused);
+                assert!(warm.stats.prepared_reused && !cold.stats.prepared_reused);
                 let speedup = cold_wall.as_secs_f64() / warm_wall.as_secs_f64().max(1e-12);
                 let saved = cold_wall.as_secs_f64() - warm_wall.as_secs_f64();
                 let amortize = if saved > 0.0 {

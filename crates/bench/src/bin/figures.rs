@@ -282,8 +282,7 @@ fn fig8() -> Vec<ResultTable> {
 /// Figure 9: partition / clip / merge phase breakdown vs slab count for two
 /// dataset pairs (I = 1∪2, II = 3∪4), on the default cell plan and the
 /// refining one, with the work-stealing counters
-/// ([`PhaseTimes::chunks_total`], `chunks_stolen`, `steal_ms`,
-/// `merge_serial_ms`).
+/// (`chunks_stolen`, `steal_ms`, `merge_serial_ms`).
 fn fig9(cfg: &Config) -> Vec<ResultTable> {
     let mut t = ResultTable::new(
         "fig9_phases",
@@ -298,7 +297,6 @@ fn fig9(cfg: &Config) -> Vec<ResultTable> {
             "clip_max_ms",
             "clip_total_ms",
             "merge_ms",
-            "chunks",
             "stolen",
             "steal_ms",
             "merge_serial_ms",
@@ -342,7 +340,6 @@ fn fig9(cfg: &Config) -> Vec<ResultTable> {
                     ms(clip_max),
                     ms(r.times.clip_total()),
                     ms(r.times.merge),
-                    r.times.chunks_total.to_string(),
                     r.times.chunks_stolen.to_string(),
                     ms(r.times.steal),
                     ms(r.times.merge_serial),

@@ -32,13 +32,14 @@
 //! default [`crate::grid::GridConfig`] plans one cell per event-quantile
 //! slab and runs the cells in plan order on the calling thread; a refining
 //! config (`oversub > 0`) splits heavy slabs into finer cells and runs them
-//! on the work-stealing pool ([`polyclip_parprim::stealpool`]).
-//! [`ClipOptions::merge`] picks the Step-8 merge.
+//! on the work-stealing pool ([`polyclip_parprim::stealpool`]). Step 8 is
+//! one pass: each cell decomposes its own output inside its pool job, and
+//! a single serial stitch on the calling thread dissolves every seam.
 
 use crate::budget::{self, Gate, MeterSnapshot};
 use crate::classify::BoolOp;
 use crate::engine::{try_clip_refs_in, try_clip_with_stats_in, ClipOptions};
-use crate::grid::{Cell, Child, GridPlan, Seam};
+use crate::grid::{Cell, GridPlan};
 use crate::resilience::{self, ClipError, ClipOutcome, Degradation, InputRole};
 use crate::slabindex::SlabIndex;
 use crate::stats::ClipStats;
@@ -49,7 +50,7 @@ use polyclip_sweep::SweepScratch;
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -67,7 +68,8 @@ pub struct PhaseTimes {
     pub per_slab_partition: Vec<Duration>,
     /// Time each slab spent clipping (Step 6) — the Figure 11 load profile.
     pub per_slab_clip: Vec<Duration>,
-    /// Sequential merge time (Step 8).
+    /// Step-8 merge time: every cell's output decomposition (run inside
+    /// its pool job) plus the serial finish, [`PhaseTimes::merge_serial`].
     pub merge: Duration,
     /// Wall clock consumed by failed slab attempts before a recovery
     /// attempt succeeded (panicked attempts, watchdog-cancelled attempts).
@@ -77,13 +79,6 @@ pub struct PhaseTimes {
     pub retry_total: Duration,
     /// End-to-end wall clock.
     pub total: Duration,
-    /// Refinement rounds served by the incremental dirty-beam patch
-    /// instead of a full scanbeam rebuild, summed across slab workers
-    /// (mirrors [`ClipStats::refine_rounds_incremental`]).
-    pub refine_rounds_incremental: usize,
-    /// Dirty beams re-split across all incremental rounds and slabs
-    /// (mirrors [`ClipStats::beams_rebuilt`]).
-    pub beams_rebuilt: usize,
     /// High-water mark of sweep scratch-arena capacity observed on any
     /// single worker (bytes) — the steady-state memory cost of arena
     /// reuse.
@@ -100,14 +95,6 @@ pub struct PhaseTimes {
     /// served this call, for amortization accounting (how many clips pay
     /// off the compile). Zero on cold runs.
     pub prepare_build: Duration,
-    /// True when this run reused a prepared layer's frozen subject-side
-    /// state (sanitized contours, event schedule, contour extents) instead
-    /// of recomputing it.
-    pub prepared_reused: bool,
-    /// Number of chunks handed to the work-stealing pool: grid cells, plus
-    /// pool-side merge nodes under [`MergeStrategy::Tree`]. Zero on
-    /// single-slab runs.
-    pub chunks_total: usize,
     /// Chunks executed by a worker other than the one whose deque they were
     /// first pushed onto — the stealing pool's rebalancing traffic.
     pub chunks_stolen: u64,
@@ -115,15 +102,13 @@ pub struct PhaseTimes {
     /// victim deques), summed across workers.
     pub steal: Duration,
     /// Per-worker busy time on the stealing pool: wall clock spent executing
-    /// chunks (cell clips and pool-side merges), indexed by worker. One lane
+    /// cells (clip plus output decomposition), indexed by worker. One lane
     /// for unrefined plans, which run on the calling thread; empty on
     /// single-slab runs.
     pub per_worker_busy: Vec<Duration>,
     /// The slice of [`PhaseTimes::merge`] that ran serially on the calling
     /// thread after the fan-out, i.e. is not attributable to any worker's
-    /// lane: the concatenate–split–stitch finish under
-    /// [`MergeStrategy::Sequential`], only salvage merges completed inline
-    /// after a partial run under [`MergeStrategy::Tree`].
+    /// lane: the concatenate–split–stitch finish.
     pub merge_serial: Duration,
 }
 
@@ -216,19 +201,6 @@ pub struct Algo2Result {
     pub stats: ClipStats,
     /// Degradations absorbed across all slabs, in slab order.
     pub degradations: Vec<Degradation>,
-}
-
-/// How Algorithm 2 fuses its per-cell partial outputs (Step 8), carried
-/// on [`ClipOptions::merge`].
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum MergeStrategy {
-    /// One sequential pass over all partials — the paper's implementation.
-    #[default]
-    Sequential,
-    /// Binary reduction tree over the cells (the paper's Figure 6 /
-    /// future-work parallel merge): each node of the plan's merge tree
-    /// dissolves one seam as soon as both children land.
-    Tree,
 }
 
 /// One slab worker's contribution: its partial output plus everything the
@@ -422,8 +394,7 @@ pub fn clip_pair_slabs(
 /// [`Degradation::SlabRetry`] / [`Degradation::SlabFallback`]). Errors are
 /// typed: non-finite inputs are rejected up front, and a cell that dies on
 /// every rung of the ladder surfaces as [`ClipError::SlabPanic`].
-/// [`ClipOptions::grid`] picks the cell plan and [`ClipOptions::merge`] the
-/// Step-8 merge.
+/// [`ClipOptions::grid`] picks the cell plan.
 pub fn try_clip_pair_slabs(
     subject: &PolygonSet,
     clip_p: &PolygonSet,
@@ -567,7 +538,7 @@ pub(crate) struct SlabDrive<'a> {
     pub clip_p: &'a PolygonSet,
     pub op: BoolOp,
     /// The caller's options (consulted for `validate_output`,
-    /// `budget.allow_partial`, `grid` and `merge`).
+    /// `budget.allow_partial` and `grid`).
     pub opts: &'a ClipOptions,
     /// Worker options: sequential, sanitize/validate off, cancel-only
     /// budget.
@@ -628,13 +599,10 @@ pub(crate) fn drive_single_slab(
         merge: Duration::ZERO,
         retry_total: t_retry,
         total: d.t_start.elapsed(),
-        refine_rounds_incremental: outcome.stats.refine_rounds_incremental,
-        beams_rebuilt: outcome.stats.beams_rebuilt,
         arena_hwm_bytes: work.peak_scratch_bytes.max(scratch.high_water_bytes()),
         arena_reused_bytes: work.scratch_reused_bytes,
         work,
         prepare_build: d.prepare_build,
-        prepared_reused: d.prepared_reused,
         ..Default::default()
     };
     Ok(Algo2Result {
@@ -831,42 +799,23 @@ fn run_cell(
     })
 }
 
-/// A unit of work on the stealing pool: clip one grid cell, or dissolve one
-/// merge-tree seam (tree strategy only; spawned as a follow-on by whichever
-/// sibling lands second).
-#[derive(Clone, Copy)]
-enum GridJob {
-    Cell(usize),
-    Merge(usize),
-}
-
-/// One cell's landed contribution, parked in its slot until the driver (or
-/// a pool-side merge job) consumes it.
+/// One cell's landed contribution, parked in its slot until the driver
+/// consumes it.
 #[derive(Default)]
 struct CellDone {
-    /// Sequential strategy: the output already decomposed for the global
-    /// single-pass dissolve (the expensive half of Step 8, done on the
-    /// worker's clock).
-    frag: Option<SeamFragment>,
-    /// Tree strategy: the raw partial, consumed by pairwise merge jobs.
-    set: Option<PolygonSet>,
+    /// The output already decomposed for the single-pass seam dissolve
+    /// (the expensive half of Step 8, done on the worker's clock). Empty
+    /// for a skipped or lost cell.
+    frag: SeamFragment,
     stats: ClipStats,
     degradations: Vec<Degradation>,
     t_partition: Duration,
     t_clip: Duration,
     t_retry: Duration,
     t_decompose: Duration,
-    /// Lost to a budget trip under `allow_partial`: substituted with an
-    /// empty partial, counted in the `PartialResult` degradation.
+    /// Lost to a budget trip under `allow_partial` (or never run): its
+    /// fragment is empty and it counts in the `PartialResult` degradation.
     lost: bool,
-}
-
-/// Dissolve one merge-tree seam between two child outputs.
-fn merge_node(a: PolygonSet, b: PolygonSet, seam: Seam, opts: &ClipOptions) -> PolygonSet {
-    match seam {
-        Seam::Y(y) => merge_cell_outputs([a, b].into_iter(), &[y], &[], opts),
-        Seam::X(x) => merge_cell_outputs([a, b].into_iter(), &[], &[x], opts),
-    }
 }
 
 fn lock<'a, T>(m: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
@@ -874,10 +823,9 @@ fn lock<'a, T>(m: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
 }
 
 /// Steps 4–8, shared by the cold and prepared paths: executes the plan's
-/// cells (and, under [`MergeStrategy::Tree`], its merge nodes) on the
-/// work-stealing pool, each cell under the recovery ladder and its own
-/// watchdog, then finishes Step 8, salvages partial runs and runs the
-/// output ladder once on the merged result.
+/// cells on the work-stealing pool, each cell under the recovery ladder and
+/// its own watchdog, then finishes Step 8, salvages partial runs and runs
+/// the output ladder once on the merged result.
 ///
 /// `skip[s]` marks base slabs whose output is provably empty — the
 /// prepared path's query-side pruning — whose cells are recorded as
@@ -887,12 +835,9 @@ fn lock<'a, T>(m: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
 /// cross-request pool.
 ///
 /// `workers` is the paper's `p` — it sizes the pool, never the plan, so
-/// output depends only on the plan. Under [`MergeStrategy::Sequential`]
-/// each cell eagerly decomposes its output for the seam dissolve on the
-/// worker's own clock and only the final concatenate–split–stitch pass runs
-/// serially; under [`MergeStrategy::Tree`] every interior merge runs as a
-/// pool job as soon as both children land (the second sibling to arrive
-/// spawns it as a follow-on), so the merge overlaps the remaining clips.
+/// output depends only on the plan. Each cell decomposes its output for the
+/// seam dissolve inside its own pool job; only the final
+/// concatenate–split–stitch pass runs serially, on the calling thread.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn drive_grid<A, R>(
     d: SlabDrive<'_>,
@@ -910,7 +855,6 @@ where
 {
     let cells = plan.cells.len();
     let (gate, recovery_gate) = (d.gate, d.recovery_gate);
-    let eager_tree = d.opts.merge == MergeStrategy::Tree;
     // Pool width. An unrefined plan runs on the calling thread: extra
     // workers cut its latency but grow peak RSS far more, through glibc's
     // per-thread malloc arenas (EXPERIMENTS.md). A refining plan runs at the
@@ -924,7 +868,6 @@ where
         let hw = std::thread::available_parallelism().map_or(usize::MAX, usize::from);
         workers.max(1).min(hw).min(cells.max(1))
     };
-    let chunks_total = cells + if eager_tree { plan.nodes.len() } else { 0 };
 
     // Per-cell watchdog deadlines from the plan's mass shares: twice the
     // fair share of the remaining time, floored at the uniform share (so
@@ -948,24 +891,7 @@ where
         })
         .collect();
 
-    // Merge-tree wiring: each child knows its parent; the second sibling to
-    // land spawns the parent merge as a pool follow-on.
-    let mut parent_of_leaf: Vec<Option<usize>> = vec![None; cells];
-    let mut parent_of_node: Vec<Option<usize>> = vec![None; plan.nodes.len()];
-    for (ni, node) in plan.nodes.iter().enumerate() {
-        for ch in [node.left, node.right] {
-            match ch {
-                Child::Leaf(i) => parent_of_leaf[i] = Some(ni),
-                Child::Node(j) => parent_of_node[j] = Some(ni),
-            }
-        }
-    }
-
     let results: Vec<Mutex<Option<CellDone>>> = (0..cells).map(|_| Mutex::new(None)).collect();
-    let node_out: Vec<Mutex<Option<PolygonSet>>> =
-        (0..plan.nodes.len()).map(|_| Mutex::new(None)).collect();
-    let arrivals: Vec<AtomicU8> = (0..plan.nodes.len()).map(|_| AtomicU8::new(0)).collect();
-    let node_ns: Vec<AtomicU64> = (0..plan.nodes.len()).map(|_| AtomicU64::new(0)).collect();
     // Lazily-populated per-worker scratch arenas: a worker's later cells
     // replay the capacity its first cell allocated.
     let scratches: Vec<Mutex<Option<SweepScratch>>> =
@@ -987,109 +913,45 @@ where
     // The watchdog deadlines above are armed up front, so a stall in an
     // early cell would otherwise also expire the deadlines of the cells
     // queued behind it.
-    let seeds: Vec<GridJob> = (0..cells).rev().map(GridJob::Cell).collect();
+    let seeds: Vec<usize> = (0..cells).rev().collect();
     let stop = || abort.load(Ordering::Acquire) || gate.poll().is_some();
-    let exec = |worker: usize, job: GridJob| -> Vec<GridJob> {
-        match job {
-            GridJob::Cell(i) => {
-                let cell = &plan.cells[i];
-                let mut res = CellDone::default();
-                let mut ok = true;
-                if skip.is_some_and(|s| s[cell.slab]) {
-                    // Provably-empty slab: completed, zero-duration partial.
-                } else {
-                    let mut guard = lock(&scratches[worker]);
-                    let scratch = guard.get_or_insert_with(&acquire);
-                    let watchdog = gate.child_with_deadline(deadlines[i]);
-                    let gates = SlabGates {
-                        attempt: &watchdog,
-                        global: gate,
-                        recovery: recovery_gate,
-                    };
-                    match run_cell(i, cell, index, memo.as_ref(), d.op, d.seq, &gates, scratch) {
-                        Ok(p) => {
-                            res.stats = p.stats;
-                            res.degradations = p.degradations;
-                            res.t_partition = p.t_partition;
-                            res.t_clip = p.t_clip;
-                            res.t_retry = p.t_retry;
-                            if eager_tree {
-                                res.set = Some(p.output);
-                            } else {
-                                let td = Instant::now();
-                                res.frag = Some(decompose_fragment(
-                                    p.output,
-                                    &plan.seam_ys,
-                                    &plan.seam_xs,
-                                ));
-                                res.t_decompose = td.elapsed();
-                            }
-                        }
-                        Err(e) => {
-                            if d.opts.budget.allow_partial && budget::is_budget_trip(&e) {
-                                res.lost = true;
-                                let mut ft = lock(&first_trip);
-                                if ft.is_none() {
-                                    *ft = Some(e);
-                                }
-                            } else {
-                                let mut f = lock(&fatal);
-                                if f.is_none() {
-                                    *f = Some(e);
-                                }
-                                abort.store(true, Ordering::Release);
-                                ok = false;
-                            }
-                        }
-                    }
+    let exec = |worker: usize, i: usize| -> Vec<usize> {
+        let cell = &plan.cells[i];
+        let mut res = CellDone::default();
+        // A provably-empty slab completes with a zero-duration partial.
+        if !skip.is_some_and(|s| s[cell.slab]) {
+            let mut guard = lock(&scratches[worker]);
+            let scratch = guard.get_or_insert_with(&acquire);
+            let watchdog = gate.child_with_deadline(deadlines[i]);
+            let gates = SlabGates {
+                attempt: &watchdog,
+                global: gate,
+                recovery: recovery_gate,
+            };
+            match run_cell(i, cell, index, memo.as_ref(), d.op, d.seq, &gates, scratch) {
+                Ok(p) => {
+                    res.stats = p.stats;
+                    res.degradations = p.degradations;
+                    res.t_partition = p.t_partition;
+                    res.t_clip = p.t_clip;
+                    res.t_retry = p.t_retry;
+                    let td = Instant::now();
+                    res.frag = decompose_fragment(p.output, &plan.seam_ys, &plan.seam_xs);
+                    res.t_decompose = td.elapsed();
                 }
-                if !ok {
+                Err(e) if d.opts.budget.allow_partial && budget::is_budget_trip(&e) => {
+                    res.lost = true;
+                    lock(&first_trip).get_or_insert(e);
+                }
+                Err(e) => {
+                    lock(&fatal).get_or_insert(e);
+                    abort.store(true, Ordering::Release);
                     return Vec::new();
                 }
-                if res.lost || (res.set.is_none() && res.frag.is_none()) {
-                    // Lost or skipped: substitute an empty partial so tree
-                    // merges above it still run.
-                    if eager_tree {
-                        res.set = Some(PolygonSet::new());
-                    } else {
-                        res.frag = Some(SeamFragment::default());
-                    }
-                }
-                *lock(&results[i]) = Some(res);
-                if eager_tree {
-                    if let Some(p) = parent_of_leaf[i] {
-                        if arrivals[p].fetch_add(1, Ordering::AcqRel) == 1 {
-                            return vec![GridJob::Merge(p)];
-                        }
-                    }
-                }
-                Vec::new()
-            }
-            GridJob::Merge(ni) => {
-                let node = &plan.nodes[ni];
-                let take = |ch: Child| -> PolygonSet {
-                    match ch {
-                        Child::Leaf(i) => lock(&results[i])
-                            .as_mut()
-                            .and_then(|r| r.set.take())
-                            .unwrap_or_default(),
-                        Child::Node(j) => lock(&node_out[j]).take().unwrap_or_default(),
-                    }
-                };
-                let a = take(node.left);
-                let b = take(node.right);
-                let t0 = Instant::now();
-                let merged = merge_node(a, b, node.seam, d.seq);
-                node_ns[ni].fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                *lock(&node_out[ni]) = Some(merged);
-                if let Some(p) = parent_of_node[ni] {
-                    if arrivals[p].fetch_add(1, Ordering::AcqRel) == 1 {
-                        return vec![GridJob::Merge(p)];
-                    }
-                }
-                Vec::new()
             }
         }
+        *lock(&results[i]) = Some(res);
+        Vec::new()
     };
     let (pool_stats, _leftover) = stealpool::run(n_workers, seeds, stop, exec);
 
@@ -1114,10 +976,6 @@ where
         }
     }
 
-    let mut cell_results: Vec<Option<CellDone>> = results
-        .into_iter()
-        .map(|m| m.into_inner().unwrap_or_else(|e| e.into_inner()))
-        .collect();
     let mut stats = ClipStats {
         input_repairs: d.pre_repairs,
         prepared_reused: d.prepared_reused,
@@ -1126,21 +984,29 @@ where
     let mut degradations: Vec<Degradation> = d.pre_degradations;
     let mut per_slab_partition: Vec<Duration> = Vec::with_capacity(cells);
     let mut per_slab_clip: Vec<Duration> = Vec::with_capacity(cells);
+    let mut frags: Vec<SeamFragment> = Vec::with_capacity(cells);
     let mut retry_total = Duration::ZERO;
     let mut decompose_total = Duration::ZERO;
     let mut lost = 0usize;
-    for r in cell_results.iter_mut() {
-        match r {
-            Some(res) if !res.lost => {
-                per_slab_partition.push(res.t_partition);
-                per_slab_clip.push(res.t_clip);
-                retry_total += res.t_retry;
-                decompose_total += res.t_decompose;
-                stats.absorb(&res.stats);
-                degradations.append(&mut res.degradations);
-            }
-            _ => lost += 1,
+    for slot in results {
+        let res = slot
+            .into_inner()
+            .unwrap_or_else(|e| e.into_inner())
+            .unwrap_or_else(|| CellDone {
+                lost: true,
+                ..CellDone::default()
+            });
+        if res.lost {
+            lost += 1;
+        } else {
+            per_slab_partition.push(res.t_partition);
+            per_slab_clip.push(res.t_clip);
+            retry_total += res.t_retry;
+            decompose_total += res.t_decompose;
+            stats.absorb(&res.stats);
+            degradations.extend(res.degradations);
         }
+        frags.push(res.frag);
     }
     let completed = cells - lost;
     if completed == 0 {
@@ -1155,62 +1021,11 @@ where
         });
     }
 
-    // Step 8. Sequential: the cells already decomposed eagerly; what is
-    // left is the serial concatenate–split–stitch pass. Tree: the pool
-    // already merged everything that landed; only salvage merges (children
-    // lost or unexecuted) remain, completed inline bottom-up.
-    let (output, merge, merge_serial) = if eager_tree {
-        let mut node_sets: Vec<Option<PolygonSet>> = node_out
-            .into_iter()
-            .map(|m| m.into_inner().unwrap_or_else(|e| e.into_inner()))
-            .collect();
-        let t_inline = Instant::now();
-        for ni in 0..plan.nodes.len() {
-            if node_sets[ni].is_some() {
-                continue;
-            }
-            let node = plan.nodes[ni];
-            let mut take = |ch: Child| -> PolygonSet {
-                match ch {
-                    Child::Leaf(i) => cell_results[i]
-                        .as_mut()
-                        .and_then(|r| r.set.take())
-                        .unwrap_or_default(),
-                    Child::Node(j) => node_sets[j].take().unwrap_or_default(),
-                }
-            };
-            let a = take(node.left);
-            let b = take(node.right);
-            node_sets[ni] = Some(merge_node(a, b, node.seam, d.seq));
-        }
-        let merge_serial = t_inline.elapsed();
-        let output = match node_sets.pop() {
-            Some(Some(p)) => p,
-            // Single-cell plan: no nodes, the lone cell is the output.
-            _ => cell_results[0]
-                .as_mut()
-                .and_then(|r| r.set.take())
-                .unwrap_or_default(),
-        };
-        let pool_merge: Duration = node_ns
-            .iter()
-            .map(|a| Duration::from_nanos(a.load(Ordering::Relaxed)))
-            .sum();
-        (output, pool_merge + merge_serial, merge_serial)
-    } else {
-        let t_finish = Instant::now();
-        let frags: Vec<SeamFragment> = cell_results
-            .iter_mut()
-            .map(|r| {
-                r.as_mut()
-                    .and_then(|res| res.frag.take())
-                    .unwrap_or_default()
-            })
-            .collect();
-        let output = finish_merge(frags, d.seq);
-        let merge_serial = t_finish.elapsed();
-        (output, decompose_total + merge_serial, merge_serial)
-    };
+    // Step 8: the cells already decomposed their outputs; what is left is
+    // the serial concatenate–split–stitch pass.
+    let t_finish = Instant::now();
+    let output = finish_merge(frags, d.seq);
+    let merge_serial = t_finish.elapsed();
 
     // Output ladder on the merged result (once, not per cell).
     let (output, stats, degradations) = if d.opts.validate_output {
@@ -1233,17 +1048,13 @@ where
             index: t_index,
             per_slab_partition,
             per_slab_clip,
-            merge,
+            merge: decompose_total + merge_serial,
             retry_total,
             total: d.t_start.elapsed(),
-            refine_rounds_incremental: stats.refine_rounds_incremental,
-            beams_rebuilt: stats.beams_rebuilt,
             arena_hwm_bytes: work.peak_scratch_bytes,
             arena_reused_bytes: work.scratch_reused_bytes,
             work,
             prepare_build: d.prepare_build,
-            prepared_reused: d.prepared_reused,
-            chunks_total,
             chunks_stolen: pool_stats.stolen,
             steal: pool_stats.steal_time,
             per_worker_busy: pool_stats.worker_busy,
@@ -1296,26 +1107,9 @@ pub fn merge_slab_outputs(
     interior_boundaries: &[f64],
     opts: &ClipOptions,
 ) -> PolygonSet {
-    merge_cell_outputs(parts, interior_boundaries, &[], opts)
-}
-
-/// The two-axis generalization of [`merge_slab_outputs`]: dissolves seams on
-/// horizontal lines (`y_lines`) *and* vertical lines (`x_lines`) in one
-/// pass. The adaptive-grid driver feeds it every seam of the whole plan at
-/// once — treating each seam segment as its full line is sound because the
-/// cells partition the plane into disjoint rectangles, so exactly-opposite
-/// overlapping runs can only meet at a real seam; runs split at non-seam
-/// crossings merely reassemble in stitching. Both line slices must be
-/// sorted ascending.
-pub fn merge_cell_outputs(
-    parts: impl Iterator<Item = PolygonSet>,
-    y_lines: &[f64],
-    x_lines: &[f64],
-    opts: &ClipOptions,
-) -> PolygonSet {
     finish_merge(
         parts
-            .map(|p| decompose_fragment(p, y_lines, x_lines))
+            .map(|p| decompose_fragment(p, interior_boundaries, &[]))
             .collect(),
         opts,
     )
@@ -1328,7 +1122,7 @@ pub fn merge_cell_outputs(
 /// pool — while [`finish_merge`] (concatenate, split, stitch) is the serial
 /// residual.
 #[derive(Default)]
-pub(crate) struct SeamFragment {
+struct SeamFragment {
     pass: PolygonSet,
     edges: Vec<(Point, Point)>,
     /// `(seam y, run-endpoint x)` pairs from horizontal runs on a y-seam.
@@ -1353,7 +1147,13 @@ fn line_hit(lines: &[f64], v: f64) -> bool {
     i < lines.len() && lines[i] == v
 }
 
-pub(crate) fn decompose_fragment(ps: PolygonSet, y_lines: &[f64], x_lines: &[f64]) -> SeamFragment {
+/// Decompose one partial against every seam line of the plan: horizontal
+/// lines `y_lines` and vertical lines `x_lines`, both sorted ascending.
+/// Treating each seam segment as its full line is sound because the cells
+/// partition the plane into disjoint rectangles, so exactly-opposite
+/// overlapping runs can only meet at a real seam; runs split at non-seam
+/// crossings merely reassemble in stitching.
+fn decompose_fragment(ps: PolygonSet, y_lines: &[f64], x_lines: &[f64]) -> SeamFragment {
     let mut frag = SeamFragment::default();
     for c in ps.into_contours() {
         let bb = c.bbox();
@@ -1379,7 +1179,7 @@ pub(crate) fn decompose_fragment(ps: PolygonSet, y_lines: &[f64], x_lines: &[f64
 /// of both sides' endpoints, cancel and stitch. Produces exactly the
 /// contour sequence the pre-fragment implementation did: pass-through
 /// contours first in part order, then the stitched seam contours.
-pub(crate) fn finish_merge(frags: Vec<SeamFragment>, opts: &ClipOptions) -> PolygonSet {
+fn finish_merge(frags: Vec<SeamFragment>, opts: &ClipOptions) -> PolygonSet {
     let mut pass = PolygonSet::new();
     let mut edges: Vec<(Point, Point)> = Vec::new();
     let mut y_cuts: crate::stitch::SeamCuts = HashMap::new();
@@ -1420,13 +1220,6 @@ mod tests {
 
     fn seq() -> ClipOptions {
         ClipOptions::sequential()
-    }
-
-    fn tree() -> ClipOptions {
-        ClipOptions {
-            merge: MergeStrategy::Tree,
-            ..seq()
-        }
     }
 
     fn refined() -> ClipOptions {
@@ -1548,38 +1341,6 @@ mod tests {
         assert!(!r.output.contains(Point::new(2.0, 4.0), FillRule::EvenOdd));
         assert!(r.output.contains(Point::new(0.5, 4.0), FillRule::EvenOdd));
         assert!((eo_area(&r.output) - (32.0 - 12.0)).abs() < 1e-9);
-    }
-
-    #[test]
-    fn tree_merge_equals_sequential_merge() {
-        let a = PolygonSet::from_xy(&[(0.0, 0.0), (4.0, 0.3), (5.0, 9.7), (0.5, 10.0)]);
-        let b = PolygonSet::from_xy(&[(2.0, -1.0), (6.0, 4.0), (3.0, 11.0), (1.0, 5.0)]);
-        for op in [BoolOp::Intersection, BoolOp::Union, BoolOp::Xor] {
-            for slabs in [2usize, 3, 5, 8] {
-                let s = clip_pair_slabs(&a, &b, op, slabs, &seq());
-                let t = clip_pair_slabs(&a, &b, op, slabs, &tree());
-                assert!(
-                    (eo_area(&s.output) - eo_area(&t.output)).abs() < 1e-9,
-                    "op {op:?} slabs {slabs}"
-                );
-                assert_eq!(
-                    s.output.len(),
-                    t.output.len(),
-                    "tree merge must dissolve every seam (op {op:?}, slabs {slabs})"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn tree_merge_seamless_single_contour() {
-        // Same invariant as the sequential merge: a tall rectangle crossed
-        // by many seams comes back as one 4-vertex contour.
-        let a = sq(0.0, 0.0, 1.0, 10.0);
-        let b = sq(0.25, 2.0, 0.75, 8.0);
-        let r = clip_pair_slabs(&a, &b, BoolOp::Union, 6, &tree());
-        assert_eq!(r.output.len(), 1);
-        assert_eq!(r.output.contours()[0].len(), 4);
     }
 
     #[test]
@@ -1720,22 +1481,14 @@ mod tests {
             .collect();
         let a = PolygonSet::from_contours(contours);
         let b = sq(1.0, 0.0, 3.0, 30.0);
-        for merge in [MergeStrategy::Sequential, MergeStrategy::Tree] {
-            let unrefined = ClipOptions { merge, ..seq() };
-            let r = clip_pair_slabs(&a, &b, BoolOp::Union, 4, &unrefined);
-            assert_eq!(r.slabs, 4, "{merge:?}");
-            assert_eq!(r.times.per_worker_busy.len(), 1, "{merge:?}");
+        let r = clip_pair_slabs(&a, &b, BoolOp::Union, 4, &seq());
+        assert_eq!(r.slabs, 4);
+        assert_eq!(r.times.per_worker_busy.len(), 1);
 
-            let refining = ClipOptions { merge, ..refined() };
-            let g = clip_pair_slabs(&a, &b, BoolOp::Union, 4, &refining);
-            let hw = std::thread::available_parallelism().map_or(1, usize::from);
-            assert!(g.slabs > 4, "{merge:?}: expected refinement");
-            assert_eq!(
-                g.times.per_worker_busy.len(),
-                4.min(hw).min(g.slabs),
-                "{merge:?}"
-            );
-        }
+        let g = clip_pair_slabs(&a, &b, BoolOp::Union, 4, &refined());
+        let hw = std::thread::available_parallelism().map_or(1, usize::from);
+        assert!(g.slabs > 4, "expected refinement");
+        assert_eq!(g.times.per_worker_busy.len(), 4.min(hw).min(g.slabs));
     }
 
     #[test]
@@ -1785,8 +1538,7 @@ mod tests {
         // A refining config without a split budget plans exactly the base
         // slabs but runs them on the stealing pool, min(p, available
         // parallelism) workers wide: output, stats and degradations must
-        // match the default plan on the calling thread bit for bit under
-        // both merge strategies.
+        // match the default plan on the calling thread bit for bit.
         let a = PolygonSet::from_xy(&[(0.0, 0.0), (4.0, 0.3), (5.0, 9.7), (0.5, 10.0)]);
         let b = PolygonSet::from_xy(&[(2.0, -1.0), (6.0, 4.0), (3.0, 11.0), (1.0, 5.0)]);
         let pooled = crate::grid::GridConfig {
@@ -1796,26 +1548,22 @@ mod tests {
         };
         for op in [BoolOp::Intersection, BoolOp::Union, BoolOp::Xor] {
             for slabs in [2usize, 4, 8] {
-                for merge in [MergeStrategy::Sequential, MergeStrategy::Tree] {
-                    let indexed =
-                        clip_pair_slabs(&a, &b, op, slabs, &ClipOptions { merge, ..seq() });
-                    let grid = clip_pair_slabs(
-                        &a,
-                        &b,
-                        op,
-                        slabs,
-                        &ClipOptions {
-                            grid: pooled,
-                            merge,
-                            ..seq()
-                        },
-                    );
-                    let tag = format!("op {op:?} slabs {slabs} merge {merge:?}");
-                    assert_eq!(grid.output, indexed.output, "{tag}");
-                    assert_eq!(grid.stats, indexed.stats, "{tag}");
-                    assert_eq!(grid.degradations, indexed.degradations, "{tag}");
-                    assert_eq!(grid.slabs, indexed.slabs, "{tag}");
-                }
+                let indexed = clip_pair_slabs(&a, &b, op, slabs, &seq());
+                let grid = clip_pair_slabs(
+                    &a,
+                    &b,
+                    op,
+                    slabs,
+                    &ClipOptions {
+                        grid: pooled,
+                        ..seq()
+                    },
+                );
+                let tag = format!("op {op:?} slabs {slabs}");
+                assert_eq!(grid.output, indexed.output, "{tag}");
+                assert_eq!(grid.stats, indexed.stats, "{tag}");
+                assert_eq!(grid.degradations, indexed.degradations, "{tag}");
+                assert_eq!(grid.slabs, indexed.slabs, "{tag}");
             }
         }
     }
@@ -1845,7 +1593,6 @@ mod tests {
                 eo_area(&runs[0].output)
             );
             assert!(runs[0].slabs > 4, "expected refinement beyond 4 slabs");
-            assert_eq!(runs[0].times.chunks_total, runs[0].slabs);
             assert!(!runs[0].times.per_worker_busy.is_empty());
             assert!(runs[0].times.load_imbalance() >= 1.0);
         }
@@ -1869,29 +1616,19 @@ mod tests {
             ..Default::default()
         };
         for op in [BoolOp::Intersection, BoolOp::Union] {
-            for merge in [MergeStrategy::Sequential, MergeStrategy::Tree] {
-                let g = clip_pair_slabs(
-                    &a,
-                    &b,
-                    op,
-                    2,
-                    &ClipOptions {
-                        grid,
-                        merge,
-                        ..seq()
-                    },
-                );
-                let s = clip_pair_slabs(&a, &b, op, 2, &ClipOptions { merge, ..seq() });
-                let tag = format!("op {op:?} merge {merge:?}");
-                assert!(
-                    (eo_area(&g.output) - eo_area(&s.output)).abs() < 1e-9,
-                    "{tag}: grid {} slab {}",
-                    eo_area(&g.output),
-                    eo_area(&s.output)
-                );
-                assert_eq!(g.output.len(), s.output.len(), "{tag}");
-                assert!(g.slabs > s.slabs, "{tag}: no column refinement happened");
-            }
+            let g = clip_pair_slabs(&a, &b, op, 2, &ClipOptions { grid, ..seq() });
+            let s = clip_pair_slabs(&a, &b, op, 2, &seq());
+            assert!(
+                (eo_area(&g.output) - eo_area(&s.output)).abs() < 1e-9,
+                "op {op:?}: grid {} slab {}",
+                eo_area(&g.output),
+                eo_area(&s.output)
+            );
+            assert_eq!(g.output.len(), s.output.len(), "op {op:?}");
+            assert!(
+                g.slabs > s.slabs,
+                "op {op:?}: no column refinement happened"
+            );
         }
     }
 }

@@ -62,8 +62,9 @@ pub struct ExecBudget {
     /// [`CancelToken::cancel`] from any thread.
     pub cancel: CancelToken,
     /// Let Algorithm 2 return the union of completed slabs when the budget
-    /// blows mid-run (marked [`Degradation::PartialResult`]
-    /// (crate::Degradation::PartialResult), rejected by strict mode)
+    /// blows mid-run (marked
+    /// [`Degradation::PartialResult`](crate::Degradation::PartialResult),
+    /// rejected by strict mode)
     /// instead of discarding all finished work. Cancellation always
     /// discards: the caller asked to stop, not to salvage.
     pub allow_partial: bool,
@@ -122,8 +123,8 @@ impl ExecBudget {
     }
 
     /// Wall-clock allowance still unspent: the full deadline when unarmed,
-    /// the deadline minus time already elapsed since [`arm_now`]
-    /// (Self::arm_now) once armed (saturating at zero), `None` when no
+    /// the deadline minus time already elapsed since
+    /// [`arm_now`](Self::arm_now) once armed (saturating at zero), `None` when no
     /// deadline is configured.
     pub fn remaining(&self) -> Option<Duration> {
         let d = self.deadline?;

@@ -63,7 +63,7 @@ pub struct ClipOptions {
     /// crossing vertices by at most half a cell diagonal.
     pub snap_cell: f64,
     /// Run the input sanitizer on both operands before clipping (see
-    /// [`crate::sanitize`]): repairs duplicate/collinear/spike vertices
+    /// [`crate::sanitize`](mod@crate::sanitize)): repairs duplicate/collinear/spike vertices
     /// and culls zero-area contours, recording any surgery as
     /// [`Degradation::InputRepaired`]. Clean input passes through
     /// borrowed, untouched — repairs never change the enclosed region,
@@ -107,9 +107,6 @@ pub struct ClipOptions {
     /// [`crate::grid::GridConfig::refined`] splits heavy slabs into ~6
     /// cells per worker on the work-stealing pool.
     pub grid: crate::grid::GridConfig,
-    /// How Algorithm 2 merges its per-cell outputs at the seams (Step 8).
-    /// Ignored by every other path.
-    pub merge: crate::algo2::MergeStrategy,
 }
 
 impl Default for ClipOptions {
@@ -127,7 +124,6 @@ impl Default for ClipOptions {
             incremental_refine: true,
             grain: None,
             grid: crate::grid::GridConfig::default(),
-            merge: crate::algo2::MergeStrategy::Sequential,
         }
     }
 }

@@ -17,11 +17,9 @@
 //! ([`polyclip_parprim::stealpool`]) so no static assignment can be held
 //! hostage by a straggler.
 //!
-//! The planner also records the *merge tree*: one node per split, children
-//! before parents, plus a top level that pairs up neighbouring base slabs
-//! level by level (the paper's Figure 6). Sequential-merge runs ignore the
-//! tree and dissolve every seam in one pass; tree-merge runs execute each
-//! node as a pool job as soon as both children land.
+//! The planner also records every seam line it cuts: the interior base-slab
+//! boundaries and each split's line. Step 8 dissolves all of them in one
+//! pass.
 //!
 //! Everything here is a pure function of the slab boundaries, the index
 //! contents, the event schedule and the configuration — never of thread
@@ -39,8 +37,8 @@ pub struct GridConfig {
     /// `oversub × workers` cells, run on the work-stealing pool. `0` (the
     /// default) disables refinement — the cells are exactly the base slabs,
     /// run in order on the calling thread, bit-identical to band-clipping
-    /// each slab from the full inputs under either merge strategy
-    /// (asserted by the equivalence proptests).
+    /// each slab from the full inputs (asserted by the equivalence
+    /// proptests).
     pub oversub: usize,
     /// Hard ceiling on the number of cells, whatever `oversub` asks for.
     pub max_cells: usize,
@@ -98,38 +96,19 @@ impl Cell {
     }
 }
 
-/// The seam a merge node dissolves: a horizontal line `y = v` or a vertical
-/// line `x = v` separating its two children.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum Seam {
+/// The seam a split cuts: a horizontal line `y = v` or a vertical line
+/// `x = v` separating the two halves.
+#[derive(Clone, Copy, Debug)]
+enum Seam {
     Y(f64),
     X(f64),
 }
 
-/// A merge-tree child: a leaf cell or an earlier node.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Child {
-    Leaf(usize),
-    Node(usize),
-}
-
-/// One pairwise merge: dissolve `seam` between the outputs of `left` and
-/// `right`. Nodes are stored children-before-parents; the last node (when
-/// any exist) is the root.
-#[derive(Clone, Copy, Debug)]
-pub struct MergeNode {
-    pub left: Child,
-    pub right: Child,
-    pub seam: Seam,
-}
-
 /// A complete execution plan: cells in deterministic (slab-major, top-down
-/// recursive) order, the merge tree, and the flattened seam-line sets the
-/// single-pass merge dissolves.
+/// recursive) order and the seam-line sets the Step-8 merge dissolves.
 #[derive(Clone, Debug, Default)]
 pub struct GridPlan {
     pub cells: Vec<Cell>,
-    pub nodes: Vec<MergeNode>,
     /// All horizontal seam lines: interior base-slab boundaries plus every
     /// refinement y-split, sorted ascending, deduplicated.
     pub seam_ys: Vec<f64>,
@@ -239,7 +218,6 @@ struct Planner<'a, 'b> {
     /// Remaining splits allowed before `max_cells` leaves exist.
     split_budget: usize,
     cells: Vec<Cell>,
-    nodes: Vec<MergeNode>,
     seam_ys: Vec<f64>,
     seam_xs: Vec<f64>,
 }
@@ -301,54 +279,28 @@ pub(crate) fn plan_grid(
         threshold,
         split_budget: cfg.max_cells.max(base_slabs) - base_slabs,
         cells: Vec::with_capacity(target_cells),
-        nodes: Vec::new(),
         seam_ys: boundaries[1..base_slabs].to_vec(),
         seam_xs: Vec::new(),
     };
 
-    // Refine each base slab, then pair neighbouring per-slab subtrees
-    // level by level.
-    let mut level: Vec<(Child, Option<f64>)> = (0..base_slabs)
-        .map(|s| {
-            let cell = Cell {
-                slab: s,
-                y0: boundaries[s],
-                y1: boundaries[s + 1],
-                x0: f64::NEG_INFINITY,
-                x1: f64::INFINITY,
-                refined: false,
-                mass: masses[s],
-            };
-            // Fuel bounds the split depth per slab: enough to reach the
-            // target fan-out with slack, finite even when splits stop
-            // reducing mass (contours spanning both halves).
-            let child = if !refine {
-                pl.leaf(cell)
-            } else {
-                pl.refine(cell, 8)
-            };
-            let above = (s + 1 < base_slabs).then(|| boundaries[s + 1]);
-            (child, above)
-        })
-        .collect();
-    while level.len() > 1 {
-        level = level
-            .chunks(2)
-            .map(|pair| {
-                if pair.len() == 1 {
-                    return pair[0];
-                }
-                let (a, seam_a) = pair[0];
-                let (b, seam_b) = pair[1];
-                let join = seam_a.expect("non-top chunk has a seam");
-                pl.nodes.push(MergeNode {
-                    left: a,
-                    right: b,
-                    seam: Seam::Y(join),
-                });
-                (Child::Node(pl.nodes.len() - 1), seam_b)
-            })
-            .collect();
+    for (s, &mass) in masses.iter().enumerate() {
+        let cell = Cell {
+            slab: s,
+            y0: boundaries[s],
+            y1: boundaries[s + 1],
+            x0: f64::NEG_INFINITY,
+            x1: f64::INFINITY,
+            refined: false,
+            mass,
+        };
+        // Fuel bounds the split depth per slab: enough to reach the target
+        // fan-out with slack, finite even when splits stop reducing mass
+        // (contours spanning both halves).
+        if refine {
+            pl.refine(cell, 8);
+        } else {
+            pl.cells.push(cell);
+        }
     }
 
     pl.seam_ys.sort_unstable_by(f64::total_cmp);
@@ -357,7 +309,6 @@ pub(crate) fn plan_grid(
     pl.seam_xs.dedup();
     GridPlan {
         cells: pl.cells,
-        nodes: pl.nodes,
         seam_ys: pl.seam_ys,
         seam_xs: pl.seam_xs,
         total_mass,
@@ -365,31 +316,22 @@ pub(crate) fn plan_grid(
 }
 
 impl Planner<'_, '_> {
-    fn leaf(&mut self, cell: Cell) -> Child {
-        self.cells.push(cell);
-        Child::Leaf(self.cells.len() - 1)
-    }
-
-    fn refine(&mut self, cell: Cell, fuel: u32) -> Child {
+    fn refine(&mut self, cell: Cell, fuel: u32) {
         if fuel == 0 || self.split_budget == 0 || cell.mass <= self.threshold {
-            return self.leaf(cell);
+            self.cells.push(cell);
+            return;
         }
         let Some((a, b, seam)) = self.split(&cell) else {
-            return self.leaf(cell);
+            self.cells.push(cell);
+            return;
         };
         self.split_budget -= 1;
         match seam {
             Seam::Y(v) => self.seam_ys.push(v),
             Seam::X(v) => self.seam_xs.push(v),
         }
-        let ca = self.refine(a, fuel - 1);
-        let cb = self.refine(b, fuel - 1);
-        self.nodes.push(MergeNode {
-            left: ca,
-            right: cb,
-            seam,
-        });
-        Child::Node(self.nodes.len() - 1)
+        self.refine(a, fuel - 1);
+        self.refine(b, fuel - 1);
     }
 
     /// Split a heavy cell: at the median interior event y when one exists
@@ -493,9 +435,7 @@ mod tests {
             assert!(c.x_unbounded());
             assert!(!c.refined);
         }
-        // Tree: (0,1) (2,3) then the pair — 3 nodes, all Y seams at the
-        // interior boundaries.
-        assert_eq!(plan.nodes.len(), 3);
+        // Seams: exactly the interior boundaries.
         assert_eq!(plan.seam_ys, vec![2.5, 5.0, 7.5]);
         assert!(plan.seam_xs.is_empty());
     }

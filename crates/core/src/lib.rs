@@ -23,11 +23,11 @@
 //!   feeds each Algorithm-2 worker only the contours overlapping its slab;
 //! * [`overlay`] — clipping two *sets* of polygons (GIS layers), with the
 //!   paper's replication strategy and an improved unique-owner assignment;
-//! * [`sanitize`] — the degeneracy-hardened front door: counted repair of
+//! * [`sanitize`](mod@sanitize) — the degeneracy-hardened front door: counted repair of
 //!   dirty input (duplicate/collinear/spike vertices, zero-area contours)
 //!   before it reaches the sweep;
 //! * [`prepared`] — compile-once, clip-many: an immutable
-//!   [`PreparedLayer`](prepared::PreparedLayer) freezing the subject-side
+//!   [`PreparedLayer`] freezing the subject-side
 //!   work of Algorithm 2 for cross-request reuse, clipped concurrently with
 //!   only query-side cost;
 //! * [`budget`] — bounded execution: deadlines, cooperative cancellation,
@@ -70,7 +70,7 @@ pub mod stitch;
 pub mod tess;
 pub mod validate;
 
-pub use algo2::{clip_pair_slabs, try_clip_pair_slabs, Algo2Result, MergeStrategy, PhaseTimes};
+pub use algo2::{clip_pair_slabs, try_clip_pair_slabs, Algo2Result, PhaseTimes};
 pub use budget::{CancelToken, ExecBudget, MeterSnapshot, WorkMeter};
 pub use classify::BoolOp;
 pub use engine::{

@@ -212,7 +212,7 @@ pub fn overlay_intersection(
 
 /// Fallible layer intersection with per-slab panic isolation: each slab
 /// worker runs under `catch_unwind` with the retry → pristine-fallback
-/// ladder of [`try_clip_pair_slabs`](crate::algo2::try_clip_pair_slabs).
+/// ladder of [`try_clip_pair_slabs`].
 pub fn try_overlay_intersection(
     a: &Layer,
     b: &Layer,
@@ -441,6 +441,7 @@ pub fn try_overlay_difference(
         }
     }
     let partition = t_part.elapsed();
+    let tasks_executed: usize = tasks.iter().map(Vec::len).sum();
 
     type SlabOutput = (Vec<PolygonSet>, Vec<Degradation>, Duration);
     let slab_results: Vec<Result<SlabOutput, ClipError>> = tasks
@@ -489,7 +490,7 @@ pub fn try_overlay_difference(
         features.extend(outs);
     }
     Ok(OverlayResult {
-        tasks_executed: features.len(),
+        tasks_executed,
         candidate_pairs: pairs.len(),
         features,
         per_slab_clip,
@@ -689,14 +690,26 @@ mod tests {
 
     #[test]
     fn difference_erases_overlaps() {
-        // a: row of squares; b: one band overlapping the middle of each.
-        let a = grid_layer(4, 1, 2.0, 1.0, 0.0);
-        let b = Layer::new(vec![PolygonSet::from_contour(rect(-1.0, 0.25, 9.0, 0.75))]);
+        // a: row of squares plus one square above them; b: one band
+        // overlapping the middle of each square in the row, and one block
+        // covering the square above whole.
+        let mut a = grid_layer(4, 1, 2.0, 1.0, 0.0);
+        a.features
+            .push(PolygonSet::from_contour(rect(0.0, 3.0, 1.0, 4.0)));
+        let b = Layer::new(vec![
+            PolygonSet::from_contour(rect(-1.0, 0.25, 9.0, 0.75)),
+            PolygonSet::from_contour(rect(-1.0, 2.5, 2.0, 4.5)),
+        ]);
         let opts = ClipOptions::sequential();
-        let r = overlay_difference(&a, &b, 2, &opts);
-        // Each unit square loses a 1 × 0.5 stripe.
-        let area: f64 = r.features.iter().map(eo_area).sum();
-        assert!((area - 4.0 * 0.5).abs() < 1e-9, "area = {area}");
+        for p in [1usize, 2, 4] {
+            let r = overlay_difference(&a, &b, p, &opts);
+            // Each square in the row loses a 1 × 0.5 stripe; the covered
+            // square is erased but still ran its task.
+            let area: f64 = r.features.iter().map(eo_area).sum();
+            assert!((area - 4.0 * 0.5).abs() < 1e-9, "p {p}: area = {area}");
+            assert_eq!(r.features.len(), 4, "p {p}");
+            assert_eq!(r.tasks_executed, 5, "p {p}");
+        }
         // Features with no partners pass through untouched.
         let far = Layer::new(vec![PolygonSet::from_contour(rect(100.0, 0.0, 101.0, 1.0))]);
         let r2 = overlay_difference(&far, &b, 2, &opts);

@@ -16,7 +16,7 @@
 //! * **per call** (query-sized): query sanitization, the query's event
 //!   y's merged into the frozen schedule by order-statistic selection
 //!   (no re-sort of the subject side), slab-span binning of both sides
-//!   from cached extents ([`SlabIndex::from_spans`] — the pass that
+//!   from cached extents (`SlabIndex::from_spans` — the pass that
 //!   re-reads every subject vertex on the cold path is skipped), band
 //!   clipping, the per-slab scanbeam runs, and the merge;
 //! * **pooled across calls**: [`SweepScratch`] arenas — the beam-schedule
@@ -58,7 +58,7 @@
 //!     ]);
 //!     let r = clip_prepared(&layer, &q, BoolOp::Intersection, 4, &ClipOptions::default());
 //!     assert_eq!(r.output.len(), 1);
-//!     assert!(r.times.prepared_reused);
+//!     assert!(r.stats.prepared_reused);
 //! }
 //! ```
 
@@ -332,9 +332,10 @@ pub fn clip_prepared(
 ///
 /// Performs only query-side work (see the module docs), then hands the
 /// fan-out to the same driver as the cold path, with two provenance marks
-/// in the result: [`PhaseTimes::prepared_reused`] is true and
-/// [`PhaseTimes::prepare_build`] carries the layer's one-time build cost
-/// (both under [`crate::algo2::PhaseTimes`]).
+/// in the result: [`ClipStats::prepared_reused`](crate::ClipStats::prepared_reused)
+/// is true and
+/// [`PhaseTimes::prepare_build`](crate::algo2::PhaseTimes::prepare_build)
+/// carries the layer's one-time build cost.
 pub fn try_clip_prepared(
     layer: &PreparedLayer,
     query: &PolygonSet,
@@ -592,8 +593,8 @@ mod tests {
                 let warm = try_clip_prepared(&layer, &b, op, p, &seq()).unwrap();
                 assert_eq!(cold.output, warm.output, "op {op:?} p {p}");
                 assert_eq!(cold.slabs, warm.slabs, "op {op:?} p {p}");
-                assert!(warm.times.prepared_reused);
-                assert!(!cold.times.prepared_reused);
+                assert!(warm.stats.prepared_reused);
+                assert!(!cold.stats.prepared_reused);
             }
         }
     }

@@ -249,7 +249,7 @@ pub enum Degradation {
     /// set, Algorithm 2 returned the union of the slabs that finished
     /// instead of discarding all completed work. Lossy by definition: the
     /// result covers only the completed slabs' bands. Also marked by
-    /// `completed_slabs < total_slabs` in [`ClipStats`](crate::ClipStats).
+    /// `completed_slabs < total_slabs` in [`ClipStats`].
     PartialResult {
         /// Slabs whose results are included.
         completed_slabs: usize,
@@ -496,8 +496,8 @@ pub struct FaultPlan {
     /// Append a synthetic non-progressing residual crossing in the first
     /// refinement round, forcing the accept-residuals path.
     pub residual_storm: bool,
-    /// Stall attempt 0 of this slab's worker by [`stall_ms`]
-    /// (Self::stall_ms) before it runs. Combined with a deadline in
+    /// Stall attempt 0 of this slab's worker by
+    /// [`stall_ms`](Self::stall_ms) before it runs. Combined with a deadline in
     /// [`ExecBudget`](crate::ExecBudget), this deterministically trips the
     /// slab watchdog so tests can drive the watchdog→retry rung of the
     /// ladder on *both* the cold and the prepared

@@ -57,8 +57,8 @@ pub struct ClipStats {
     /// the slab driver sets both fields after merging).
     pub total_slabs: usize,
     /// This run reused a [`PreparedLayer`](crate::prepared::PreparedLayer)'s
-    /// frozen subject-side state instead of recomputing it (mirrors
-    /// [`PhaseTimes::prepared_reused`](crate::algo2::PhaseTimes)).
+    /// frozen subject-side state (sanitized contours, event schedule,
+    /// contour extents) instead of recomputing it.
     pub prepared_reused: bool,
 }
 

@@ -4,8 +4,8 @@
 //! original survives here only as the test-side reference [`full_scan`].
 //! For random polygon pairs — including duplicate-heavy event schedules,
 //! degenerate (flat) contours, and invalid contours injected past the
-//! validity filter — every boolean operation, merge strategy, and slab
-//! count must produce **bit-identical** output, identical engine counters
+//! validity filter — every boolean operation and slab count must produce
+//! **bit-identical** output, identical engine counters
 //! ([`polyclip_core::ClipStats`] is timer-free and `Eq`), and identical
 //! degradation reports under the default (unrefined) cell plan — and the
 //! same plan run on the threaded stealing pool must not differ by a bit.
@@ -14,7 +14,6 @@ use polyclip_core::algo2::{clip_pair_slabs, merge_slab_outputs, slab_boundaries}
 use polyclip_core::sanitize::{sanitize_set, SanitizeOptions};
 use polyclip_core::{
     try_clip_with_stats, BoolOp, ClipOptions, ClipStats, Degradation, GridConfig, InputRole,
-    MergeStrategy,
 };
 use polyclip_geom::{Contour, OrdF64, PolygonSet};
 use polyclip_seqclip::band_clip;
@@ -70,8 +69,7 @@ struct Reference {
 /// The original full-scan Algorithm 2: sanitize both operands once, cut the
 /// event schedule into equal-count slabs, band-clip both *full* inputs into
 /// every slab, clip each slab on the sequential engine, and merge at the
-/// interior boundaries — in one pass, or pairwise up the paper's Figure 6
-/// tree.
+/// interior boundaries in one pass.
 fn full_scan(
     a: &PolygonSet,
     b: &PolygonSet,
@@ -143,34 +141,7 @@ fn full_scan(
     stats.completed_slabs = slabs;
     stats.total_slabs = slabs;
 
-    let interior = &boundaries[1..slabs];
-    let output = match o.merge {
-        MergeStrategy::Sequential => merge_slab_outputs(parts.into_iter(), interior, &seq),
-        MergeStrategy::Tree => {
-            // Pair neighbours level by level; each partial carries the seam
-            // above it, and a merge dissolves the left child's seam.
-            let mut level: Vec<(PolygonSet, Option<f64>)> = parts
-                .into_iter()
-                .zip(interior.iter().map(|&y| Some(y)).chain([None]))
-                .collect();
-            while level.len() > 1 {
-                let mut next = Vec::with_capacity(level.len().div_ceil(2));
-                let mut it = level.into_iter();
-                while let Some((lo, seam)) = it.next() {
-                    match it.next() {
-                        Some((hi, above)) => {
-                            let y = seam.expect("a left child has a seam above it");
-                            let merged = merge_slab_outputs([lo, hi].into_iter(), &[y], &seq);
-                            next.push((merged, above));
-                        }
-                        None => next.push((lo, seam)),
-                    }
-                }
-                level = next;
-            }
-            level.pop().map(|(p, _)| p).unwrap_or_default()
-        }
-    };
+    let output = merge_slab_outputs(parts.into_iter(), &boundaries[1..slabs], &seq);
     Reference {
         output,
         stats,
@@ -195,22 +166,20 @@ proptest! {
             BoolOp::Difference,
             BoolOp::Xor,
         ] {
-            for merge in [MergeStrategy::Sequential, MergeStrategy::Tree] {
-                let opts = ClipOptions { merge, ..ClipOptions::sequential() };
-                for slabs in [1usize, 3, 4, 8] {
-                    let full = full_scan(&a, &b, op, slabs, &opts);
-                    let ix = clip_pair_slabs(&a, &b, op, slabs, &opts);
-                    let ctx = format!("op {op:?} merge {merge:?} slabs {slabs}");
-                    prop_assert_eq!(&full.output, &ix.output, "output: {}", ctx);
-                    prop_assert_eq!(full.stats, ix.stats, "stats: {}", ctx);
-                    prop_assert_eq!(
-                        &full.degradations,
-                        &ix.degradations,
-                        "degradations: {}",
-                        ctx
-                    );
-                    prop_assert_eq!(full.slabs, ix.slabs, "slab count: {}", ctx);
-                }
+            let opts = ClipOptions::sequential();
+            for slabs in [1usize, 3, 4, 8] {
+                let full = full_scan(&a, &b, op, slabs, &opts);
+                let ix = clip_pair_slabs(&a, &b, op, slabs, &opts);
+                let ctx = format!("op {op:?} slabs {slabs}");
+                prop_assert_eq!(&full.output, &ix.output, "output: {}", ctx);
+                prop_assert_eq!(full.stats, ix.stats, "stats: {}", ctx);
+                prop_assert_eq!(
+                    &full.degradations,
+                    &ix.degradations,
+                    "degradations: {}",
+                    ctx
+                );
+                prop_assert_eq!(full.slabs, ix.slabs, "slab count: {}", ctx);
             }
         }
     }
@@ -220,7 +189,7 @@ proptest! {
     /// available parallelism) workers wide instead of on the calling
     /// thread: work-stealing execution notwithstanding, the output, stats
     /// and degradations are bit-identical to the default plan under every
-    /// op, merge strategy and slab count.
+    /// op and slab count.
     #[test]
     fn matched_adaptive_grid_is_bit_identical_to_slab_index(
         seed_a in 1u64..u64::MAX,
@@ -235,23 +204,21 @@ proptest! {
             BoolOp::Difference,
             BoolOp::Xor,
         ] {
-            for merge in [MergeStrategy::Sequential, MergeStrategy::Tree] {
-                let plain = ClipOptions { merge, ..ClipOptions::sequential() };
-                let threaded = ClipOptions { grid: pooled, ..plain.clone() };
-                for slabs in [1usize, 3, 4, 8] {
-                    let ix = clip_pair_slabs(&a, &b, op, slabs, &plain);
-                    let grid = clip_pair_slabs(&a, &b, op, slabs, &threaded);
-                    let ctx = format!("op {op:?} merge {merge:?} slabs {slabs}");
-                    prop_assert_eq!(&grid.output, &ix.output, "output: {}", ctx);
-                    prop_assert_eq!(grid.stats, ix.stats, "stats: {}", ctx);
-                    prop_assert_eq!(
-                        &grid.degradations,
-                        &ix.degradations,
-                        "degradations: {}",
-                        ctx
-                    );
-                    prop_assert_eq!(grid.slabs, ix.slabs, "slab count: {}", ctx);
-                }
+            let plain = ClipOptions::sequential();
+            let threaded = ClipOptions { grid: pooled, ..plain.clone() };
+            for slabs in [1usize, 3, 4, 8] {
+                let ix = clip_pair_slabs(&a, &b, op, slabs, &plain);
+                let grid = clip_pair_slabs(&a, &b, op, slabs, &threaded);
+                let ctx = format!("op {op:?} slabs {slabs}");
+                prop_assert_eq!(&grid.output, &ix.output, "output: {}", ctx);
+                prop_assert_eq!(grid.stats, ix.stats, "stats: {}", ctx);
+                prop_assert_eq!(
+                    &grid.degradations,
+                    &ix.degradations,
+                    "degradations: {}",
+                    ctx
+                );
+                prop_assert_eq!(grid.slabs, ix.slabs, "slab count: {}", ctx);
             }
         }
     }

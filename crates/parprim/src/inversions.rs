@@ -221,7 +221,7 @@ where
     par_report_inversions_gated(xs, None)
 }
 
-/// [`par_report_inversions`] under a cooperative [`Gate`]: polls once per
+/// [`par_report_inversions`] under a cooperative [`Gate`](crate::Gate): polls once per
 /// block while building the sorted snapshots, checkpoints between the count
 /// and fill phases, and — crucially — asks the gate whether crediting the
 /// counted total would blow `max_intersections` *before* allocating and

@@ -7,7 +7,7 @@
 //!
 //! * [`scan`] — sequential and parallel prefix sums (inclusive/exclusive) and
 //!   the parity prefix test of the paper's Lemma 3;
-//! * [`pack`] — array packing / stream compaction and the two-phase
+//! * [`pack`](mod@pack) — array packing / stream compaction and the two-phase
 //!   *count → allocate → fill* pattern the paper uses for output-sensitive
 //!   processor allocation;
 //! * [`sort`] — parallel merge sort with a parallel merge (the practical

@@ -39,11 +39,11 @@
 //! ## Error handling
 //!
 //! Every lenient entry point (`clip`, `clip_pair_slabs`, the overlay
-//! functions) has a fallible `try_*` twin returning typed [`ClipError`]s
-//! (`prelude::ClipError`) for non-finite inputs and unrecoverable slab
-//! failures, and a [`ClipOutcome`](prelude::ClipOutcome) listing the
-//! [`Degradation`](prelude::Degradation)s the pipeline absorbed (sanitized
-//! contours, slab retries/fallbacks, refinement exhaustion):
+//! functions) has a fallible `try_*` twin returning typed
+//! [`ClipError`](prelude::ClipError)s for non-finite inputs and
+//! unrecoverable slab failures, and a [`ClipOutcome`](prelude::ClipOutcome)
+//! listing the [`Degradation`](prelude::Degradation)s the pipeline absorbed
+//! (sanitized contours, slab retries/fallbacks, refinement exhaustion):
 //!
 //! ```
 //! use polyclip::prelude::*;
@@ -121,9 +121,15 @@ pub use polyclip_segtree as segtree;
 pub use polyclip_seqclip as seqclip;
 pub use polyclip_sweep as sweep;
 
+// The README's Rust snippets, compiled and run as doctests so they cannot
+// drift from the API.
+#[cfg(doctest)]
+#[doc = include_str!("../../../README.md")]
+struct ReadmeDoctests;
+
 /// The most common imports in one place.
 pub mod prelude {
-    pub use polyclip_core::algo2::{clip_pair_slabs, MergeStrategy};
+    pub use polyclip_core::algo2::clip_pair_slabs;
     pub use polyclip_core::GridConfig;
     pub use polyclip_core::{
         clip, clip_with_stats, dissolve, eo_area, measure_op, overlay_difference,
@@ -170,6 +176,6 @@ mod tests {
         let q = PolygonSet::from_xy(&[(1.0, 1.0), (3.0, 1.0), (3.0, 3.0), (1.0, 3.0)]);
         let r = clip_prepared(&layer, &q, BoolOp::Intersection, 2, &ClipOptions::default());
         assert!((eo_area(&r.output) - 4.0).abs() < 1e-9);
-        assert!(r.times.prepared_reused);
+        assert!(r.stats.prepared_reused);
     }
 }

@@ -13,8 +13,10 @@
 //! | 3 | `0.90`  | lowest-priority class shed at admission |
 //!
 //! Each level includes every effect below it. Any request executed at
-//! level ≥ 1 carries a [`Degradation::ServiceDegraded`] rung in its
-//! response — the service never quietly serves a degraded answer.
+//! level ≥ 1 carries a
+//! [`Degradation::ServiceDegraded`](polyclip::prelude::Degradation::ServiceDegraded)
+//! rung in its response — the service never quietly serves a degraded
+//! answer.
 
 use polyclip::prelude::ClipOptions;
 

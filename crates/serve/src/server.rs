@@ -22,7 +22,7 @@
 //! ```
 //!
 //! Worker panics are contained per thread: the worker catches the unwind,
-//! bumps a respawn counter, and re-enters its loop — the [`Flight`]
+//! bumps a respawn counter, and re-enters its loop — the [`Flight`](crate::cache::Flight)
 //! (single-flight) guard abandons any computation the panic interrupted,
 //! so coalesced followers are never stranded. Graceful shutdown closes the
 //! queue, drains what was admitted, and joins every pool thread.

@@ -237,7 +237,7 @@ impl BeamSet {
     /// count→allocate→fill working arrays all come from the arena, so
     /// refinement rounds ≥ 2 (and later slabs on the same worker) reuse
     /// round-1 capacity instead of reallocating. Output is bit-identical to
-    /// [`build_gated`]: the fill produces the same sub-edge multiset and the
+    /// [`build_gated`](Self::build_gated): the fill produces the same sub-edge multiset and the
     /// final sort key `(beam, xb, xt, edge_id)` is a strict total order.
     /// Hand the set back with [`recycle`](Self::recycle).
     pub fn build_gated_in(
@@ -409,7 +409,7 @@ impl BeamSet {
     /// renumbered), which is sound because a new forced entry either sits at
     /// a new interior y (inside a dirty beam) or at an existing scanline
     /// whose two adjacent beams are dirty — no clean beam's boundary data
-    /// changes. Because [`x_on_edge`] is a pure function and the sort key
+    /// changes. Because `x_on_edge` is a pure function and the sort key
     /// `(beam, xb, xt, edge_id)` is a strict total order per beam, the
     /// patched set is **bit-identical** to a full rebuild on the merged
     /// schedule (property-tested against both backends).

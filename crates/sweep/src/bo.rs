@@ -1,8 +1,8 @@
 //! Bentley–Ottmann plane sweep — the classical `O((n + k) log n)` segment
-//! intersection algorithm the paper's related work builds on ([2], [15],
-//! [16] of the paper). Serves as an independent baseline and oracle for the
-//! inversion-based discovery of Lemma 4: both must report exactly the same
-//! transversal crossing pairs.
+//! intersection algorithm the paper's related work builds on (\[2\],
+//! \[15\], \[16\] of the paper). Serves as an independent baseline and
+//! oracle for the inversion-based discovery of Lemma 4: both must report
+//! exactly the same transversal crossing pairs.
 //!
 //! This is a reference implementation for inputs in general position: the
 //! sweep status is kept as a sorted vector (logarithmic search, linear

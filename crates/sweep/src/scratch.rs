@@ -157,8 +157,8 @@ impl SweepScratch {
         v
     }
 
-    /// Return an event schedule obtained from [`event_ys_in`]
-    /// (crate::events::event_ys_in) whose `BeamSet` was never built.
+    /// Return an event schedule obtained from
+    /// [`event_ys_in`](crate::events::event_ys_in) whose `BeamSet` was never built.
     pub fn give_ys(&mut self, v: Vec<f64>) {
         self.ys = v;
         self.note_hwm();

@@ -27,10 +27,71 @@ fn square(x0: f64, y0: f64, s: f64) -> PolygonSet {
     PolygonSet::from_xy(&[(x0, y0), (x0 + s, y0), (x0 + s, y0 + s), (x0, y0 + s)])
 }
 
+/// The layer-overlay and prepared-layer entry points each arm their own
+/// gate, so each must return `want` by itself, at p = 1 and p = 4.
+fn assert_layer_entry_points_trip(
+    subject: &PolygonSet,
+    clip_p: &PolygonSet,
+    opts: &ClipOptions,
+    want: &ClipError,
+    ctx: &str,
+) {
+    // One feature per contour, so the overlays see multi-feature layers.
+    let la = Layer::new(
+        subject
+            .contours()
+            .iter()
+            .map(|c| PolygonSet::from_contour(c.clone()))
+            .collect(),
+    );
+    let lb = Layer::new(vec![clip_p.clone()]);
+    assert_eq!(
+        PreparedLayer::build(subject, opts).err().as_ref(),
+        Some(want),
+        "{ctx}: PreparedLayer::build"
+    );
+    let unbudgeted = ClipOptions {
+        budget: ExecBudget::default(),
+        ..opts.clone()
+    };
+    let layer = PreparedLayer::build(subject, &unbudgeted).expect("unbudgeted build");
+    for p in [1usize, 4] {
+        for assignment in [SlabAssignment::UniqueOwner, SlabAssignment::Replicate] {
+            assert_eq!(
+                try_overlay_intersection(&la, &lb, p, assignment, opts)
+                    .err()
+                    .as_ref(),
+                Some(want),
+                "{ctx} p={p}: overlay intersection {assignment:?}"
+            );
+        }
+        assert_eq!(
+            try_overlay_difference(&la, &lb, p, opts).err().as_ref(),
+            Some(want),
+            "{ctx} p={p}: overlay difference"
+        );
+        assert_eq!(
+            try_overlay_union(&la, &lb, p, opts).err().as_ref(),
+            Some(want),
+            "{ctx} p={p}: overlay union"
+        );
+        for op in ALL_OPS {
+            assert_eq!(
+                try_clip_prepared(&layer, clip_p, op, p, opts)
+                    .err()
+                    .as_ref(),
+                Some(want),
+                "{ctx} p={p}: prepared {op:?}"
+            );
+        }
+    }
+}
+
 // (a) A zero deadline is already expired when the budget is armed: every
 // entry point must return `DeadlineExceeded` — from the first checkpoint,
 // before any real work — and never panic. Covers all four ops on the
-// single-pair engine and the default and a refining Algorithm-2 plan.
+// single-pair engine and the default and a refining Algorithm-2 plan, and
+// the layer-overlay and prepared-layer entry points under both plans.
 #[test]
 fn zero_deadline_trips_every_op_and_backend() {
     let subject = shingled_strips(11, Point::new(-0.8, -0.8), 1.6, 1.6, 16, 1e-9);
@@ -62,6 +123,19 @@ fn zero_deadline_trips_every_op_and_backend() {
                 );
             }
         }
+        for grid in [GridConfig::default(), GridConfig::refined()] {
+            let gridded = ClipOptions {
+                grid,
+                ..opts.clone()
+            };
+            assert_layer_entry_points_trip(
+                &subject,
+                &clip_p,
+                &gridded,
+                &ClipError::DeadlineExceeded,
+                &format!("{grid:?} parallel={parallel}"),
+            );
+        }
     }
 }
 
@@ -81,6 +155,19 @@ fn pre_cancelled_token_trips_immediately() {
         try_clip_pair_slabs(&a, &b, BoolOp::Union, 4, &opts),
         Err(ClipError::Cancelled)
     ));
+    for grid in [GridConfig::default(), GridConfig::refined()] {
+        let gridded = ClipOptions {
+            grid,
+            ..opts.clone()
+        };
+        assert_layer_entry_points_trip(
+            &a,
+            &b,
+            &gridded,
+            &ClipError::Cancelled,
+            &format!("{grid:?}"),
+        );
+    }
 }
 
 // (b) Cancellation fired from another thread mid-`try_clip_pair_slabs`
