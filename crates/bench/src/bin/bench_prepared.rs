@@ -162,11 +162,11 @@ fn main() -> ExitCode {
                     ("amortize_after_clips", Value::Num(amortize)),
                     (
                         "arena_hwm_bytes",
-                        Value::Num(warm.times.arena_hwm_bytes as f64),
+                        Value::Num(warm.times.work.peak_scratch_bytes as f64),
                     ),
                     (
                         "arena_reused_bytes",
-                        Value::Num(warm.times.arena_reused_bytes as f64),
+                        Value::Num(warm.times.work.scratch_reused_bytes as f64),
                     ),
                     ("out_contours", Value::Num(warm.output.len() as f64)),
                     ("bit_identical", Value::Bool(true)),

@@ -1,7 +1,7 @@
-//! Machine-readable sweep-refinement benchmark: incremental dirty-beam
-//! refinement and scratch-arena reuse versus full scanbeam rebuilds, on a
+//! Machine-readable sweep-refinement benchmark: what the Round-B refinement
+//! rounds cost and how much allocator traffic the scratch arenas save, on a
 //! smooth blob pair (p ∈ {1, 8} slabs) and the degeneracy torture corpus
-//! (where refinement runs multiple rounds).
+//! (where refinement runs several rounds, each a full scanbeam rebuild).
 //!
 //! ```sh
 //! cargo run --release -p polyclip-bench --bin bench_sweep            # full run
@@ -9,12 +9,10 @@
 //! ```
 //!
 //! Writes `BENCH_sweep.json` (override with `--out <path>`), then re-reads
-//! and validates the file so a truncated artifact fails loudly. Every
-//! incremental run is checked bit-identical against its full-rebuild twin
-//! before its timings are recorded — a faster wrong answer aborts the
-//! bench. The headline numbers are `clip_total_ms` (incremental vs full)
-//! and `beams_rebuilt` against `n_beams` (how much of the structure each
-//! refinement round actually touched).
+//! and validates the file so a truncated artifact fails loudly. The
+//! headline numbers are `clip_total_ms` and `wall_per_round_ms` against
+//! `refine_rounds`, and the arena counters (`arena_hwm_bytes`,
+//! `arena_reused_bytes`, read off `PhaseTimes::work`).
 
 use polyclip::datagen::{synthetic_pair, torture_corpus};
 use polyclip::prelude::*;
@@ -24,96 +22,45 @@ use std::process::ExitCode;
 
 const SLAB_COUNTS: [usize; 2] = [1, 8];
 
-fn opts_with(incremental: bool) -> ClipOptions {
-    ClipOptions {
-        incremental_refine: incremental,
-        ..ClipOptions::sequential()
-    }
-}
-
-/// One measured configuration: best-of-`reps` wall clock, with the
-/// incremental run verified bit-identical to the full-rebuild run.
-fn run_pair(
+/// One measured configuration: the sequential engine's union at `p` slabs,
+/// best-of-`reps` wall clock.
+fn record(
+    runs: &mut Vec<Value>,
+    workload: &str,
     a: &PolygonSet,
     b: &PolygonSet,
     p: usize,
     reps: usize,
-) -> (
-    Algo2Result,
-    std::time::Duration,
-    Algo2Result,
-    std::time::Duration,
 ) {
-    let (inc, inc_wall) = time_best(reps, || {
-        clip_pair_slabs(a, b, BoolOp::Union, p, &opts_with(true))
-    });
-    let (full, full_wall) = time_best(reps, || {
-        clip_pair_slabs(a, b, BoolOp::Union, p, &opts_with(false))
-    });
-    assert_eq!(
-        inc.output, full.output,
-        "incremental refinement changed the output (p = {p})"
-    );
-    (inc, inc_wall, full, full_wall)
-}
-
-fn record(
-    runs: &mut Vec<Value>,
-    workload: &str,
-    p: usize,
-    inc: &Algo2Result,
-    inc_wall: std::time::Duration,
-    full: &Algo2Result,
-    full_wall: std::time::Duration,
-) {
+    let opts = ClipOptions::sequential();
+    let (r, wall) = time_best(reps, || clip_pair_slabs(a, b, BoolOp::Union, p, &opts));
     let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;
-    let rounds = inc.stats.refine_rounds.max(1);
+    let rounds = r.stats.refine_rounds.max(1);
     println!(
-        "{workload:>28}  p={p}  rounds={rounds}  inc_rounds={}  \
-         beams_rebuilt={}/{}  arena_reused={}B  \
-         clip_total inc={:>8.3}ms full={:>8.3}ms  wall inc={:>8.3}ms full={:>8.3}ms",
-        inc.stats.refine_rounds_incremental,
-        inc.stats.beams_rebuilt,
-        inc.stats.n_beams,
-        inc.times.arena_reused_bytes,
-        ms(inc.times.clip_total()),
-        ms(full.times.clip_total()),
-        ms(inc_wall),
-        ms(full_wall),
+        "{workload:>28}  p={p}  rounds={rounds}  beams={}  arena_reused={}B  \
+         clip_total={:>8.3}ms  wall={:>8.3}ms",
+        r.stats.n_beams,
+        r.times.work.scratch_reused_bytes,
+        ms(r.times.clip_total()),
+        ms(wall),
     );
     runs.push(Value::obj(vec![
         ("workload", Value::Str(workload.into())),
         ("p", Value::Num(p as f64)),
-        ("refine_rounds", Value::Num(inc.stats.refine_rounds as f64)),
-        (
-            "refine_rounds_incremental",
-            Value::Num(inc.stats.refine_rounds_incremental as f64),
-        ),
-        ("beams_rebuilt", Value::Num(inc.stats.beams_rebuilt as f64)),
-        ("n_beams", Value::Num(inc.stats.n_beams as f64)),
+        ("refine_rounds", Value::Num(r.stats.refine_rounds as f64)),
+        ("n_beams", Value::Num(r.stats.n_beams as f64)),
         (
             "arena_hwm_bytes",
-            Value::Num(inc.times.arena_hwm_bytes as f64),
+            Value::Num(r.times.work.peak_scratch_bytes as f64),
         ),
         (
             "arena_reused_bytes",
-            Value::Num(inc.times.arena_reused_bytes as f64),
+            Value::Num(r.times.work.scratch_reused_bytes as f64),
         ),
-        (
-            "clip_total_incremental_ms",
-            Value::Num(ms(inc.times.clip_total())),
-        ),
-        (
-            "clip_total_full_ms",
-            Value::Num(ms(full.times.clip_total())),
-        ),
-        ("wall_incremental_ms", Value::Num(ms(inc_wall))),
-        ("wall_full_ms", Value::Num(ms(full_wall))),
-        (
-            "wall_per_round_ms",
-            Value::Num(ms(inc_wall) / rounds as f64),
-        ),
-        ("out_contours", Value::Num(inc.output.len() as f64)),
+        ("clip_total_ms", Value::Num(ms(r.times.clip_total()))),
+        ("wall_ms", Value::Num(ms(wall))),
+        ("wall_per_round_ms", Value::Num(ms(wall) / rounds as f64)),
+        ("out_contours", Value::Num(r.output.len() as f64)),
     ]));
 }
 
@@ -125,8 +72,8 @@ fn main() -> ExitCode {
     let mut runs: Vec<Value> = Vec::new();
 
     // Workload 1: the smooth blob pair. Refinement converges in one round
-    // here, so the incremental-vs-full delta isolates what the scratch
-    // arenas and the bucketed per-beam ordering save on a big clean input.
+    // here, so the rows measure the scratch arenas and the bucketed
+    // per-beam ordering on a big clean input.
     let (blob_a, blob_b) = synthetic_pair(n, 42);
     println!(
         "-- blob_pair: {} + {} vertices",
@@ -134,18 +81,16 @@ fn main() -> ExitCode {
         blob_b.vertex_count()
     );
     for &p in &SLAB_COUNTS {
-        let (inc, iw, full, fw) = run_pair(&blob_a, &blob_b, p, reps);
-        record(&mut runs, "blob_pair", p, &inc, iw, &full, fw);
+        record(&mut runs, "blob_pair", &blob_a, &blob_b, p, reps);
     }
 
     // Workload 2: the degeneracy torture corpus, where residual crossings
-    // drive the refinement loop through several rounds — the regime the
-    // dirty-beam patch exists for. Single slab: the corpus cases are small,
-    // and the point is the per-round refinement cost, not slab scaling.
+    // drive the refinement loop through several rounds. Single slab: the
+    // corpus cases are small, and the point is the per-round refinement
+    // cost, not slab scaling.
     println!("-- torture_corpus");
     for case in torture_corpus(99) {
-        let (inc, iw, full, fw) = run_pair(&case.subject, &case.clip, 1, reps);
-        record(&mut runs, case.name, 1, &inc, iw, &full, fw);
+        record(&mut runs, case.name, &case.subject, &case.clip, 1, reps);
     }
 
     let doc = Value::obj(vec![

@@ -79,17 +79,14 @@ pub struct PhaseTimes {
     pub retry_total: Duration,
     /// End-to-end wall clock.
     pub total: Duration,
-    /// High-water mark of sweep scratch-arena capacity observed on any
-    /// single worker (bytes) — the steady-state memory cost of arena
-    /// reuse.
-    pub arena_hwm_bytes: u64,
-    /// Cumulative bytes of arena capacity reused instead of freshly
-    /// allocated, across all rounds and slabs — the allocator traffic the
-    /// arenas removed.
-    pub arena_reused_bytes: u64,
     /// Work-meter totals for the run (intersections found, events
-    /// processed, output fragments gathered, peak scratch bytes) — the
-    /// counters [`crate::ExecBudget`] limits are enforced against.
+    /// processed, output fragments gathered) — the counters
+    /// [`crate::ExecBudget`] limits are enforced against — plus the
+    /// scratch-arena accounting: `peak_scratch_bytes` is the high-water
+    /// mark of arena capacity on any single worker (the steady-state
+    /// memory cost of arena reuse), `scratch_reused_bytes` the capacity
+    /// reused instead of freshly allocated across all rounds and cells
+    /// (the allocator traffic the arenas removed).
     pub work: MeterSnapshot,
     /// One-time build cost of the [`crate::prepared::PreparedLayer`] that
     /// served this call, for amortization accounting (how many clips pay
@@ -590,6 +587,9 @@ pub(crate) fn drive_single_slab(
     if d.opts.validate_output {
         crate::engine::repair_output(d.subject, d.clip_p, d.op, d.opts, &mut outcome);
     }
+    d.gate
+        .meter()
+        .record_scratch_bytes(scratch.high_water_bytes());
     let work = d.gate.meter().snapshot();
     let times = PhaseTimes {
         sanitize: d.t_sanitize,
@@ -599,8 +599,6 @@ pub(crate) fn drive_single_slab(
         merge: Duration::ZERO,
         retry_total: t_retry,
         total: d.t_start.elapsed(),
-        arena_hwm_bytes: work.peak_scratch_bytes.max(scratch.high_water_bytes()),
-        arena_reused_bytes: work.scratch_reused_bytes,
         work,
         prepare_build: d.prepare_build,
         ..Default::default()
@@ -1024,7 +1022,7 @@ where
     // Step 8: the cells already decomposed their outputs; what is left is
     // the serial concatenate–split–stitch pass.
     let t_finish = Instant::now();
-    let output = finish_merge(frags, d.seq);
+    let output = finish_merge(frags);
     let merge_serial = t_finish.elapsed();
 
     // Output ladder on the merged result (once, not per cell).
@@ -1051,8 +1049,6 @@ where
             merge: decompose_total + merge_serial,
             retry_total,
             total: d.t_start.elapsed(),
-            arena_hwm_bytes: work.peak_scratch_bytes,
-            arena_reused_bytes: work.scratch_reused_bytes,
             work,
             prepare_build: d.prepare_build,
             chunks_stolen: pool_stats.stolen,
@@ -1105,13 +1101,11 @@ pub fn slab_boundaries(sorted_ys: &[OrdF64], n_slabs: usize) -> Vec<f64> {
 pub fn merge_slab_outputs(
     parts: impl Iterator<Item = PolygonSet>,
     interior_boundaries: &[f64],
-    opts: &ClipOptions,
 ) -> PolygonSet {
     finish_merge(
         parts
             .map(|p| decompose_fragment(p, interior_boundaries, &[]))
             .collect(),
-        opts,
     )
 }
 
@@ -1179,7 +1173,7 @@ fn decompose_fragment(ps: PolygonSet, y_lines: &[f64], x_lines: &[f64]) -> SeamF
 /// of both sides' endpoints, cancel and stitch. Produces exactly the
 /// contour sequence the pre-fragment implementation did: pass-through
 /// contours first in part order, then the stitched seam contours.
-fn finish_merge(frags: Vec<SeamFragment>, opts: &ClipOptions) -> PolygonSet {
+fn finish_merge(frags: Vec<SeamFragment>) -> PolygonSet {
     let mut pass = PolygonSet::new();
     let mut edges: Vec<(Point, Point)> = Vec::new();
     let mut y_cuts: crate::stitch::SeamCuts = HashMap::new();
@@ -1202,7 +1196,7 @@ fn finish_merge(frags: Vec<SeamFragment>, opts: &ClipOptions) -> PolygonSet {
         cuts.dedup();
     }
     let split_edges = crate::stitch::split_seam_runs(edges, &y_cuts, &x_cuts);
-    let stitched = crate::stitch::stitch(split_edges, !opts.keep_virtual);
+    let stitched = crate::stitch::stitch(split_edges, true);
     pass.extend(PolygonSet::from_contours(stitched));
     pass
 }
@@ -1524,7 +1518,7 @@ mod tests {
                 }
                 stats.completed_slabs = n;
                 stats.total_slabs = n;
-                let full = merge_slab_outputs(parts.into_iter(), &boundaries[1..n], &seq());
+                let full = merge_slab_outputs(parts.into_iter(), &boundaries[1..n]);
                 let indexed = clip_pair_slabs(&a, &b, op, slabs, &seq());
                 assert_eq!(full, indexed.output, "op {op:?} slabs {slabs}");
                 assert_eq!(stats, indexed.stats, "op {op:?} slabs {slabs}");

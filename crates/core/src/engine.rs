@@ -13,12 +13,17 @@
 //! 5. **Step 4** — merge partial polygons: horizontal interval symmetric
 //!    differences between adjacent beams, cancellation, and stitching.
 //!
-//! With `parallel = true` every phase runs on rayon (parallel sort,
-//! parallel partition, parallel per-beam discovery/classification, parallel
-//! cancellation sort); with `false` the same code paths run sequentially —
-//! this sequential mode is the repository's stand-in for the GPC library
-//! used by the paper's Algorithm 2 (same algorithm family, same
-//! asymptotics).
+//! With `parallel = true` every phase takes its parallel code path; with
+//! `false` the same phases take their sequential ones — this sequential
+//! mode is the repository's stand-in for the GPC library used by the
+//! paper's Algorithm 2 (same algorithm family, same asymptotics). Which of
+//! those parallel paths start threads depends on the executor. On the
+//! vendored rayon stand-in only `rayon::join` does, and the one `join` user
+//! here is the event sort (`parprim::par_merge_sort`, above
+//! `parprim::SEQ_CUTOFF` keys). Every `par_iter`-style loop — the partition
+//! fill, per-beam discovery (including the reporter for beams of at least
+//! [`BIG_BEAM`] sub-edges), per-beam classification and fragment gathering
+//! — runs sequentially on the calling thread.
 
 use crate::budget::{self, ExecBudget, Gate};
 use crate::classify::{classify_beam, BeamOutput, BoolOp};
@@ -34,7 +39,7 @@ use polyclip_geom::{Contour, FillRule, Point, PolygonSet};
 use polyclip_sweep::cross::{discover_residual_crossings_in, CrossEvent};
 use polyclip_sweep::{
     collect_edges, collect_edges_refs, discover_intersections_in, event_ys_in, BeamSet,
-    ForcedSplits, InputEdge, PartitionBackend, RefineOutcome, SweepScratch, BIG_BEAM,
+    ForcedSplits, InputEdge, PartitionBackend, SweepScratch, BIG_BEAM,
 };
 use rayon::prelude::*;
 use std::borrow::Cow;
@@ -44,14 +49,15 @@ use std::borrow::Cow;
 pub struct ClipOptions {
     /// Fill rule interpreting the inputs (the paper uses even-odd parity).
     pub fill_rule: FillRule,
-    /// Run every phase on the rayon pool (Algorithm 1) or sequentially
-    /// (the GPC-equivalent baseline).
+    /// Take the parallel code paths (Algorithm 1) or the sequential ones
+    /// (the GPC-equivalent baseline); output is identical either way. On
+    /// the vendored rayon stand-in only the `rayon::join` users start
+    /// threads: the engine's event sort above `parprim::SEQ_CUTOFF` keys
+    /// and the `union_all`/`xor_all` reduction tree. The per-beam loops run
+    /// sequentially (see the module docs).
     pub parallel: bool,
     /// Step-2 partition implementation (direct scan vs segment tree).
     pub backend: PartitionBackend,
-    /// Keep the k' virtual vertices in the output instead of packing them
-    /// away (useful for inspecting the scanbeam structure).
-    pub keep_virtual: bool,
     /// Snap-rounding grid cell for intersection vertices. `0.0` (the
     /// default) disables snapping — results are bit-identical to the
     /// pre-snap engine. When positive, every discovered crossing is
@@ -86,20 +92,6 @@ pub struct ClipOptions {
     /// and an unlimited budget produces bit-identical output to a build
     /// without the budget machinery.
     pub budget: ExecBudget,
-    /// Patch the scanbeam structure in place on refinement rounds ≥ 2
-    /// (re-splitting only the beams that gained new scanlines) instead of
-    /// rebuilding it from scratch. Output is bit-identical either way —
-    /// the incremental patch is property-tested against the full rebuild —
-    /// so this is purely a performance switch; it falls back to a full
-    /// rebuild automatically when too many beams are dirty.
-    pub incremental_refine: bool,
-    /// Sequential-cutoff override for the beam-granular phases
-    /// (intersection discovery's per-beam parallel reporter, the
-    /// incremental-refinement fill). `None` uses the built-in
-    /// [`polyclip_sweep::BIG_BEAM`] cutoff; small values force the
-    /// parallel paths on small inputs (useful for testing), large values
-    /// keep small workloads sequential and amortization-friendly.
-    pub grain: Option<usize>,
     /// Algorithm-2 cell planning (ignored by every other path):
     /// over-decomposition factor, cell-count ceiling, and whether column
     /// (vertical) splits are allowed. The default plans one cell per
@@ -115,14 +107,11 @@ impl Default for ClipOptions {
             fill_rule: FillRule::EvenOdd,
             parallel: true,
             backend: PartitionBackend::DirectScan,
-            keep_virtual: false,
             snap_cell: 0.0,
             sanitize: true,
             validate_output: false,
             faults: FaultPlan::default(),
             budget: ExecBudget::default(),
-            incremental_refine: true,
-            grain: None,
             grid: crate::grid::GridConfig::default(),
         }
     }
@@ -198,8 +187,6 @@ fn snap_crossing(p: Point, a: &InputEdge, b: &InputEdge, cell: f64) -> Point {
 pub(crate) struct PrepReport {
     pub(crate) degradations: Vec<Degradation>,
     pub(crate) refine_rounds: usize,
-    pub(crate) refine_rounds_incremental: usize,
-    pub(crate) beams_rebuilt: usize,
     pub(crate) residuals_accepted: usize,
     pub(crate) input_repairs: usize,
 }
@@ -321,11 +308,6 @@ pub(crate) fn prepare_refs(
     prepare_edges(edges, opts, report, gate, scratch)
 }
 
-/// Full rebuild threshold for incremental refinement: when more than this
-/// fraction of the beams is dirty, patching costs about as much as
-/// rebuilding and the full rebuild's better cache behavior wins.
-const DIRTY_REBUILD_FRACTION: f64 = 0.25;
-
 /// The shared back half of preparation, from normalized sweep edges onward.
 fn prepare_edges(
     edges: Vec<InputEdge>,
@@ -337,7 +319,6 @@ fn prepare_edges(
     if edges.is_empty() {
         return Ok(None);
     }
-    let grain = opts.grain.unwrap_or(BIG_BEAM);
     let ys_a = event_ys_in(&edges, &[], opts.parallel, scratch);
     if ys_a.len() < 2 {
         scratch.give_ys(ys_a);
@@ -354,8 +335,14 @@ fn prepare_edges(
         scratch,
     );
     budget::check(gate)?;
-    let crossings =
-        discover_intersections_in(&beams_a, &edges, opts.parallel, Some(gate), grain, scratch);
+    let crossings = discover_intersections_in(
+        &beams_a,
+        &edges,
+        opts.parallel,
+        Some(gate),
+        BIG_BEAM,
+        scratch,
+    );
     budget::check(gate)?;
 
     // Turn crossings into forced splits (both edges share the intersection
@@ -402,62 +389,32 @@ fn prepare_edges(
     // iteration only adds events strictly inside an offending beam, so the
     // loop terminates (bounded further by MAX_REFINE as a belt-and-braces).
     //
-    // Round 1 builds the scanbeam structure from scratch; rounds ≥ 2 patch
-    // it incrementally (only beams that gained a scanline are re-split;
-    // see [`BeamSet::refine_incremental`]) unless too much of it is dirty,
-    // in which case the round falls back to a full rebuild — the result is
-    // bit-identical either way. All builds draw from `scratch`, so even
-    // the fallback reuses the previous round's capacity.
+    // Every round recycles the previous round's scanbeam structure into
+    // `scratch` and rebuilds it on the merged schedule, reusing that
+    // capacity. The cap makes the extra rebuilds a constant factor on the
+    // paper's two builds.
     const MAX_REFINE: usize = 8;
     let forced_exhaust = resilience::fault_exhaust_refinement(opts);
     let mut beams: Option<BeamSet> = None;
-    // New events appended by the previous iteration's residual pass:
-    // exactly the scanlines an incremental patch must splice in.
-    let mut round_mark = 0usize;
     // Fault injection can pre-spend the round budget so the exhaustion
     // path runs on the very first iteration.
     let mut refine = if forced_exhaust { MAX_REFINE } else { 0 };
     loop {
         budget::check(gate)?;
         let forced = ForcedSplits::build_in(edges.len(), &triples, scratch);
-        let mut patched = false;
-        if opts.incremental_refine {
-            if let Some(b) = beams.as_mut() {
-                match b.refine_incremental(
-                    &edges,
-                    &forced,
-                    &extra[round_mark..],
-                    DIRTY_REBUILD_FRACTION,
-                    grain,
-                    opts.parallel,
-                    Some(gate),
-                    scratch,
-                ) {
-                    RefineOutcome::Incremental { beams_rebuilt } => {
-                        report.refine_rounds_incremental += 1;
-                        report.beams_rebuilt += beams_rebuilt;
-                        patched = true;
-                    }
-                    RefineOutcome::TooDirty => {}
-                }
-            }
+        if let Some(old) = beams.take() {
+            old.recycle(scratch);
         }
-        if !patched {
-            if let Some(old) = beams.take() {
-                old.recycle(scratch);
-            }
-            let ys_b = event_ys_in(&edges, &extra, opts.parallel, scratch);
-            beams = Some(BeamSet::build_gated_in(
-                &edges,
-                ys_b,
-                &forced,
-                opts.backend,
-                opts.parallel,
-                Some(gate),
-                scratch,
-            ));
-        }
-        let bs = beams.as_ref().expect("built or patched above");
+        let ys_b = event_ys_in(&edges, &extra, opts.parallel, scratch);
+        let bs = beams.insert(BeamSet::build_gated_in(
+            &edges,
+            ys_b,
+            &forced,
+            opts.backend,
+            opts.parallel,
+            Some(gate),
+            scratch,
+        ));
         budget::check(gate)?;
         refine += 1;
         if refine > MAX_REFINE {
@@ -465,7 +422,7 @@ fn prepare_edges(
             // concrete. A genuine (unfaulted) run only lands here after
             // MAX_REFINE rounds that each made progress.
             let leftover_v =
-                discover_residual_crossings_in(bs, opts.parallel, Some(gate), grain, scratch);
+                discover_residual_crossings_in(bs, opts.parallel, Some(gate), BIG_BEAM, scratch);
             let leftover = leftover_v.len();
             scratch.give_events(leftover_v);
             forced.recycle(scratch);
@@ -479,7 +436,7 @@ fn prepare_edges(
             break;
         }
         let mut residual =
-            discover_residual_crossings_in(bs, opts.parallel, Some(gate), grain, scratch);
+            discover_residual_crossings_in(bs, opts.parallel, Some(gate), BIG_BEAM, scratch);
         budget::check(gate)?;
         if resilience::fault_residual_storm(opts) && refine == 1 {
             // Synthetic crossing pinned to an edge endpoint: never strictly
@@ -496,7 +453,6 @@ fn prepare_edges(
             forced.recycle(scratch);
             break;
         }
-        round_mark = extra.len();
         let mut progressed = false;
         for c in &residual {
             let cp = snap_crossing(
@@ -817,7 +773,7 @@ fn clip_prepared(
     gate.meter().add_vertices(all_edges.len() as u64);
     budget::check(gate)?;
 
-    let (contours, dropped) = stitch_counted(all_edges, !opts.keep_virtual);
+    let (contours, dropped) = stitch_counted(all_edges, true);
     if dropped > 0 {
         report
             .degradations
@@ -835,8 +791,6 @@ fn clip_prepared(
         out_contours: out.len(),
         out_vertices: out.vertex_count(),
         refine_rounds: report.refine_rounds,
-        refine_rounds_incremental: report.refine_rounds_incremental,
-        beams_rebuilt: report.beams_rebuilt,
         residuals_accepted: report.residuals_accepted,
         slab_retries: 0,
         input_repairs: report.input_repairs,
@@ -1166,18 +1120,6 @@ mod tests {
     }
 
     #[test]
-    fn virtual_vertices_can_be_kept() {
-        let a = sq(0.0, 0.0, 2.0, 2.0);
-        let b = sq(1.0, 0.5, 3.0, 1.5); // splits a's verticals
-        let mut keep = opts_seq();
-        keep.keep_virtual = true;
-        let with_virtual = clip(&a, &b, BoolOp::Difference, &keep);
-        let without = clip(&a, &b, BoolOp::Difference, &opts_seq());
-        assert!(with_virtual.vertex_count() > without.vertex_count());
-        assert!((eo_area(&with_virtual) - eo_area(&without)).abs() < 1e-9);
-    }
-
-    #[test]
     fn concave_star_against_square() {
         // A 5-pointed star (self-intersecting pentagram) against a square.
         let star: Vec<(f64, f64)> = (0..5)
@@ -1205,9 +1147,8 @@ mod tests {
     // next clip through the same arena has to succeed and match a
     // fresh-arena run bit for bit. The dense cap sweep lands trips in
     // every phase — Round-A discovery, the crossing post-process, and the
-    // incremental refinement rounds ≥ 2 (the workload runs several; see
-    // the `incremental` equivalence suite) — so a patch round interrupted
-    // halfway through its CSR splice is covered, not just clean-phase
+    // refinement rounds ≥ 2 (the workload runs several) — so a rebuild
+    // interrupted halfway through a round is covered, not just clean-phase
     // boundaries.
     #[test]
     fn tripped_scratch_arena_stays_reusable() {
@@ -1217,8 +1158,8 @@ mod tests {
         let opts = ClipOptions::default();
         let baseline = try_clip_with_stats(&subject, &clip_p, BoolOp::Union, &opts).unwrap();
         assert!(
-            baseline.stats.refine_rounds >= 3 && baseline.stats.refine_rounds_incremental >= 2,
-            "workload must drive incremental refinement: {:?}",
+            baseline.stats.refine_rounds >= 3,
+            "workload must drive several refinement rounds: {:?}",
             baseline.stats
         );
 

@@ -6,9 +6,13 @@
 //!
 //! * [`engine`] — the scanbeam boolean engine (our from-scratch equivalent of
 //!   Vatti's algorithm / the GPC library): Algorithm 1 of the paper, with a
-//!   sequential mode and a fully parallel mode in which every phase
-//!   (event sort, partition, intersection discovery, per-beam
-//!   classification, merge) runs on rayon;
+//!   sequential mode and a parallel mode in which every phase (event sort,
+//!   partition, intersection discovery, per-beam classification, merge)
+//!   takes its parallel code path. On the vendored rayon stand-in only
+//!   `rayon::join` starts threads: the event sort above
+//!   `parprim::SEQ_CUTOFF` keys and the `ops::union_all`/`xor_all`
+//!   reduction use it, while the `par_iter` loops (per-beam discovery and
+//!   classification among them) run sequentially;
 //! * [`classify`] — per-scanbeam region classification (Lemmas 1–3: edge
 //!   labels alternate, contributing vertices by parity prefix sums);
 //! * [`horizontal`] — reconstruction of horizontal boundary runs between

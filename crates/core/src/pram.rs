@@ -171,8 +171,6 @@ pub fn pram_cost(
         out_contours: 0,
         out_vertices: out_frags,
         refine_rounds: report.refine_rounds,
-        refine_rounds_incremental: report.refine_rounds_incremental,
-        beams_rebuilt: report.beams_rebuilt,
         residuals_accepted: report.residuals_accepted,
         slab_retries: 0,
         input_repairs: 0,

@@ -24,8 +24,8 @@
 //!   to the layer's pool and checked out by the next clip, so the
 //!   steady-state request allocates almost nothing. Checkout re-baselines
 //!   the arena's high-water mark, keeping
-//!   [`PhaseTimes::arena_hwm_bytes`](crate::algo2::PhaseTimes) a
-//!   *per-call* peak.
+//!   [`PhaseTimes::work`](crate::algo2::PhaseTimes::work)`.peak_scratch_bytes`
+//!   a *per-call* peak.
 //!
 //! Because the slab boundaries the cold path derives from the *combined*
 //! event schedule are reproduced here exactly (the merged quantiles are
@@ -84,7 +84,7 @@ use std::time::{Duration, Instant};
 const MAX_POOLED_ARENAS: usize = 16;
 
 /// An immutable, `Send + Sync` snapshot of everything about a subject layer
-/// that does not depend on the query: build once (in parallel), share
+/// that does not depend on the query: build once, share
 /// behind an [`Arc`], clip concurrently with [`clip_prepared`] /
 /// [`try_clip_prepared`]. See the module docs for the frozen / per-call
 /// split.
@@ -122,7 +122,10 @@ pub struct PreparedLayer {
 impl PreparedLayer {
     /// Freeze a subject layer: reject non-finite input, sanitize (honoring
     /// `opts.sanitize`), sort the event schedule and cache per-contour
-    /// extents — all in parallel on the current rayon pool. The returned
+    /// extents. Only the event sort can start threads (`rayon::join`
+    /// inside `parprim::par_sort_dedup_gated`, above `parprim::SEQ_CUTOFF`
+    /// keys); the per-contour loops are `par_iter`s, which the vendored
+    /// rayon stand-in runs sequentially. The returned
     /// layer is immutable; clip it with [`clip_prepared`] using the *same*
     /// sanitize setting for bit-identity with the cold path.
     pub fn build(subject: &PolygonSet, opts: &ClipOptions) -> Result<Arc<Self>, ClipError> {
@@ -688,7 +691,7 @@ mod tests {
         let r = clip_prepared(&layer, &q, BoolOp::Intersection, 4, &seq());
         assert!(layer.pooled_arenas() >= 1);
         assert!(
-            r.times.arena_reused_bytes > 0,
+            r.times.work.scratch_reused_bytes > 0,
             "arena capacity must be replayed"
         );
     }

@@ -582,8 +582,8 @@ pub(crate) fn fault_residual_storm(opts: &crate::ClipOptions) -> bool {
 }
 
 /// The pristine configuration a failed slab falls back to: sequential,
-/// direct-scan beam partition, fault plan stripped. Fill rule and virtual
-/// vertex handling are preserved — they affect the answer.
+/// direct-scan beam partition, fault plan stripped. The fill rule is
+/// preserved — it affects the answer.
 pub(crate) fn pristine(opts: &crate::ClipOptions) -> crate::ClipOptions {
     crate::ClipOptions {
         parallel: false,

@@ -30,13 +30,6 @@ pub struct ClipStats {
     /// Crossing-refinement rounds the Round-B partition ran (1 = the
     /// first build was already crossing-free).
     pub refine_rounds: usize,
-    /// Refinement rounds served by the incremental dirty-beam patch
-    /// instead of a full scanbeam rebuild (at most `refine_rounds - 1`;
-    /// 0 when `incremental_refine` is off or every round fell back).
-    pub refine_rounds_incremental: usize,
-    /// Dirty beams re-split across all incremental rounds; every other
-    /// beam was carried over verbatim.
-    pub beams_rebuilt: usize,
     /// Residual crossings accepted unresolved at the floating-point
     /// resolution limit (0 on numerically clean instances).
     pub residuals_accepted: usize,
@@ -87,8 +80,6 @@ impl ClipStats {
         self.out_contours += other.out_contours;
         self.out_vertices += other.out_vertices;
         self.refine_rounds = self.refine_rounds.max(other.refine_rounds);
-        self.refine_rounds_incremental += other.refine_rounds_incremental;
-        self.beams_rebuilt += other.beams_rebuilt;
         self.residuals_accepted += other.residuals_accepted;
         self.slab_retries += other.slab_retries;
         self.input_repairs += other.input_repairs;

@@ -141,7 +141,7 @@ fn full_scan(
     stats.completed_slabs = slabs;
     stats.total_slabs = slabs;
 
-    let output = merge_slab_outputs(parts.into_iter(), &boundaries[1..slabs], &seq);
+    let output = merge_slab_outputs(parts.into_iter(), &boundaries[1..slabs]);
     Reference {
         output,
         stats,

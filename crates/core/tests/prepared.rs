@@ -243,7 +243,10 @@ fn undersized_arena_pool_survives_a_thread_storm() {
     };
     let base_small = baseline(&small_q);
     let base_big = baseline(&big_q);
-    assert!(base_big.times.arena_hwm_bytes > 0, "hwm accounting is live");
+    assert!(
+        base_big.times.work.peak_scratch_bytes > 0,
+        "hwm accounting is live"
+    );
 
     let handles: Vec<_> = (0..THREADS)
         .map(|t| {
@@ -273,7 +276,10 @@ fn undersized_arena_pool_survives_a_thread_storm() {
                     assert_eq!(r.stats.total_slabs, r.slabs);
                     assert_eq!(r.stats.completed_slabs, r.slabs);
                     assert!(r.stats.prepared_reused);
-                    assert!(r.times.arena_hwm_bytes > 0, "hwm lost under contention");
+                    assert!(
+                        r.times.work.peak_scratch_bytes > 0,
+                        "hwm lost under contention"
+                    );
                 }
             })
         })

@@ -168,20 +168,6 @@ pub enum PartitionBackend {
     SegmentTree,
 }
 
-/// Result of [`BeamSet::refine_incremental`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RefineOutcome {
-    /// The set was patched in place; `beams_rebuilt` dirty beams were
-    /// re-split and re-sorted, every other beam was kept verbatim.
-    Incremental {
-        /// Number of dirty beams recomputed.
-        beams_rebuilt: usize,
-    },
-    /// The dirty fraction exceeded the threshold (or a new scanline fell
-    /// outside the schedule); the caller must perform a full rebuild.
-    TooDirty,
-}
-
 /// Edges partitioned into scanbeams: the scanbeam table of the paper,
 /// with per-beam sub-edges sorted left-to-right.
 #[derive(Clone, Debug)]
@@ -388,235 +374,6 @@ impl BeamSet {
         scratch.give_ys(self.ys);
         scratch.give_sub(self.sub);
         scratch.give_beam_start(self.beam_start);
-    }
-
-    /// Incrementally refine the partition after a round discovered new split
-    /// scanlines, instead of rebuilding the whole set.
-    ///
-    /// `new_ys` are the event y's the round appended (residual-crossing
-    /// heights; unsorted, duplicates allowed) and `forced` is the *complete*
-    /// updated forced-split table. Each new y classifies one or two beams as
-    /// **dirty**:
-    ///
-    /// * a y strictly inside beam `b` splits `b` into two fragments — `b` is
-    ///   dirty;
-    /// * a y equal to an existing scanline adds no beam, but the forced x of
-    ///   edges crossing that scanline changed — both adjacent beams are
-    ///   dirty.
-    ///
-    /// Every edge active in a dirty beam is re-split and re-sorted there;
-    /// clean beams keep their sub-edges verbatim (only the beam index is
-    /// renumbered), which is sound because a new forced entry either sits at
-    /// a new interior y (inside a dirty beam) or at an existing scanline
-    /// whose two adjacent beams are dirty — no clean beam's boundary data
-    /// changes. Because `x_on_edge` is a pure function and the sort key
-    /// `(beam, xb, xt, edge_id)` is a strict total order per beam, the
-    /// patched set is **bit-identical** to a full rebuild on the merged
-    /// schedule (property-tested against both backends).
-    ///
-    /// Returns [`RefineOutcome::TooDirty`] — caller must fall back to a full
-    /// rebuild — when the dirty fraction exceeds `max_dirty_fraction` or a
-    /// new y falls outside the current schedule. The fill runs parallel over
-    /// beams when `parallel` is set and the patched set is at least `grain`
-    /// sub-edges.
-    #[allow(clippy::too_many_arguments)]
-    pub fn refine_incremental(
-        &mut self,
-        edges: &[InputEdge],
-        forced: &ForcedSplits,
-        new_ys: &[f64],
-        max_dirty_fraction: f64,
-        grain: usize,
-        parallel: bool,
-        gate: Option<&Gate>,
-        scratch: &mut SweepScratch,
-    ) -> RefineOutcome {
-        let n_beams = self.n_beams();
-        if n_beams == 0 {
-            return RefineOutcome::TooDirty;
-        }
-        // Classify each new scanline. Plain f64 equality against the
-        // schedule matches the OrdF64 dedup of `event_ys` (no NaN here, and
-        // ±0.0 compare equal under both).
-        let mut splits = std::mem::take(&mut scratch.splits);
-        let mut dirty = std::mem::take(&mut scratch.dirty);
-        splits.clear();
-        dirty.clear();
-        dirty.resize(n_beams, false);
-        for &y in new_ys {
-            let idx = self.ys.partition_point(|&v| v < y);
-            if idx < self.ys.len() && self.ys[idx] == y {
-                if idx > 0 {
-                    dirty[idx - 1] = true;
-                }
-                if idx < n_beams {
-                    dirty[idx] = true;
-                }
-            } else if idx == 0 || idx > n_beams {
-                // Outside the schedule: the beam structure itself grows;
-                // this cannot happen for genuine residual crossings, so
-                // don't complicate the patch path for it.
-                scratch.splits = splits;
-                scratch.dirty = dirty;
-                return RefineOutcome::TooDirty;
-            } else {
-                dirty[idx - 1] = true;
-                splits.push((idx as u32 - 1, y));
-            }
-        }
-        splits.sort_unstable_by(|a, b| (a.0, OrdF64::new(a.1)).cmp(&(b.0, OrdF64::new(b.1))));
-        splits.dedup_by(|a, b| a.0 == b.0 && a.1 == b.1);
-        let beams_rebuilt = dirty.iter().filter(|&&d| d).count();
-        if beams_rebuilt as f64 > max_dirty_fraction * n_beams as f64 {
-            scratch.splits = splits;
-            scratch.dirty = dirty;
-            return RefineOutcome::TooDirty;
-        }
-
-        // CSR over old beams into `splits`, plus output offsets: old beam b
-        // becomes `splits_of_b + 1` fragments of `old_count` sub-edges each
-        // (every old sub-edge spans the whole old beam, hence every
-        // fragment).
-        let mut split_start = std::mem::take(&mut scratch.split_start);
-        split_start.clear();
-        split_start.reserve(n_beams + 1);
-        split_start.push(0);
-        {
-            let mut si = 0usize;
-            for b in 0..n_beams {
-                while si < splits.len() && (splits[si].0 as usize) == b {
-                    si += 1;
-                }
-                split_start.push(si);
-            }
-        }
-
-        // Merged schedule: old scanlines with each beam's interior splits
-        // spliced in — exactly what `event_ys` would produce.
-        let mut new_ys_vec = scratch.take_ys();
-        new_ys_vec.reserve(self.ys.len() + splits.len());
-        for b in 0..n_beams {
-            new_ys_vec.push(self.ys[b]);
-            for &(_, y) in &splits[split_start[b]..split_start[b + 1]] {
-                new_ys_vec.push(y);
-            }
-        }
-        new_ys_vec.push(self.ys[n_beams]);
-
-        let mut new_total = 0usize;
-        let mut recomputed = 0usize;
-        for b in 0..n_beams {
-            let nfrag = split_start[b + 1] - split_start[b] + 1;
-            let cnt = self.beam(b).len();
-            new_total += nfrag * cnt;
-            if dirty[b] {
-                recomputed += nfrag * cnt;
-            }
-        }
-        if let Some(g) = gate {
-            g.meter().add_events(recomputed as u64);
-            g.meter()
-                .record_scratch_bytes((new_total * std::mem::size_of::<SubEdge>()) as u64);
-        }
-
-        let mut new_sub = scratch.take_sub();
-        new_sub.resize(new_total, DUMMY_SUB);
-        {
-            let tripped = || gate.is_some_and(|g| g.is_tripped());
-            let fill_beam = |b: usize, dst: &mut [SubEdge]| {
-                let old = self.beam(b);
-                let base = (b + split_start[b]) as u32;
-                if !dirty[b] {
-                    // Clean beam: copy verbatim, renumbering the beam index.
-                    for (d, s) in dst.iter_mut().zip(old) {
-                        let mut c = *s;
-                        c.beam = base;
-                        *d = c;
-                    }
-                    return;
-                }
-                if tripped() {
-                    dst.fill(DUMMY_SUB);
-                    return;
-                }
-                let cnt = old.len();
-                let s_range = &splits[split_start[b]..split_start[b + 1]];
-                let nfrag = s_range.len() + 1;
-                for (ei, s) in old.iter().enumerate() {
-                    let e = &edges[s.edge_id as usize];
-                    let mut x_lo = x_on_edge(e, self.ys[b], forced);
-                    for f in 0..nfrag {
-                        let y_hi = if f < s_range.len() {
-                            s_range[f].1
-                        } else {
-                            self.ys[b + 1]
-                        };
-                        let x_hi = x_on_edge(e, y_hi, forced);
-                        dst[f * cnt + ei] = SubEdge {
-                            beam: base + f as u32,
-                            xb: x_lo,
-                            xt: x_hi,
-                            src: s.src,
-                            winding: s.winding,
-                            edge_id: s.edge_id,
-                        };
-                        x_lo = x_hi;
-                    }
-                }
-                for f in 0..nfrag {
-                    dst[f * cnt..(f + 1) * cnt].sort_unstable_by_key(|s| s.order_key());
-                }
-            };
-            if parallel && new_total >= grain {
-                let mut slices: Vec<&mut [SubEdge]> = Vec::with_capacity(n_beams);
-                let mut rest: &mut [SubEdge] = &mut new_sub;
-                for b in 0..n_beams {
-                    let nfrag = split_start[b + 1] - split_start[b] + 1;
-                    let (head, tail) = rest.split_at_mut(nfrag * self.beam(b).len());
-                    slices.push(head);
-                    rest = tail;
-                }
-                slices
-                    .into_par_iter()
-                    .enumerate()
-                    .for_each(|(b, dst)| fill_beam(b, dst));
-            } else {
-                let mut off = 0usize;
-                for b in 0..n_beams {
-                    let nfrag = split_start[b + 1] - split_start[b] + 1;
-                    let len = nfrag * self.beam(b).len();
-                    fill_beam(b, &mut new_sub[off..off + len]);
-                    off += len;
-                }
-            }
-        }
-
-        // New per-beam CSR: every fragment of old beam b holds `old_count`
-        // sub-edges.
-        let mut new_start = scratch.take_beam_start();
-        new_start.reserve(n_beams + splits.len() + 1);
-        let mut acc = 0usize;
-        for b in 0..n_beams {
-            let nfrag = split_start[b + 1] - split_start[b] + 1;
-            let cnt = self.beam(b).len();
-            for _ in 0..nfrag {
-                new_start.push(acc);
-                acc += cnt;
-            }
-        }
-        new_start.push(acc);
-        debug_assert_eq!(acc, new_total);
-
-        let old_ys = std::mem::replace(&mut self.ys, new_ys_vec);
-        let old_sub = std::mem::replace(&mut self.sub, new_sub);
-        let old_start = std::mem::replace(&mut self.beam_start, new_start);
-        scratch.give_ys(old_ys);
-        scratch.give_sub(old_sub);
-        scratch.give_beam_start(old_start);
-        scratch.splits = splits;
-        scratch.dirty = dirty;
-        scratch.split_start = split_start;
-        RefineOutcome::Incremental { beams_rebuilt }
     }
 
     /// Number of scanbeams.
@@ -962,120 +719,52 @@ mod tests {
         t
     }
 
+    /// Each refinement round recycles the previous round's set into the
+    /// arena and rebuilds from it: the rebuild must draw its buffers from
+    /// that capacity and still match a fresh-arena build bit for bit.
     #[test]
-    fn incremental_refine_matches_full_rebuild() {
+    fn refine_rebuild_reuses_arena_capacity() {
         let p = PolygonSet::from_xy(&[(0.0, 0.0), (5.0, 0.5), (4.0, 3.0), (1.0, 2.5)]);
         let q = PolygonSet::from_xy(&[(2.0, 1.0), (6.0, 1.5), (3.0, 4.0)]);
         let edges = collect_edges(&p, &q);
-        // Round-2 scanlines: two interior, one landing exactly on an
-        // existing event (1.0) so the forced-x-at-existing-scanline path is
-        // exercised, plus a duplicate.
-        let extra = [0.8, 1.0, 2.2, 0.8];
-        let triples = triples_at(&edges, &extra);
         for backend in [PartitionBackend::DirectScan, PartitionBackend::SegmentTree] {
-            for parallel in [false, true] {
-                let mut scratch = SweepScratch::new();
-                let ys0 = event_ys(&edges, &[], parallel);
-                let empty = ForcedSplits::empty(edges.len());
-                let mut inc = BeamSet::build_gated_in(
+            let mut scratch = SweepScratch::new();
+            let ys0 = event_ys_in(&edges, &[], false, &mut scratch);
+            let empty = ForcedSplits::empty(edges.len());
+            let mut bs =
+                BeamSet::build_gated_in(&edges, ys0, &empty, backend, false, None, &mut scratch);
+            let mut extra_all: Vec<f64> = Vec::new();
+            for round_ys in [[0.8, 2.2], [1.4, 0.9]] {
+                extra_all.extend_from_slice(&round_ys);
+                let triples = triples_at(&edges, &extra_all);
+                let forced = ForcedSplits::build_in(edges.len(), &triples, &mut scratch);
+                bs.recycle(&mut scratch);
+                scratch.take_reused_bytes();
+                let ys = event_ys_in(&edges, &extra_all, false, &mut scratch);
+                bs = BeamSet::build_gated_in(
                     &edges,
-                    ys0,
-                    &empty,
-                    backend,
-                    parallel,
-                    None,
-                    &mut scratch,
-                );
-                let forced = ForcedSplits::build(edges.len(), triples.clone());
-                let out = inc.refine_incremental(
-                    &edges,
+                    ys,
                     &forced,
-                    &extra,
-                    1.0,
-                    4,
-                    parallel,
+                    backend,
+                    false,
                     None,
                     &mut scratch,
                 );
                 assert!(
-                    matches!(out, RefineOutcome::Incremental { beams_rebuilt } if beams_rebuilt > 0),
-                    "{out:?}"
+                    scratch.take_reused_bytes() > 0,
+                    "{backend:?}: the rebuild allocated afresh"
                 );
-                let ys1 = event_ys(&edges, &extra, parallel);
-                let full = BeamSet::build(&edges, ys1, &forced, backend, parallel);
-                assert_identical(&inc, &full);
+                let fresh = BeamSet::build(
+                    &edges,
+                    event_ys(&edges, &extra_all, false),
+                    &forced,
+                    backend,
+                    false,
+                );
+                assert_identical(&bs, &fresh);
+                forced.recycle(&mut scratch);
             }
+            assert!(scratch.high_water_bytes() > 0);
         }
-    }
-
-    #[test]
-    fn incremental_refine_multi_round_reuses_capacity() {
-        let p = PolygonSet::from_xy(&[(0.0, 0.0), (5.0, 0.5), (4.0, 3.0), (1.0, 2.5)]);
-        let q = PolygonSet::from_xy(&[(2.0, 1.0), (6.0, 1.5), (3.0, 4.0)]);
-        let edges = collect_edges(&p, &q);
-        let mut scratch = SweepScratch::new();
-        let ys0 = event_ys_in(&edges, &[], false, &mut scratch);
-        let empty = ForcedSplits::empty(edges.len());
-        let mut inc = BeamSet::build_gated_in(
-            &edges,
-            ys0,
-            &empty,
-            PartitionBackend::DirectScan,
-            false,
-            None,
-            &mut scratch,
-        );
-        scratch.take_reused_bytes();
-        let mut extra_all: Vec<f64> = Vec::new();
-        for round_ys in [[0.8, 2.2], [1.4, 0.9]] {
-            extra_all.extend_from_slice(&round_ys);
-            let forced = ForcedSplits::build(edges.len(), triples_at(&edges, &extra_all));
-            let out = inc.refine_incremental(
-                &edges,
-                &forced,
-                &round_ys,
-                1.0,
-                4,
-                false,
-                None,
-                &mut scratch,
-            );
-            assert!(matches!(out, RefineOutcome::Incremental { .. }), "{out:?}");
-        }
-        let ysf = event_ys(&edges, &extra_all, false);
-        let forced = ForcedSplits::build(edges.len(), triples_at(&edges, &extra_all));
-        let full = BeamSet::build(&edges, ysf, &forced, PartitionBackend::DirectScan, false);
-        assert_identical(&inc, &full);
-        // Round 2 drew its sub-edge / schedule buffers from round-1 capacity.
-        assert!(scratch.take_reused_bytes() > 0);
-        assert!(scratch.high_water_bytes() > 0);
-    }
-
-    #[test]
-    fn incremental_refine_rejects_out_of_schedule_and_high_dirt() {
-        let p = PolygonSet::from_xy(&[(0.0, 0.0), (4.0, 1.0), (2.0, 2.0)]);
-        let edges = collect_edges(&p, &PolygonSet::new());
-        let mut scratch = SweepScratch::new();
-        let ys = event_ys(&edges, &[], false);
-        let empty = ForcedSplits::empty(edges.len());
-        let mut bs = BeamSet::build(&edges, ys, &empty, PartitionBackend::DirectScan, false);
-        let before = bs.clone();
-        // y below the whole schedule → structural growth → TooDirty.
-        let out = bs.refine_incremental(&edges, &empty, &[-1.0], 1.0, 4, false, None, &mut scratch);
-        assert_eq!(out, RefineOutcome::TooDirty);
-        // Every beam dirty with a 10% budget → TooDirty. Neither call may
-        // have modified the set.
-        let out = bs.refine_incremental(
-            &edges,
-            &empty,
-            &[0.5, 1.5],
-            0.1,
-            4,
-            false,
-            None,
-            &mut scratch,
-        );
-        assert_eq!(out, RefineOutcome::TooDirty);
-        assert_identical(&bs, &before);
     }
 }

@@ -34,8 +34,8 @@ pub struct CrossEvent {
 
 /// Beams whose active list is at least this long use the parallel
 /// inversion reporter internally (nested parallelism over huge beams).
-/// Overridable per call via `ClipOptions::grain` → the `grain` parameter of
-/// the `*_in` discovery entry points.
+/// The `*_in` discovery entry points take the cutoff as their `grain`
+/// parameter; the engine passes this constant.
 pub const BIG_BEAM: usize = 16 * 1024;
 
 /// Discover all transversal edge crossings.
@@ -349,11 +349,7 @@ mod tests {
     use polyclip_geom::PolygonSet;
     use std::collections::HashSet;
 
-    fn discover(
-        a: &PolygonSet,
-        b: &PolygonSet,
-        parallel: bool,
-    ) -> (Vec<InputEdge>, Vec<CrossEvent>) {
+    fn round_a(a: &PolygonSet, b: &PolygonSet) -> (Vec<InputEdge>, BeamSet) {
         let edges = collect_edges(a, b);
         let ys = event_ys(&edges, &[], false);
         let beams = BeamSet::build(
@@ -363,6 +359,15 @@ mod tests {
             PartitionBackend::DirectScan,
             false,
         );
+        (edges, beams)
+    }
+
+    fn discover(
+        a: &PolygonSet,
+        b: &PolygonSet,
+        parallel: bool,
+    ) -> (Vec<InputEdge>, Vec<CrossEvent>) {
+        let (edges, beams) = round_a(a, b);
         let events = discover_intersections(&beams, &edges, parallel);
         (edges, events)
     }
@@ -436,15 +441,32 @@ mod tests {
         };
         let a = mk(0xabc123, 0.0, 0.0);
         let b = mk(0x987654, 0.4, 0.3);
+        let (edges, beams) = round_a(&a, &b);
+        let brute = pair_set(&brute_force_crossings(&edges));
+        assert!(!brute.is_empty());
+        // `grain = 1` sends every beam to the parallel inversion reporter;
+        // `BIG_BEAM` keeps these small beams on the sequential one. The two
+        // reporters leave pair order unspecified, so compare sets. On the
+        // Round-A set every sub-edge lies on its input edge, so the residual
+        // pass must find the same pairs.
         for parallel in [false, true] {
-            let (edges, events) = discover(&a, &b, parallel);
-            let brute = brute_force_crossings(&edges);
-            assert_eq!(
-                pair_set(&events),
-                pair_set(&brute),
-                "parallel={parallel}: inversion discovery disagrees with brute force"
-            );
-            assert!(!events.is_empty());
+            for grain in [1, BIG_BEAM] {
+                let mut scratch = SweepScratch::new();
+                let events =
+                    discover_intersections_in(&beams, &edges, parallel, None, grain, &mut scratch);
+                assert_eq!(
+                    pair_set(&events),
+                    brute,
+                    "parallel={parallel} grain={grain}: inversion discovery disagrees with brute force"
+                );
+                let residual =
+                    discover_residual_crossings_in(&beams, parallel, None, grain, &mut scratch);
+                assert_eq!(
+                    pair_set(&residual),
+                    brute,
+                    "parallel={parallel} grain={grain}: residual discovery disagrees with brute force"
+                );
+            }
         }
     }
 

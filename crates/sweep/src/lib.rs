@@ -28,7 +28,7 @@ pub mod edges;
 pub mod events;
 pub mod scratch;
 
-pub use beams::{BeamSet, ForcedSplits, PartitionBackend, RefineOutcome, SubEdge};
+pub use beams::{BeamSet, ForcedSplits, PartitionBackend, SubEdge};
 pub use bo::bentley_ottmann;
 pub use cross::{
     discover_intersections, discover_intersections_gated, discover_intersections_in, CrossEvent,

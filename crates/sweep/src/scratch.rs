@@ -80,12 +80,6 @@ pub struct SweepScratch {
     pub(crate) events: Vec<CrossEvent>,
     /// Sequential per-beam inversion buffers.
     pub(crate) beam: BeamScratch,
-    /// Interior split points `(old beam, y)` of an incremental refinement.
-    pub(crate) splits: Vec<(u32, f64)>,
-    /// Dirty flags per old beam of an incremental refinement.
-    pub(crate) dirty: Vec<bool>,
-    /// CSR over old beams into `splits`.
-    pub(crate) split_start: Vec<usize>,
     reused_bytes: u64,
     hwm_bytes: u64,
 }
@@ -112,9 +106,6 @@ impl SweepScratch {
             + vec_bytes(&self.forced_items)
             + vec_bytes(&self.events)
             + self.beam.capacity_bytes()
-            + vec_bytes(&self.splits)
-            + vec_bytes(&self.dirty)
-            + vec_bytes(&self.split_start)
     }
 
     /// Largest total capacity observed at a recycle point (bytes) since the

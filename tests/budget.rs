@@ -299,87 +299,6 @@ fn max_intersections_yields_valid_partial_result() {
     assert!(matches!(strict, Err(ClipError::BudgetExceeded { .. })));
 }
 
-// (e) Budget trips compose with incremental refinement exactly as with
-// full rebuilds. The two paths discover identical crossing sets round by
-// round, so a `max_intersections` cap must trip in the same round either
-// way: same outcome shape on the engine, same salvage under
-// `allow_partial` on Algorithm 2, bit-identical partial outputs. The cap
-// sweep crosses the workload's per-round cumulative k, so some caps land
-// inside refinement rounds ≥ 2 — mid-incremental-patch, not just at the
-// Round-A boundary.
-#[test]
-fn budget_trip_is_identical_with_and_without_incremental_refine() {
-    let subject = shingled_strips(5, Point::new(-1.0, -1.0), 2.0, 2.0, 10, 1e-6);
-    let clip_p = sliver_fan(6, Point::new(0.0, 0.0), 1.4, 8);
-    let scrub = |mut s: ClipStats| {
-        s.refine_rounds_incremental = 0;
-        s.beams_rebuilt = 0;
-        s
-    };
-    let mut engine_trips = 0usize;
-    let mut partial_salvages = 0usize;
-    for cap in [1u64, 8, 24, 40, 48, 56, 64, 10_000] {
-        let opts_for = |incremental: bool| {
-            let budget = ExecBudget {
-                max_intersections: Some(cap),
-                allow_partial: true,
-                ..Default::default()
-            };
-            ClipOptions {
-                incremental_refine: incremental,
-                ..with_budget(ClipOptions::sequential(), budget)
-            }
-        };
-        let on = try_clip_with_stats(&subject, &clip_p, BoolOp::Union, &opts_for(true));
-        let off = try_clip_with_stats(&subject, &clip_p, BoolOp::Union, &opts_for(false));
-        match (on, off) {
-            (Ok(on), Ok(off)) => {
-                assert_eq!(on.result, off.result, "cap {cap}: engine output differs");
-                assert_eq!(
-                    scrub(on.stats),
-                    scrub(off.stats),
-                    "cap {cap}: engine stats differ"
-                );
-            }
-            (Err(ClipError::BudgetExceeded { .. }), Err(ClipError::BudgetExceeded { .. })) => {
-                engine_trips += 1;
-            }
-            (on, off) => panic!("cap {cap}: outcomes diverge: {on:?} vs {off:?}"),
-        }
-
-        let slab_on = try_clip_pair_slabs(&subject, &clip_p, BoolOp::Union, 4, &opts_for(true));
-        let slab_off = try_clip_pair_slabs(&subject, &clip_p, BoolOp::Union, 4, &opts_for(false));
-        match (slab_on, slab_off) {
-            (Ok(on), Ok(off)) => {
-                assert_eq!(on.output, off.output, "cap {cap}: algo2 output differs");
-                assert_eq!(
-                    scrub(on.stats),
-                    scrub(off.stats),
-                    "cap {cap}: algo2 stats differ"
-                );
-                assert_eq!(
-                    on.degradations.len(),
-                    off.degradations.len(),
-                    "cap {cap}: algo2 degradations differ"
-                );
-                if on.stats.completed_slabs < on.stats.total_slabs {
-                    partial_salvages += 1;
-                }
-            }
-            (Err(ClipError::BudgetExceeded { .. }), Err(ClipError::BudgetExceeded { .. })) => {}
-            (on, off) => panic!("cap {cap}: algo2 outcomes diverge: {on:?} vs {off:?}"),
-        }
-    }
-    assert!(
-        engine_trips >= 2,
-        "cap sweep never tripped the engine ({engine_trips})"
-    );
-    assert!(
-        partial_salvages >= 1,
-        "no cap produced an allow_partial salvage — sweep misses the partial path"
-    );
-}
-
 /// Strategy: a random, possibly self-intersecting polygon in [0, 4]².
 fn arb_polygon(n: std::ops::Range<usize>) -> impl Strategy<Value = PolygonSet> {
     prop::collection::vec((0.0f64..4.0, 0.0f64..4.0), n).prop_map(|xy| PolygonSet::from_xy(&xy))
