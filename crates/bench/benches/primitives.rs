@@ -8,7 +8,7 @@ use polyclip::parprim::{
     count_inversions, inclusive_scan, par_count_inversions, par_inclusive_scan, par_merge_sort,
     report_inversions,
 };
-use polyclip::segtree::SegmentTree;
+use polyclip::segtree::{SegmentTree, TreeScratch};
 
 fn data(n: usize) -> Vec<u64> {
     let mut s = 0x243f6a8885a308d3u64;
@@ -99,7 +99,7 @@ fn bench_segtree(c: &mut Criterion) {
             b.iter(|| SegmentTree::build(n, &intervals))
         });
         g.bench_with_input(BenchmarkId::new("build_par", n), &n, |b, _| {
-            b.iter(|| SegmentTree::par_build(n, &intervals))
+            b.iter(|| SegmentTree::build_in(n, &intervals, true, &mut TreeScratch::default()))
         });
         let tree = SegmentTree::build(n, &intervals);
         g.bench_with_input(BenchmarkId::new("stab_all", n), &n, |b, _| {

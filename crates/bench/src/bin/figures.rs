@@ -368,7 +368,7 @@ fn fig10(cfg: &Config) -> Vec<ResultTable> {
         for &slabs in SLAB_SWEEP {
             let (r, measured) =
                 time(|| overlay_intersection(&a, &b, slabs, SlabAssignment::UniqueOwner, &opts));
-            let crit = overlay_critical_path(&r);
+            let crit = critical_path(&r.times);
             if slabs == 1 {
                 base = crit;
             }
@@ -408,8 +408,11 @@ fn fig11(cfg: &Config) -> Vec<ResultTable> {
     let opts = ClipOptions::sequential();
     let r = overlay_intersection(&a, &b, 16, SlabAssignment::UniqueOwner, &opts);
     let mut t = ResultTable::new("fig11_load_profile", &["slab", "clip_ms"]);
-    let labels: Vec<String> = (0..r.per_slab_clip.len()).map(|i| i.to_string()).collect();
+    let labels: Vec<String> = (0..r.times.per_slab_clip.len())
+        .map(|i| i.to_string())
+        .collect();
     let values: Vec<f64> = r
+        .times
         .per_slab_clip
         .iter()
         .map(|d| d.as_secs_f64() * 1e3)
@@ -418,7 +421,10 @@ fn fig11(cfg: &Config) -> Vec<ResultTable> {
         t.push_row(vec![l.clone(), format!("{v:.3}")]);
     }
     println!("{}", ascii_bars(&labels, &values, 50));
-    println!("load imbalance (max/mean): {:.2}\n", r.load_imbalance());
+    println!(
+        "load imbalance (max/mean): {:.2}\n",
+        r.times.load_imbalance()
+    );
     vec![t]
 }
 
@@ -462,13 +468,12 @@ fn fig12(cfg: &Config) -> Vec<ResultTable> {
         let mut best = Duration::MAX;
         let mut best_slabs = 1;
         for &slabs in SLAB_SWEEP {
-            let crit = if is_intersect {
-                let r = overlay_intersection(&a, &b, slabs, SlabAssignment::UniqueOwner, &opts);
-                overlay_critical_path(&r)
+            let times = if is_intersect {
+                overlay_intersection(&a, &b, slabs, SlabAssignment::UniqueOwner, &opts).times
             } else {
-                let r = overlay_union(&a, &b, slabs, &opts);
-                critical_path(&r.times)
+                overlay_union(&a, &b, slabs, &opts).times
             };
+            let crit = critical_path(&times);
             if crit < best {
                 best = crit;
                 best_slabs = slabs;

@@ -31,12 +31,12 @@ pub fn time_best<T>(reps: usize, mut f: impl FnMut() -> T) -> (T, Duration) {
     (out, best)
 }
 
-/// The parallel-time projection for a slab run: the shared slab-index build,
-/// plus the slowest slab's partition + clip, plus the sequential merge. On a
-/// machine with ≥ p cores this equals the measured wall time; on smaller
-/// hosts it reports what the decomposition *would* achieve — the
-/// substitution documented in EXPERIMENTS.md for the paper's 64-core
-/// testbed.
+/// The parallel-time projection for a slab run (Algorithm 2 or a layer
+/// overlay): the shared slab-index build, plus the slowest slab's
+/// partition + clip, plus the sequential merge. On a machine with ≥ p
+/// cores this equals the measured wall time; on smaller hosts it reports
+/// what the decomposition *would* achieve — the substitution documented in
+/// EXPERIMENTS.md for the paper's 64-core testbed.
 pub fn critical_path(times: &PhaseTimes) -> Duration {
     let slowest = times
         .per_slab_partition
@@ -46,18 +46,6 @@ pub fn critical_path(times: &PhaseTimes) -> Duration {
         .max()
         .unwrap_or(Duration::ZERO);
     times.sanitize + times.index + slowest + times.merge
-}
-
-/// Critical path of an overlay run: slowest slab + the (parallel-safe)
-/// partition prologue.
-pub fn overlay_critical_path(r: &OverlayResult) -> Duration {
-    let slowest = r
-        .per_slab_clip
-        .iter()
-        .copied()
-        .max()
-        .unwrap_or(Duration::ZERO);
-    r.partition + slowest
 }
 
 /// A results table: header plus rows, printable and CSV-serializable.

@@ -54,7 +54,11 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-/// Wall-clock phase breakdown of one Algorithm-2 run (Figure 9 / 11 data).
+/// Wall-clock phase breakdown of one Algorithm-2 or overlay run (Figure 9 /
+/// 11 data). An overlay has no sanitize pass, per-slab partition or merge:
+/// its candidate pairs, slab cut and task assignment land in
+/// [`PhaseTimes::index`] and each slab's task clips in
+/// [`PhaseTimes::per_slab_clip`].
 #[derive(Clone, Debug, Default)]
 pub struct PhaseTimes {
     /// Up-front input sanitization across both operands. Zero when
@@ -214,24 +218,60 @@ struct SlabPartial {
     t_retry: Duration,
 }
 
+impl SlabPartial {
+    /// A laddered engine run (outcome, partition time, clip time) as a
+    /// partial: a recovery rung lands in the degradations and counts as a
+    /// slab retry.
+    fn from_ladder(run: Laddered<(ClipOutcome, Duration, Duration)>) -> Self {
+        let (outcome, t_partition, t_clip) = run.out;
+        let mut degradations = outcome.degradations;
+        let mut stats = outcome.stats;
+        if let Some(d) = run.recovery {
+            stats.slab_retries += 1;
+            degradations.push(d);
+        }
+        SlabPartial {
+            output: outcome.result,
+            stats,
+            degradations,
+            t_partition,
+            t_clip,
+            t_retry: run.t_retry,
+        }
+    }
+}
+
 /// The gates a slab worker runs under.
-struct SlabGates<'a> {
+pub(crate) struct SlabGates<'a> {
     /// First-attempt gate: the global gate's child carrying this slab's
     /// watchdog deadline (or the global gate itself when no watchdog
     /// applies). Shares the cancel token, meter and work limits.
-    attempt: &'a Gate,
+    pub(crate) attempt: &'a Gate,
     /// The armed global gate — consulted after a slab-level trip to decide
     /// whether the whole run is over (global trip → propagate) or only the
     /// watchdog fired (global clean → re-ladder the slab).
-    global: &'a Gate,
+    pub(crate) global: &'a Gate,
     /// Recovery gate for retry/pristine attempts: cancel-only. A slab whose
     /// watchdog deadline fired must be retried without it to make progress,
     /// and re-arming the work caps would double-charge rediscovered work —
     /// but recovery must stay interruptible.
-    recovery: &'a Gate,
+    pub(crate) recovery: &'a Gate,
 }
 
-/// Run one slab through the recovery ladder.
+/// What [`run_slab_ladder`] hands back: the successful attempt's output and
+/// how the slab got there.
+pub(crate) struct Laddered<T> {
+    pub(crate) out: T,
+    /// [`Degradation::SlabRetry`] or [`Degradation::SlabFallback`] when a
+    /// recovery attempt produced `out`; `None` when attempt 0 did.
+    pub(crate) recovery: Option<Degradation>,
+    /// Wall clock burned by the attempts that failed before `out`.
+    pub(crate) t_retry: Duration,
+}
+
+/// Run one slab through the recovery ladder — the one ladder every
+/// Algorithm-2 cell, the single-slab path and every layer-overlay slab
+/// share.
 ///
 /// Attempt 0 runs the configured engine under the slab's watchdog gate; if
 /// the worker panics — or the watchdog deadline fires while the global gate
@@ -244,29 +284,23 @@ struct SlabGates<'a> {
 /// Only when all three attempts die does the slab surface
 /// [`ClipError::SlabPanic`]. Cancellation and global budget trips always
 /// propagate immediately: retrying cannot help, and the caller asked to
-/// stop.
-fn run_slab_ladder<F>(
+/// stop. A slab without a watchdog passes the global gate as `attempt`, so
+/// every error of its attempt 0 propagates.
+pub(crate) fn run_slab_ladder<T, F>(
     slab: usize,
     seq: &ClipOptions,
     gates: &SlabGates<'_>,
     scratch: &mut SweepScratch,
     body: F,
-) -> Result<SlabPartial, ClipError>
+) -> Result<Laddered<T>, ClipError>
 where
-    F: Fn(
-        &ClipOptions,
-        &Gate,
-        &mut SweepScratch,
-    ) -> Result<(ClipOutcome, Duration, Duration), ClipError>,
+    F: Fn(&ClipOptions, &Gate, &mut SweepScratch) -> Result<T, ClipError>,
 {
     // The arena stays structurally valid across failed attempts (taken
     // buffers are replaced by empty vectors), so retries and the pristine
     // fallback reuse whatever capacity the dead attempt established.
     let mut attempt_with =
-        |opts: &ClipOptions,
-         gate: &Gate,
-         attempt: u32|
-         -> Result<Result<(ClipOutcome, Duration, Duration), ClipError>, String> {
+        |opts: &ClipOptions, gate: &Gate, attempt: u32| -> Result<Result<T, ClipError>, String> {
             catch_unwind(AssertUnwindSafe(|| {
                 resilience::maybe_panic_slab(opts, slab, attempt);
                 resilience::maybe_stall_slab(opts, slab, attempt);
@@ -275,34 +309,17 @@ where
             .map_err(|p| resilience::panic_message(p.as_ref()))
         };
 
-    let finish = |outcome: ClipOutcome,
-                  t_partition: Duration,
-                  t_clip: Duration,
-                  recovery: Option<Degradation>,
-                  t_retry: Duration| {
-        let mut degradations = outcome.degradations;
-        let mut stats = outcome.stats;
-        if let Some(d) = recovery {
-            stats.slab_retries += 1;
-            degradations.push(d);
-        }
-        SlabPartial {
-            output: outcome.result,
-            stats,
-            degradations,
-            t_partition,
-            t_clip,
-            t_retry,
-        }
-    };
-
     // Attempt 0: configured engine, watchdog gate.
     let mut t_retry = Duration::ZERO;
     let mut last_panic = String::new();
     let t0 = Instant::now();
     match attempt_with(seq, gates.attempt, 0) {
-        Ok(Ok((outcome, t_partition, t_clip))) => {
-            return Ok(finish(outcome, t_partition, t_clip, None, t_retry));
+        Ok(Ok(out)) => {
+            return Ok(Laddered {
+                out,
+                recovery: None,
+                t_retry,
+            })
         }
         Ok(Err(e)) => {
             // Geometry errors are deterministic, cancellation is final; a
@@ -325,14 +342,12 @@ where
     // Attempt 1: identical retry on the cancel-only recovery gate.
     let t1 = Instant::now();
     match attempt_with(seq, gates.recovery, 1) {
-        Ok(Ok((outcome, t_partition, t_clip))) => {
-            return Ok(finish(
-                outcome,
-                t_partition,
-                t_clip,
-                Some(Degradation::SlabRetry { slab }),
+        Ok(Ok(out)) => {
+            return Ok(Laddered {
+                out,
+                recovery: Some(Degradation::SlabRetry { slab }),
                 t_retry,
-            ));
+            })
         }
         // Deterministic under the recovery gate (no deadline or caps left
         // to trip): propagate, including cancellation.
@@ -347,13 +362,11 @@ where
 
     // Attempt 2: pristine sequential fallback, still cancellable.
     match attempt_with(&resilience::pristine(seq), gates.recovery, 2) {
-        Ok(Ok((outcome, t_partition, t_clip))) => Ok(finish(
-            outcome,
-            t_partition,
-            t_clip,
-            Some(Degradation::SlabFallback { slab }),
+        Ok(Ok(out)) => Ok(Laddered {
+            out,
+            recovery: Some(Degradation::SlabFallback { slab }),
             t_retry,
-        )),
+        }),
         Ok(Err(e)) => Err(e),
         Err(msg) => Err(ClipError::SlabPanic {
             slab,
@@ -570,7 +583,8 @@ pub(crate) fn drive_single_slab(
         let t0 = Instant::now();
         try_clip_with_stats_in(d.subject, d.clip_p, d.op, opts, gate, scratch)
             .map(|outcome| (outcome, Duration::ZERO, t0.elapsed()))
-    })?;
+    })
+    .map(SlabPartial::from_ladder)?;
     let t_retry = partial.t_retry;
     let mut stats = partial.stats;
     stats.input_repairs += d.pre_repairs;
@@ -795,6 +809,7 @@ fn run_cell(
         try_clip_refs_in(&subject_refs, &clip_refs, op, opts, gate, sweep)
             .map(|outcome| (outcome, t_partition, t1.elapsed()))
     })
+    .map(SlabPartial::from_ladder)
 }
 
 /// One cell's landed contribution, parked in its slot until the driver
@@ -1538,7 +1553,6 @@ mod tests {
         let pooled = crate::grid::GridConfig {
             oversub: 1,
             max_cells: 0,
-            ..Default::default()
         };
         for op in [BoolOp::Intersection, BoolOp::Union, BoolOp::Xor] {
             for slabs in [2usize, 4, 8] {

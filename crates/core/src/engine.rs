@@ -93,9 +93,8 @@ pub struct ClipOptions {
     /// without the budget machinery.
     pub budget: ExecBudget,
     /// Algorithm-2 cell planning (ignored by every other path):
-    /// over-decomposition factor, cell-count ceiling, and whether column
-    /// (vertical) splits are allowed. The default plans one cell per
-    /// event-quantile slab and runs them on the calling thread;
+    /// over-decomposition factor and cell-count ceiling. The default plans
+    /// one cell per event-quantile slab and runs them on the calling thread;
     /// [`crate::grid::GridConfig::refined`] splits heavy slabs into ~6
     /// cells per worker on the work-stealing pool.
     pub grid: crate::grid::GridConfig,
@@ -546,25 +545,15 @@ pub fn try_clip_with_stats(
     // this gate by reference.
     let gate = opts.budget.arm();
     budget::check(&gate)?;
-    try_clip_with_stats_gated(subject, clip, op, opts, &gate)
+    try_clip_with_stats_in(subject, clip, op, opts, &gate, &mut SweepScratch::new())
 }
 
-/// [`try_clip_with_stats`] against an already-armed gate — the re-entry
-/// point for drivers (slab workers, overlay workers) that arm one budget
-/// for a whole multi-clip operation and share it across engine calls.
-pub(crate) fn try_clip_with_stats_gated(
-    subject: &PolygonSet,
-    clip: &PolygonSet,
-    op: BoolOp,
-    opts: &ClipOptions,
-    gate: &Gate,
-) -> Result<ClipOutcome, ClipError> {
-    try_clip_with_stats_in(subject, clip, op, opts, gate, &mut SweepScratch::new())
-}
-
-/// [`try_clip_with_stats_gated`] against a caller-owned [`SweepScratch`] —
-/// the innermost re-entry point for workers (Algorithm 2's slab workers)
-/// that keep one arena per worker and reuse its capacity across clips.
+/// [`try_clip_with_stats`] against an already-armed gate and a
+/// caller-owned [`SweepScratch`] — the re-entry point for drivers that arm
+/// one budget for a whole multi-clip operation (Algorithm 2's single-slab
+/// path, every layer-overlay task) and keep one arena per slab, reusing its
+/// capacity across clips. Runs the engine's own sanitizer and output
+/// ladder as `opts` configures them.
 pub(crate) fn try_clip_with_stats_in(
     subject: &PolygonSet,
     clip: &PolygonSet,
@@ -664,39 +653,13 @@ pub(crate) fn repair_output(
         .push(Degradation::OutputRepaired { rung, violations });
 }
 
-/// [`try_clip_with_stats`] over borrowed contour slices.
-///
-/// The slab-index hot path of Algorithm 2 hands each slab worker a mix of
-/// borrowed (fully-inside) and freshly band-clipped contours; this entry
-/// point runs the identical pipeline on such a view, so its result is
-/// bit-identical to building a [`PolygonSet`] from the same contours and
-/// calling [`try_clip_with_stats`] (invalid contours must be pre-filtered,
-/// as [`PolygonSet::push`] would).
-pub fn try_clip_refs_with_stats(
-    subject: &[&Contour],
-    clip: &[&Contour],
-    op: BoolOp,
-    opts: &ClipOptions,
-) -> Result<ClipOutcome, ClipError> {
-    let gate = opts.budget.arm();
-    budget::check(&gate)?;
-    try_clip_refs_gated(subject, clip, op, opts, &gate)
-}
-
-/// [`try_clip_refs_with_stats`] against an already-armed gate (slab-worker
-/// re-entry; see [`try_clip_with_stats_gated`]).
-pub(crate) fn try_clip_refs_gated(
-    subject: &[&Contour],
-    clip: &[&Contour],
-    op: BoolOp,
-    opts: &ClipOptions,
-    gate: &Gate,
-) -> Result<ClipOutcome, ClipError> {
-    try_clip_refs_in(subject, clip, op, opts, gate, &mut SweepScratch::new())
-}
-
-/// [`try_clip_refs_gated`] against a caller-owned [`SweepScratch`] (see
-/// [`try_clip_with_stats_in`]).
+/// [`try_clip_with_stats_in`] over borrowed contour slices — Algorithm 2's
+/// cell hot path, which hands the engine a mix of borrowed (fully-inside)
+/// and freshly band-clipped contours. Runs the identical pipeline on such a
+/// view, so its result is bit-identical to building a [`PolygonSet`] from
+/// the same contours and clipping it with sanitization and output
+/// validation off (invalid contours must be pre-filtered, as
+/// [`PolygonSet::push`] would).
 pub(crate) fn try_clip_refs_in(
     subject: &[&Contour],
     clip: &[&Contour],

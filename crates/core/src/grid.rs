@@ -42,10 +42,6 @@ pub struct GridConfig {
     pub oversub: usize,
     /// Hard ceiling on the number of cells, whatever `oversub` asks for.
     pub max_cells: usize,
-    /// Allow vertical (column) splits when a heavy cell has no interior
-    /// event y left to split at. Column seams are dissolved by the same
-    /// seam-vertex machinery as slab seams.
-    pub columns: bool,
 }
 
 impl Default for GridConfig {
@@ -53,7 +49,6 @@ impl Default for GridConfig {
         GridConfig {
             oversub: 0,
             max_cells: 256,
-            columns: true,
         }
     }
 }
@@ -212,7 +207,6 @@ impl MassCache {
 struct Planner<'a, 'b> {
     index: &'a SlabIndex<'b>,
     ys: &'a [OrdF64],
-    cfg: &'a GridConfig,
     cache: MassCache,
     threshold: u64,
     /// Remaining splits allowed before `max_cells` leaves exist.
@@ -274,7 +268,6 @@ pub(crate) fn plan_grid(
     let mut pl = Planner {
         index,
         ys,
-        cfg,
         cache,
         threshold,
         split_budget: cfg.max_cells.max(base_slabs) - base_slabs,
@@ -336,7 +329,8 @@ impl Planner<'_, '_> {
 
     /// Split a heavy cell: at the median interior event y when one exists
     /// (seams on event y's reuse the slab machinery verbatim), otherwise at
-    /// the median occupied x (a column seam) when columns are enabled.
+    /// the median occupied x — a column seam, dissolved by the same
+    /// seam-vertex machinery as slab seams.
     fn split(&mut self, cell: &Cell) -> Option<(Cell, Cell, Seam)> {
         // Interior event y's: strictly inside (y0, y1).
         let lo = self.ys.partition_point(|y| y.get() <= cell.y0);
@@ -347,9 +341,6 @@ impl Planner<'_, '_> {
             let a = self.make(cell.slab, cell.y0, m, cell.x0, cell.x1);
             let b = self.make(cell.slab, m, cell.y1, cell.x0, cell.x1);
             return Some((a, b, Seam::Y(m)));
-        }
-        if !self.cfg.columns {
-            return None;
         }
         // Column split at the median overlapped-extent center. Strictness
         // (x0 < m < x1) guarantees progress and a non-degenerate seam.
@@ -525,27 +516,6 @@ mod tests {
     }
 
     #[test]
-    fn columns_disabled_leaves_eventless_slab_alone() {
-        let a = PolygonSet::from_contours(
-            (0..40)
-                .map(|i| tall_rect((i % 2) as f64 * 6.0, 0.0, (i % 2) as f64 * 6.0 + 4.0, 10.0))
-                .collect(),
-        );
-        let b = PolygonSet::from_contour(tall_rect(1.0, 0.0, 3.0, 10.0));
-        let boundaries = [0.0, 10.0];
-        let ix = SlabIndex::build(&a, &b, &boundaries);
-        let ys = vec![OrdF64::new(0.0), OrdF64::new(10.0)];
-        let cfg = GridConfig {
-            oversub: 4,
-            columns: false,
-            ..GridConfig::default()
-        };
-        let plan = plan_grid(&boundaries, &ix, &ys, &cfg, 2);
-        assert_eq!(plan.cells.len(), 1);
-        assert!(plan.seam_xs.is_empty());
-    }
-
-    #[test]
     fn max_cells_caps_refinement() {
         let contours: Vec<Contour> = (0..60)
             .map(|i| tall_rect(0.0, i as f64 * 0.25, 4.0, i as f64 * 0.25 + 0.2))
@@ -558,7 +528,6 @@ mod tests {
         let cfg = GridConfig {
             oversub: 64,
             max_cells: 6,
-            ..GridConfig::default()
         };
         let plan = plan_grid(&boundaries, &ix, &ys, &cfg, 8);
         assert!(plan.cells.len() <= 6, "{} cells", plan.cells.len());

@@ -78,8 +78,8 @@ pub use algo2::{clip_pair_slabs, try_clip_pair_slabs, Algo2Result, PhaseTimes};
 pub use budget::{CancelToken, ExecBudget, MeterSnapshot, WorkMeter};
 pub use classify::BoolOp;
 pub use engine::{
-    clip, clip_with_stats, dissolve, eo_area, measure_op, try_clip, try_clip_refs_with_stats,
-    try_clip_with_stats, ClipOptions,
+    clip, clip_with_stats, dissolve, eo_area, measure_op, try_clip, try_clip_with_stats,
+    ClipOptions,
 };
 pub use grid::GridConfig;
 pub use ops::{intersection_all, subtract_all, union_all, xor_all};

@@ -18,16 +18,28 @@
 //!   no duplicates exist by construction. This is our documented
 //!   improvement; the `ablation_slab_assignment` bench quantifies the
 //!   redundant work the replication scheme performs.
+//!
+//! Intersection and erase share one driver, which is Algorithm 2's slab
+//! pattern applied to features: each op supplies only its task list and
+//! its per-task engine call. Every slab clips its tasks in order through
+//! one scratch arena under Algorithm 2's recovery ladder, and the run
+//! reports its timings as a [`PhaseTimes`]. A task clips whole features, so
+//! it keeps the caller's [`ClipOptions::sanitize`] and
+//! [`ClipOptions::validate_output`] (Algorithm 2 turns both off inside its
+//! band-clipped cells to protect their seam vertices). The layer union is
+//! Algorithm 2 itself, run on the merged layers.
 
-use crate::algo2::{slab_boundaries, try_clip_pair_slabs, Algo2Result};
+use crate::algo2::{
+    run_slab_ladder, slab_boundaries, try_clip_pair_slabs, Algo2Result, PhaseTimes, SlabGates,
+};
 use crate::budget::{self, Gate};
 use crate::classify::BoolOp;
-use crate::engine::{try_clip_with_stats_gated, ClipOptions};
-use crate::resilience::{self, ClipError, Degradation, InputRole};
-use polyclip_geom::{BBox, OrdF64, PolygonSet};
+use crate::engine::{try_clip_with_stats_in, ClipOptions};
+use crate::resilience::{ClipError, ClipOutcome, Degradation, InputRole};
+use polyclip_geom::{BBox, FillRule, OrdF64, PolygonSet};
 use polyclip_parprim::par_sort_dedup_gated;
+use polyclip_sweep::SweepScratch;
 use rayon::prelude::*;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
 /// A GIS layer: a collection of features, each a polygon set (so features
@@ -91,40 +103,23 @@ pub enum SlabAssignment {
 /// Result of a layer overlay.
 #[derive(Clone, Debug, Default)]
 pub struct OverlayResult {
-    /// Non-empty per-pair outputs.
+    /// Non-empty per-task outputs, in slab order.
     pub features: Vec<PolygonSet>,
     /// MBR-overlapping candidate pairs examined.
     pub candidate_pairs: usize,
-    /// Pair-tasks executed (> `candidate_pairs` under replication).
+    /// Tasks executed, every replica counted: one per candidate pair (∩)
+    /// or per non-empty `a` feature (−), more under
+    /// [`SlabAssignment::Replicate`].
     pub tasks_executed: usize,
-    /// Per-slab clip time (the Figure 11 load profile).
-    pub per_slab_clip: Vec<Duration>,
-    /// Time spent building candidate pairs and slab assignment.
-    pub partition: Duration,
-    /// End-to-end wall clock.
-    pub total: Duration,
+    /// Phase timers of the shared slab driver: candidate pairs, slab cut
+    /// and task assignment in `index`; each slab's clip time in
+    /// `per_slab_clip` (the Figure 11 load profile), with a zero
+    /// `per_slab_partition` entry per slab; failed ladder attempts in
+    /// `retry_total`; the run's work meter in `work`; the wall clock in
+    /// `total`.
+    pub times: PhaseTimes,
     /// Degradations absorbed across all slab workers, in slab order.
     pub degradations: Vec<Degradation>,
-}
-
-impl OverlayResult {
-    /// Max/mean per-slab clip-time ratio (1.0 = perfectly balanced).
-    pub fn load_imbalance(&self) -> f64 {
-        if self.per_slab_clip.is_empty() {
-            return 1.0;
-        }
-        let sum: f64 = self.per_slab_clip.iter().map(Duration::as_secs_f64).sum();
-        let avg = sum / self.per_slab_clip.len() as f64;
-        if avg == 0.0 {
-            return 1.0;
-        }
-        let max = self
-            .per_slab_clip
-            .iter()
-            .map(Duration::as_secs_f64)
-            .fold(0.0f64, f64::max);
-        max / avg
-    }
 }
 
 /// Reject layers carrying non-finite coordinates before their MBR events
@@ -143,56 +138,144 @@ fn gate_layer(layer: &Layer, role: InputRole) -> Result<(), ClipError> {
     Ok(())
 }
 
-/// Run one overlay slab worker through the same recovery ladder as
-/// Algorithm 2's slabs: attempt, retry, pristine-sequential fallback. The
-/// `work` closure receives the engine options to use for that attempt (the
-/// fallback strips the fault plan, which is what makes a recovered slab
-/// bit-identical to an unfaulted run) and returns the slab's outputs plus
-/// any engine degradations it observed.
-/// The first attempt runs under the overlay's armed global gate; recovery
-/// attempts (retry, pristine) run on the cancel-only `recovery` gate —
-/// budget-exempt but interruptible, like Algorithm 2's ladder. Budget trips
-/// and cancellation are typed errors and propagate immediately.
-fn run_overlay_slab<T>(
-    slab: usize,
-    seq: &ClipOptions,
-    gate: &Gate,
-    recovery: &Gate,
-    work: impl Fn(&ClipOptions, &Gate) -> Result<(T, Vec<Degradation>), ClipError>,
-) -> Result<(T, Vec<Degradation>, Duration), ClipError> {
-    let attempt_with = |opts: &ClipOptions, g: &Gate, attempt: u32| {
-        catch_unwind(AssertUnwindSafe(|| {
-            resilience::maybe_panic_slab(opts, slab, attempt);
-            let t0 = Instant::now();
-            work(opts, g).map(|(outs, degradations)| (outs, degradations, t0.elapsed()))
-        }))
-        .map_err(|p| resilience::panic_message(p.as_ref()))
+/// One overlay op's slab work: the MBR event y's its slabs are cut from
+/// (unsorted, duplicates allowed) and its tasks, each with the y-range
+/// `(lo, hi)` that assigns it to slabs.
+type OverlayPlan<T> = (Vec<OrdF64>, Vec<(T, f64, f64)>);
+
+/// The one driver behind the ∩ and − overlays — Algorithm 2's slab pattern
+/// applied to features. It arms one gate for the whole overlay (every task
+/// on every slab shares it, so the deadline spans the operation, not a
+/// single clip), rejects non-finite layers, asks `plan` for the op's events
+/// and tasks given both layers' MBRs and candidate pairs, cuts the events
+/// into equal-count slabs and assigns each task to the slab holding `lo`
+/// ([`SlabAssignment::UniqueOwner`]) or to every slab `[lo, hi]` touches
+/// ([`SlabAssignment::Replicate`]). Each slab then clips its tasks in order
+/// with `clip`, through one scratch arena, under Algorithm 2's recovery
+/// ladder. Without a watchdog the slab's first attempt runs on the global
+/// gate itself, so any error from it propagates.
+fn drive_overlay<T: Sync>(
+    a: &Layer,
+    b: &Layer,
+    n_slabs: usize,
+    assignment: SlabAssignment,
+    opts: &ClipOptions,
+    plan: impl FnOnce(&[BBox], &[BBox], &[(u32, u32)]) -> OverlayPlan<T>,
+    clip: impl Fn(&T, &ClipOptions, &Gate, &mut SweepScratch) -> Result<ClipOutcome, ClipError> + Sync,
+) -> Result<OverlayResult, ClipError> {
+    let t_start = Instant::now();
+    let gate = opts.budget.arm();
+    let recovery = opts.budget.cancel_only().arm();
+    budget::check(&gate)?;
+    gate_layer(a, InputRole::Subject)?;
+    gate_layer(b, InputRole::Clip)?;
+    // Workers clip whole features, so unlike Algorithm 2's band-clipped
+    // cells each task keeps the caller's sanitize and output-validation
+    // settings. The armed gate comes by reference; only the cancel token
+    // rides in the options.
+    let seq = ClipOptions {
+        parallel: false,
+        budget: opts.budget.cancel_only(),
+        ..opts.clone()
     };
 
-    let mut last_panic = String::new();
-    for (attempt, g) in [(0u32, gate), (1u32, recovery)] {
-        match attempt_with(seq, g, attempt) {
-            Ok(Ok((outs, mut degradations, took))) => {
-                if attempt > 0 {
-                    degradations.push(Degradation::SlabRetry { slab });
+    let t_plan = Instant::now();
+    let boxes_a: Vec<BBox> = a.features.iter().map(|f| f.bbox()).collect();
+    let boxes_b: Vec<BBox> = b.features.iter().map(|f| f.bbox()).collect();
+    let pairs = candidate_pairs(&boxes_a, &boxes_b);
+    let (events, tasks) = plan(&boxes_a, &boxes_b, &pairs);
+    // Sorted and deduplicated in parallel above the parprim cutoff.
+    let ys = par_sort_dedup_gated(events, Some(&gate));
+    budget::check(&gate)?;
+    let boundaries = if ys.len() >= 2 {
+        slab_boundaries(&ys, n_slabs.max(1))
+    } else {
+        vec![f64::NEG_INFINITY, f64::INFINITY]
+    };
+    let mut slabs: Vec<Vec<u32>> = vec![Vec::new(); boundaries.len() - 1];
+    for (t, &(_, lo, hi)) in tasks.iter().enumerate() {
+        match assignment {
+            SlabAssignment::UniqueOwner => slabs[slab_of(&boundaries, lo)].push(t as u32),
+            SlabAssignment::Replicate => {
+                for (s, list) in slabs.iter_mut().enumerate() {
+                    if boundaries[s] <= hi && lo <= boundaries[s + 1] {
+                        list.push(t as u32);
+                    }
                 }
-                return Ok((outs, degradations, took));
             }
-            Ok(Err(e)) => return Err(e),
-            Err(msg) => last_panic = msg,
         }
     }
-    match attempt_with(&resilience::pristine(seq), recovery, 2) {
-        Ok(Ok((outs, mut degradations, took))) => {
-            degradations.push(Degradation::SlabFallback { slab });
-            Ok((outs, degradations, took))
+    let t_index = t_plan.elapsed();
+    let tasks_executed = slabs.iter().map(Vec::len).sum();
+
+    let gates = SlabGates {
+        attempt: &gate,
+        global: &gate,
+        recovery: &recovery,
+    };
+    let runs = slabs
+        .par_iter()
+        .enumerate()
+        .map(|(slab, list)| {
+            run_slab_ladder(
+                slab,
+                &seq,
+                &gates,
+                &mut SweepScratch::new(),
+                |o, g, scratch| {
+                    let t0 = Instant::now();
+                    let mut outs: Vec<(u32, PolygonSet)> = Vec::with_capacity(list.len());
+                    let mut degradations = Vec::new();
+                    for &t in list {
+                        // Coarse per-task checkpoint between engine calls.
+                        budget::check(g)?;
+                        let outcome = clip(&tasks[t as usize].0, o, g, scratch)?;
+                        degradations.extend(outcome.degradations);
+                        if !outcome.result.is_empty() {
+                            outs.push((t, outcome.result));
+                        }
+                    }
+                    Ok((outs, degradations, t0.elapsed()))
+                },
+            )
+        })
+        .collect::<Result<Vec<_>, ClipError>>()?;
+
+    // Collect in slab order, keeping each task's first output: replicated
+    // tasks are the paper's "redundant output polygons … eliminated as a
+    // post-processing step".
+    let mut kept = vec![false; tasks.len()];
+    let mut features = Vec::new();
+    let mut degradations = Vec::new();
+    let mut per_slab_clip = Vec::with_capacity(runs.len());
+    let mut retry_total = Duration::ZERO;
+    for run in runs {
+        let (outs, slab_degradations, t_clip) = run.out;
+        per_slab_clip.push(t_clip);
+        retry_total += run.t_retry;
+        degradations.extend(slab_degradations);
+        degradations.extend(run.recovery);
+        for (t, out) in outs {
+            if !std::mem::replace(&mut kept[t as usize], true) {
+                features.push(out);
+            }
         }
-        Ok(Err(e)) => Err(e),
-        Err(msg) => Err(ClipError::SlabPanic {
-            slab,
-            message: if msg.is_empty() { last_panic } else { msg },
-        }),
     }
+    Ok(OverlayResult {
+        features,
+        candidate_pairs: pairs.len(),
+        tasks_executed,
+        times: PhaseTimes {
+            index: t_index,
+            per_slab_partition: vec![Duration::ZERO; per_slab_clip.len()],
+            per_slab_clip,
+            retry_total,
+            total: t_start.elapsed(),
+            work: gate.meter().snapshot(),
+            ..PhaseTimes::default()
+        },
+        degradations,
+    })
 }
 
 /// Intersect two layers: pairwise intersection of MBR-overlapping features,
@@ -210,9 +293,10 @@ pub fn overlay_intersection(
     try_overlay_intersection(a, b, n_slabs, assignment, opts).unwrap_or_default()
 }
 
-/// Fallible layer intersection with per-slab panic isolation: each slab
-/// worker runs under `catch_unwind` with the retry → pristine-fallback
-/// ladder of [`try_clip_pair_slabs`].
+/// Fallible layer intersection: one task per candidate pair, spanning the
+/// y-overlap of its two MBRs, over slabs cut from both layers' MBR y-extents
+/// (the paper's event list). Every slab runs under the recovery ladder of
+/// [`try_clip_pair_slabs`].
 pub fn try_overlay_intersection(
     a: &Layer,
     b: &Layer,
@@ -220,124 +304,32 @@ pub fn try_overlay_intersection(
     assignment: SlabAssignment,
     opts: &ClipOptions,
 ) -> Result<OverlayResult, ClipError> {
-    let t_start = Instant::now();
-    // One armed gate for the whole overlay: every pair task on every slab
-    // shares it, so the deadline spans the operation, not a single clip.
-    let gate = opts.budget.arm();
-    let recovery_gate = opts.budget.cancel_only().arm();
-    budget::check(&gate)?;
-    gate_layer(a, InputRole::Subject)?;
-    gate_layer(b, InputRole::Clip)?;
-    let seq = ClipOptions {
-        parallel: false,
-        sanitize: false,
-        validate_output: false,
-        budget: opts.budget.cancel_only(),
-        ..opts.clone()
-    };
-
-    let t_part = Instant::now();
-    let boxes_a: Vec<BBox> = a.features.iter().map(|f| f.bbox()).collect();
-    let boxes_b: Vec<BBox> = b.features.iter().map(|f| f.bbox()).collect();
-    let pairs = candidate_pairs(&boxes_a, &boxes_b);
-
-    // Slab boundaries from the MBR event y's (the paper's event list),
-    // sorted and deduplicated in parallel above the parprim cutoff.
-    let ys: Vec<OrdF64> = par_sort_dedup_gated(
-        boxes_a
-            .iter()
-            .chain(&boxes_b)
-            .flat_map(|bb| [OrdF64::new(bb.ymin), OrdF64::new(bb.ymax)])
-            .collect(),
-        Some(&gate),
-    );
-    budget::check(&gate)?;
-    let n_slabs = n_slabs.max(1);
-    let boundaries = if ys.len() >= 2 {
-        slab_boundaries(&ys, n_slabs)
-    } else {
-        vec![f64::NEG_INFINITY, f64::INFINITY]
-    };
-    let slabs = boundaries.len() - 1;
-
-    // Assign pair tasks to slabs.
-    let mut tasks: Vec<Vec<(u32, u32)>> = vec![Vec::new(); slabs];
-    for &(i, j) in &pairs {
-        let (ba, bb) = (&boxes_a[i as usize], &boxes_b[j as usize]);
-        let lo = ba.ymin.max(bb.ymin);
-        let hi = ba.ymax.min(bb.ymax);
-        match assignment {
-            SlabAssignment::UniqueOwner => {
-                tasks[slab_of(&boundaries, lo)].push((i, j));
-            }
-            SlabAssignment::Replicate => {
-                for (s, t) in tasks.iter_mut().enumerate() {
-                    if boundaries[s] <= hi && lo <= boundaries[s + 1] {
-                        t.push((i, j));
-                    }
-                }
-            }
-        }
-    }
-    let partition = t_part.elapsed();
-    let tasks_executed: usize = tasks.iter().map(Vec::len).sum();
-
-    // Clip each slab's pair list sequentially; slabs in parallel, each
-    // under the recovery ladder.
-    type SlabOutput = (Vec<((u32, u32), PolygonSet)>, Vec<Degradation>, Duration);
-    let slab_results: Vec<Result<SlabOutput, ClipError>> = tasks
-        .par_iter()
-        .enumerate()
-        .map(|(slab, list)| {
-            run_overlay_slab(slab, &seq, &gate, &recovery_gate, |engine_opts, g| {
-                let mut degradations = Vec::new();
-                let mut outs: Vec<((u32, u32), PolygonSet)> = Vec::with_capacity(list.len());
-                for &(i, j) in list {
-                    // Coarse per-pair checkpoint between engine calls.
-                    budget::check(g)?;
-                    let outcome = try_clip_with_stats_gated(
-                        &a.features[i as usize],
-                        &b.features[j as usize],
-                        BoolOp::Intersection,
-                        engine_opts,
-                        g,
-                    )?;
-                    degradations.extend(outcome.degradations);
-                    if !outcome.result.is_empty() {
-                        outs.push(((i, j), outcome.result));
-                    }
-                }
-                Ok((outs, degradations))
-            })
-        })
-        .collect();
-
-    // Collect, removing replicated duplicates (same pair id) — the paper's
-    // "redundant output polygons … eliminated as a post-processing step".
-    let mut per_slab_clip: Vec<Duration> = Vec::with_capacity(slab_results.len());
-    let mut degradations: Vec<Degradation> = Vec::new();
-    let mut seen: std::collections::HashSet<(u32, u32)> = std::collections::HashSet::new();
-    let mut features = Vec::new();
-    for r in slab_results {
-        let (outs, slab_degradations, took) = r?;
-        per_slab_clip.push(took);
-        degradations.extend(slab_degradations);
-        for (pair, out) in outs {
-            if seen.insert(pair) {
-                features.push(out);
-            }
-        }
-    }
-
-    Ok(OverlayResult {
-        features,
-        candidate_pairs: pairs.len(),
-        tasks_executed,
-        per_slab_clip,
-        partition,
-        total: t_start.elapsed(),
-        degradations,
-    })
+    drive_overlay(
+        a,
+        b,
+        n_slabs,
+        assignment,
+        opts,
+        |boxes_a, boxes_b, pairs| {
+            let events = boxes_a
+                .iter()
+                .chain(boxes_b)
+                .flat_map(|bb| [OrdF64::new(bb.ymin), OrdF64::new(bb.ymax)])
+                .collect();
+            let tasks = pairs
+                .iter()
+                .map(|&(i, j)| {
+                    let (ba, bb) = (&boxes_a[i as usize], &boxes_b[j as usize]);
+                    ((i, j), ba.ymin.max(bb.ymin), ba.ymax.min(bb.ymax))
+                })
+                .collect();
+            (events, tasks)
+        },
+        |&(i, j), o, g, scratch| {
+            let (fa, fb) = (&a.features[i as usize], &b.features[j as usize]);
+            try_clip_with_stats_in(fa, fb, BoolOp::Intersection, o, g, scratch)
+        },
+    )
 }
 
 /// Union of two layers: whole-layer boolean via the slab-partitioned
@@ -368,7 +360,7 @@ pub fn try_overlay_union(
     // The budget (deadline and all) rides along untouched: Algorithm 2
     // arms it at its own entry, which is the public boundary here.
     let opts = ClipOptions {
-        fill_rule: polyclip_geom::FillRule::NonZero,
+        fill_rule: FillRule::NonZero,
         ..opts.clone()
     };
     try_clip_pair_slabs(&ma, &mb, BoolOp::Union, n_slabs, &opts)
@@ -386,118 +378,59 @@ pub fn overlay_difference(
     try_overlay_difference(a, b, n_slabs, opts).unwrap_or_default()
 }
 
-/// Fallible erase overlay; see [`overlay_difference`]. Slab workers run
-/// under the same recovery ladder as [`try_overlay_intersection`].
+/// Fallible erase overlay; see [`overlay_difference`]. One task per
+/// non-empty `a` feature with its partner list, owned by the slab holding
+/// its MBR bottom, over slabs cut from the `a` features' MBR bottoms. Slab
+/// workers run under the same recovery ladder as
+/// [`try_overlay_intersection`].
 pub fn try_overlay_difference(
     a: &Layer,
     b: &Layer,
     n_slabs: usize,
     opts: &ClipOptions,
 ) -> Result<OverlayResult, ClipError> {
-    let t_start = Instant::now();
-    let gate = opts.budget.arm();
-    let recovery_gate = opts.budget.cancel_only().arm();
-    budget::check(&gate)?;
-    gate_layer(a, InputRole::Subject)?;
-    gate_layer(b, InputRole::Clip)?;
-    let seq = ClipOptions {
-        parallel: false,
-        sanitize: false,
-        validate_output: false,
-        budget: opts.budget.cancel_only(),
+    // The mask is the concatenation of a feature's partners, read under the
+    // nonzero rule so overlapping partners do not cancel.
+    let nonzero = ClipOptions {
+        fill_rule: FillRule::NonZero,
         ..opts.clone()
     };
-    let t_part = Instant::now();
-    let boxes_a: Vec<BBox> = a.features.iter().map(|f| f.bbox()).collect();
-    let boxes_b: Vec<BBox> = b.features.iter().map(|f| f.bbox()).collect();
-    let pairs = candidate_pairs(&boxes_a, &boxes_b);
-
-    // Group the b-partners of every a feature.
-    let mut partners: Vec<Vec<u32>> = vec![Vec::new(); a.features.len()];
-    for &(i, j) in &pairs {
-        partners[i as usize].push(j);
-    }
-
-    // One task per a-feature, owned by the slab containing its MBR bottom.
-    let ys: Vec<OrdF64> = par_sort_dedup_gated(
-        boxes_a
-            .iter()
-            .filter(|bb| !bb.is_empty())
-            .map(|bb| OrdF64::new(bb.ymin))
-            .collect(),
-        Some(&gate),
-    );
-    budget::check(&gate)?;
-    let boundaries = if ys.len() >= 2 {
-        slab_boundaries(&ys, n_slabs.max(1))
-    } else {
-        vec![f64::NEG_INFINITY, f64::INFINITY]
-    };
-    let slabs = boundaries.len() - 1;
-    let mut tasks: Vec<Vec<u32>> = vec![Vec::new(); slabs];
-    for (i, bb) in boxes_a.iter().enumerate() {
-        if !bb.is_empty() {
-            tasks[slab_of(&boundaries, bb.ymin)].push(i as u32);
-        }
-    }
-    let partition = t_part.elapsed();
-    let tasks_executed: usize = tasks.iter().map(Vec::len).sum();
-
-    type SlabOutput = (Vec<PolygonSet>, Vec<Degradation>, Duration);
-    let slab_results: Vec<Result<SlabOutput, ClipError>> = tasks
-        .par_iter()
-        .enumerate()
-        .map(|(slab, list)| {
-            run_overlay_slab(slab, &seq, &gate, &recovery_gate, |engine_opts, g| {
-                let mut degradations = Vec::new();
-                let mut outs: Vec<PolygonSet> = Vec::with_capacity(list.len());
-                for &i in list {
-                    budget::check(g)?;
-                    let fa = &a.features[i as usize];
-                    if partners[i as usize].is_empty() {
-                        outs.push(fa.clone());
-                        continue;
-                    }
-                    // Subtract the union of overlapping b features.
-                    let mut mask = PolygonSet::new();
-                    for &j in &partners[i as usize] {
-                        mask.extend(b.features[j as usize].clone());
-                    }
-                    let nz = ClipOptions {
-                        fill_rule: polyclip_geom::FillRule::NonZero,
-                        sanitize: false,
-                        validate_output: false,
-                        ..engine_opts.clone()
-                    };
-                    let outcome = try_clip_with_stats_gated(fa, &mask, BoolOp::Difference, &nz, g)?;
-                    degradations.extend(outcome.degradations);
-                    if !outcome.result.is_empty() {
-                        outs.push(outcome.result);
-                    }
+    drive_overlay(
+        a,
+        b,
+        n_slabs,
+        SlabAssignment::UniqueOwner,
+        &nonzero,
+        |boxes_a, _, pairs| {
+            let mut partners: Vec<Vec<u32>> = vec![Vec::new(); boxes_a.len()];
+            for &(i, j) in pairs {
+                partners[i as usize].push(j);
+            }
+            let mut events = Vec::new();
+            let mut tasks = Vec::new();
+            for ((i, bb), partners) in boxes_a.iter().enumerate().zip(partners) {
+                if !bb.is_empty() {
+                    events.push(OrdF64::new(bb.ymin));
+                    tasks.push(((i as u32, partners), bb.ymin, bb.ymin));
                 }
-                Ok((outs, degradations))
-            })
-        })
-        .collect();
-
-    let mut per_slab_clip: Vec<Duration> = Vec::with_capacity(slab_results.len());
-    let mut degradations: Vec<Degradation> = Vec::new();
-    let mut features: Vec<PolygonSet> = Vec::new();
-    for r in slab_results {
-        let (outs, slab_degradations, took) = r?;
-        per_slab_clip.push(took);
-        degradations.extend(slab_degradations);
-        features.extend(outs);
-    }
-    Ok(OverlayResult {
-        tasks_executed,
-        candidate_pairs: pairs.len(),
-        features,
-        per_slab_clip,
-        partition,
-        total: t_start.elapsed(),
-        degradations,
-    })
+            }
+            (events, tasks)
+        },
+        |(i, partners), o, g, scratch| {
+            let fa = &a.features[*i as usize];
+            if partners.is_empty() {
+                return Ok(ClipOutcome {
+                    result: fa.clone(),
+                    ..ClipOutcome::default()
+                });
+            }
+            let mut mask = PolygonSet::new();
+            for &j in partners {
+                mask.extend(b.features[j as usize].clone());
+            }
+            try_clip_with_stats_in(fa, &mask, BoolOp::Difference, o, g, scratch)
+        },
+    )
 }
 
 /// MBR-overlapping (a, b) feature pairs via a bottom-up interval sweep.

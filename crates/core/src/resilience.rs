@@ -482,8 +482,8 @@ impl ClipOutcome {
 /// ever fires).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FaultPlan {
-    /// Panic the worker of this slab index (Algorithm 2 and overlay
-    /// tasks).
+    /// Panic the worker of this slab index: an Algorithm-2 cell or an
+    /// overlay slab, both run by the same recovery ladder.
     pub panic_slab: Option<usize>,
     /// How many attempts of the chosen slab panic before the worker is
     /// allowed to succeed: `1` recovers on the retry, `2` (or more)
@@ -497,12 +497,16 @@ pub struct FaultPlan {
     /// refinement round, forcing the accept-residuals path.
     pub residual_storm: bool,
     /// Stall attempt 0 of this slab's worker by
-    /// [`stall_ms`](Self::stall_ms) before it runs. Combined with a deadline in
-    /// [`ExecBudget`](crate::ExecBudget), this deterministically trips the
-    /// slab watchdog so tests can drive the watchdog→retry rung of the
-    /// ladder on *both* the cold and the prepared
-    /// ([`try_clip_prepared`](crate::try_clip_prepared)) query paths — the
-    /// retry runs unstalled and recovers bit-identically.
+    /// [`stall_ms`](Self::stall_ms) before it runs: an Algorithm-2 cell or
+    /// an overlay slab, both run by the same recovery ladder. Combined with
+    /// a deadline in [`ExecBudget`](crate::ExecBudget), this
+    /// deterministically trips the slab watchdog so tests can drive the
+    /// watchdog→retry rung of the ladder on *both* the cold and the
+    /// prepared ([`try_clip_prepared`](crate::try_clip_prepared)) query
+    /// paths — the retry runs unstalled and recovers bit-identically. An
+    /// overlay slab has no watchdog: its stalled attempt runs on the
+    /// overlay's global gate, so a deadline that expires during the stall
+    /// fails the whole overlay.
     pub stall_slab: Option<usize>,
     /// Milliseconds the stalled slab's first attempt sleeps.
     pub stall_ms: u64,

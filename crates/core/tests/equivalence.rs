@@ -197,7 +197,7 @@ proptest! {
     ) {
         let a = gen_set(seed_a, 4);
         let b = gen_set(seed_b, 3);
-        let pooled = GridConfig { oversub: 1, max_cells: 0, ..GridConfig::default() };
+        let pooled = GridConfig { oversub: 1, max_cells: 0 };
         for op in [
             BoolOp::Intersection,
             BoolOp::Union,

@@ -91,8 +91,8 @@ impl SegmentTree {
     /// Build from `intervals`, each a half-open range `lo..hi` of elementary
     /// interval indices (`hi <= n_leaves`). Empty ranges are skipped.
     ///
-    /// Sequential construction; see [`SegmentTree::par_build`] for the
-    /// parallel version used on large inputs.
+    /// Sequential construction, allocating fresh buffers; the reference
+    /// the pipeline's [`build_in`](Self::build_in) is checked against.
     pub fn build(n_leaves: usize, intervals: &[(usize, usize)]) -> Self {
         let size = n_leaves.next_power_of_two().max(1);
         let n_nodes = 2 * size;
@@ -123,44 +123,17 @@ impl SegmentTree {
         }
     }
 
-    /// Parallel construction: emit `(node, id)` cover pairs for all intervals
-    /// in parallel, sort by node, and slice into CSR — `O(N log N)` work for
-    /// `N = Σ O(log m)` pairs, polylog span, mirroring the parallel segment
-    /// tree construction of Atallah et al. cited by the paper.
-    pub fn par_build(n_leaves: usize, intervals: &[(usize, usize)]) -> Self {
-        let size = n_leaves.next_power_of_two().max(1);
-        let n_nodes = 2 * size;
-        let mut pairs: Vec<(u32, u32)> = intervals
-            .par_iter()
-            .enumerate()
-            .flat_map_iter(|(id, &(lo, hi))| {
-                cover_nodes(size, lo, hi)
-                    .into_iter()
-                    .map(move |v| (v as u32, id as u32))
-            })
-            .collect();
-        pairs.par_sort_unstable();
-        let mut cover_start = vec![0usize; n_nodes + 1];
-        for &(v, _) in &pairs {
-            cover_start[v as usize + 1] += 1;
-        }
-        for i in 0..n_nodes {
-            cover_start[i + 1] += cover_start[i];
-        }
-        let cover_items: Vec<u32> = pairs.into_iter().map(|(_, id)| id).collect();
-        SegmentTree {
-            n_leaves,
-            size,
-            cover_start,
-            cover_items,
-        }
-    }
-
-    /// [`build`](Self::build)/[`par_build`](Self::par_build) into reused
-    /// buffers: the transient cover pairs and the tree's own CSR arrays come
-    /// from `scratch`, so a build→[`recycle`](Self::recycle) cycle performs
-    /// no allocation once capacity is established. Cover lists are identical
-    /// to the allocating builds (each node's ids ascend in both).
+    /// [`build`](Self::build) into reused buffers: the transient cover
+    /// pairs and the tree's own CSR arrays come from `scratch`, so a
+    /// build→[`recycle`](Self::recycle) cycle performs no allocation once
+    /// capacity is established. Cover lists are identical to the allocating
+    /// build (each node's ids ascend in both).
+    ///
+    /// With `parallel`, the `(node, id)` cover pairs of all intervals are
+    /// emitted in parallel, sorted by node, and sliced into CSR —
+    /// `O(N log N)` work for `N = Σ O(log m)` pairs, polylog span, mirroring
+    /// the parallel segment-tree construction of Atallah et al. cited by
+    /// the paper.
     pub fn build_in(
         n_leaves: usize,
         intervals: &[(usize, usize)],
@@ -294,28 +267,23 @@ impl SegmentTree {
     /// exactly `k'` slots by prefix sum, phase 3 reports in parallel into
     /// disjoint ranges — the output-sensitive processor allocation of §III-E.
     pub fn par_stab_all(&self) -> (Vec<usize>, Vec<u32>) {
-        self.par_stab_all_gated(None)
-    }
-
-    /// [`par_stab_all`](Self::par_stab_all) under a cooperative
-    /// [`Gate`](polyclip_parprim::Gate): the count and report batches poll
-    /// the gate per query, a checkpoint sits between the two phases (before
-    /// the `O(k')` allocation), and the allocation is metered as scratch.
-    /// When the gate trips the result is truncated/empty — callers must
-    /// check the gate before using it.
-    pub fn par_stab_all_gated(
-        &self,
-        gate: Option<&polyclip_parprim::Gate>,
-    ) -> (Vec<usize>, Vec<u32>) {
         let mut scratch = StabScratch::default();
-        self.par_stab_all_in(gate, &mut scratch);
+        self.par_stab_all_in(None, &mut scratch);
         (scratch.offsets, scratch.items)
     }
 
-    /// [`par_stab_all_gated`](Self::par_stab_all_gated) into reused buffers:
-    /// `scratch.offsets`/`scratch.items` hold the CSR result on return, and a
-    /// steady-state caller (one batch query per refinement round or slab)
-    /// performs no allocation once capacity is established.
+    /// [`par_stab_all`](Self::par_stab_all) under a cooperative
+    /// [`Gate`](polyclip_parprim::Gate) and into reused buffers.
+    ///
+    /// Gating: the count and report batches poll the gate per query, a
+    /// checkpoint sits between the two phases (before the `O(k')`
+    /// allocation), and the allocation is metered as scratch. When the gate
+    /// trips the result is truncated/empty — callers must check the gate
+    /// before using it.
+    ///
+    /// Buffers: `scratch.offsets`/`scratch.items` hold the CSR result on
+    /// return, and a steady-state caller (one batch query per refinement
+    /// round or slab) performs no allocation once capacity is established.
     pub fn par_stab_all_in(
         &self,
         gate: Option<&polyclip_parprim::Gate>,
@@ -469,24 +437,6 @@ mod tests {
             t.stab_report(leaf, &mut got);
             let got: HashSet<u32> = got.into_iter().collect();
             assert_eq!(got, brute(&intervals, leaf), "leaf {leaf}");
-        }
-    }
-
-    #[test]
-    fn par_build_equals_seq_build_semantically() {
-        let intervals: Vec<(usize, usize)> =
-            (0..500).map(|i| (i % 50, 50 + (i * 7) % 51)).collect();
-        let seq = SegmentTree::build(101, &intervals);
-        let par = SegmentTree::par_build(101, &intervals);
-        assert_eq!(seq.total_cover_entries(), par.total_cover_entries());
-        for leaf in 0..101 {
-            let mut a = Vec::new();
-            let mut b = Vec::new();
-            seq.stab_report(leaf, &mut a);
-            par.stab_report(leaf, &mut b);
-            let a: HashSet<u32> = a.into_iter().collect();
-            let b: HashSet<u32> = b.into_iter().collect();
-            assert_eq!(a, b, "leaf {leaf}");
         }
     }
 

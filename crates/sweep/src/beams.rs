@@ -190,40 +190,32 @@ impl BeamSet {
         backend: PartitionBackend,
         parallel: bool,
     ) -> Self {
-        Self::build_gated(edges, ys, forced, backend, parallel, None)
-    }
-
-    /// [`build`](Self::build) under a cooperative [`Gate`]: the splitter
-    /// fill polls per input edge, the segment-tree path uses the gated
-    /// count-then-report queries, and the final sort is skipped once the
-    /// gate trips. Sub-edge incidences (the paper's `k'` scale) are credited
-    /// to the gate's work meter. A tripped gate leaves the `BeamSet`
-    /// truncated — callers must check the gate before using it.
-    pub fn build_gated(
-        edges: &[InputEdge],
-        ys: Vec<f64>,
-        forced: &ForcedSplits,
-        backend: PartitionBackend,
-        parallel: bool,
-        gate: Option<&Gate>,
-    ) -> Self {
         Self::build_gated_in(
             edges,
             ys,
             forced,
             backend,
             parallel,
-            gate,
+            None,
             &mut SweepScratch::default(),
         )
     }
 
-    /// [`build_gated`](Self::build_gated) into a reused [`SweepScratch`]:
-    /// the sub-edge array, CSR offsets, segment-tree buffers and the
+    /// [`build`](Self::build) under a cooperative [`Gate`] and into a
+    /// reused [`SweepScratch`].
+    ///
+    /// Gating: the splitter fill polls per input edge, the segment-tree
+    /// path uses the gated count-then-report queries, and the final sort is
+    /// skipped once the gate trips. Sub-edge incidences (the paper's `k'`
+    /// scale) are credited to the gate's work meter. A tripped gate leaves
+    /// the `BeamSet` truncated — callers must check the gate before using
+    /// it.
+    ///
+    /// Arena: the sub-edge array, CSR offsets, segment-tree buffers and the
     /// count→allocate→fill working arrays all come from the arena, so
     /// refinement rounds ≥ 2 (and later slabs on the same worker) reuse
     /// round-1 capacity instead of reallocating. Output is bit-identical to
-    /// [`build_gated`](Self::build_gated): the fill produces the same sub-edge multiset and the
+    /// a fresh arena's: the fill produces the same sub-edge multiset and the
     /// final sort key `(beam, xb, xt, edge_id)` is a strict total order.
     /// Hand the set back with [`recycle`](Self::recycle).
     pub fn build_gated_in(

@@ -47,38 +47,33 @@ pub fn discover_intersections(
     edges: &[InputEdge],
     parallel: bool,
 ) -> Vec<CrossEvent> {
-    discover_intersections_gated(beams, edges, parallel, None)
-}
-
-/// [`discover_intersections`] under a cooperative [`Gate`]: each scanbeam
-/// polls the gate before doing any work (the per-scanbeam checkpoint of the
-/// bounded-execution design), credits its discovered crossings to the work
-/// meter, and big beams run the gated parallel inversion reporter which
-/// refuses the `O(k)` fill when `max_intersections` would blow. A tripped
-/// gate yields a truncated event list — callers must check the gate.
-pub fn discover_intersections_gated(
-    beams: &BeamSet,
-    edges: &[InputEdge],
-    parallel: bool,
-    gate: Option<&Gate>,
-) -> Vec<CrossEvent> {
     discover_intersections_in(
         beams,
         edges,
         parallel,
-        gate,
+        None,
         BIG_BEAM,
         &mut SweepScratch::default(),
     )
 }
 
-/// [`discover_intersections_gated`] into a reused [`SweepScratch`]: the
-/// event list and the per-beam inversion buffers come from the arena (the
-/// parallel path keeps one [`BeamScratch`] per rayon fold segment), so
-/// repeated rounds allocate nothing once capacity is established. Event
-/// order is preserved exactly (beam order, then within-beam pair order), so
-/// downstream forced-split dedup sees the same first-wins winner. Hand the
-/// returned vector back via [`SweepScratch`] when done.
+/// [`discover_intersections`] under a cooperative [`Gate`] and into a
+/// reused [`SweepScratch`].
+///
+/// Gating: each scanbeam polls the gate before doing any work (the
+/// per-scanbeam checkpoint of the bounded-execution design), credits its
+/// discovered crossings to the work meter, and big beams (at least `grain`
+/// sub-edges) run the gated parallel inversion reporter, which refuses the
+/// `O(k)` fill when `max_intersections` would blow. A tripped gate yields a
+/// truncated event list — callers must check the gate.
+///
+/// Arena: the event list and the per-beam inversion buffers come from the
+/// arena (the parallel path keeps one [`BeamScratch`] per rayon fold
+/// segment), so repeated rounds allocate nothing once capacity is
+/// established. Event order is preserved exactly (beam order, then
+/// within-beam pair order), so downstream forced-split dedup sees the same
+/// first-wins winner. Hand the returned vector back via [`SweepScratch`]
+/// when done.
 pub fn discover_intersections_in(
     beams: &BeamSet,
     edges: &[InputEdge],
@@ -134,28 +129,8 @@ fn beam_chunk_size(n_beams: usize) -> usize {
 /// rebuild, until every beam is crossing-free. The returned intersection
 /// points come from the sub-edge segments, which guarantees they fall
 /// *strictly inside* the offending beam and therefore make progress.
-pub fn discover_residual_crossings(beams: &BeamSet, parallel: bool) -> Vec<CrossEvent> {
-    discover_residual_crossings_gated(beams, parallel, None)
-}
-
-/// [`discover_residual_crossings`] with the same per-scanbeam gating as
-/// [`discover_intersections_gated`].
-pub fn discover_residual_crossings_gated(
-    beams: &BeamSet,
-    parallel: bool,
-    gate: Option<&Gate>,
-) -> Vec<CrossEvent> {
-    discover_residual_crossings_in(
-        beams,
-        parallel,
-        gate,
-        BIG_BEAM,
-        &mut SweepScratch::default(),
-    )
-}
-
-/// [`discover_residual_crossings_gated`] into a reused [`SweepScratch`],
-/// with the same arena discipline and event-order guarantee as
+///
+/// Gating, arena discipline and the event-order guarantee are those of
 /// [`discover_intersections_in`].
 pub fn discover_residual_crossings_in(
     beams: &BeamSet,

@@ -60,12 +60,12 @@ fn main() {
     );
     println!("  total intersection area: {inter_area:.6}");
     println!("  per-slab clip times (Figure 11 load profile):");
-    for (i, d) in inter.per_slab_clip.iter().enumerate() {
+    for (i, d) in inter.times.per_slab_clip.iter().enumerate() {
         println!("    slab {i:>2}: {d:>10.2?}");
     }
     println!(
         "  load imbalance (max/mean): {:.2}\n",
-        inter.load_imbalance()
+        inter.times.load_imbalance()
     );
 
     // Union (1,2): whole-layer union via the slab-partitioned Algorithm 2.

@@ -257,6 +257,69 @@ fn repaired_input_is_reported_and_strict_rejects() {
     assert_eq!(raw.stats.input_repairs, 0);
 }
 
+// The ∩ and − overlays clip whole features, so each task's clip runs the
+// engine's own sanitizer: a dirty feature is reported exactly as a direct
+// clip of the pair reports it, with the same output.
+#[test]
+fn overlay_tasks_report_input_repairs_like_the_engine() {
+    // (2, 0) is collinear on the bottom edge; (4, 0) is repeated.
+    let dirty = PolygonSet::from_contour(Contour::from_raw(
+        [
+            (0.0, 0.0),
+            (2.0, 0.0),
+            (4.0, 0.0),
+            (4.0, 0.0),
+            (4.0, 4.0),
+            (0.0, 4.0),
+        ]
+        .map(|(x, y)| Point::new(x, y))
+        .to_vec(),
+    ));
+    let small = PolygonSet::from_xy(&[(1.0, 1.0), (3.0, 1.0), (3.0, 3.0), (1.0, 3.0)]);
+    let (la, lb) = (
+        Layer::new(vec![dirty.clone()]),
+        Layer::new(vec![small.clone()]),
+    );
+    let opts = ClipOptions::default();
+    let nonzero = ClipOptions {
+        fill_rule: FillRule::NonZero,
+        ..opts.clone()
+    };
+    let inter = try_clip_with_stats(&dirty, &small, BoolOp::Intersection, &opts).unwrap();
+    let erase = try_clip_with_stats(&dirty, &small, BoolOp::Difference, &nonzero).unwrap();
+    let repaired = |d: &[Degradation]| {
+        d.iter().any(|d| {
+            matches!(
+                d,
+                Degradation::InputRepaired {
+                    role: InputRole::Subject,
+                    repairs,
+                } if repairs.duplicates_dropped == 1 && repairs.collinear_dropped == 1
+            )
+        })
+    };
+    assert!(repaired(&inter.degradations), "{:?}", inter.degradations);
+    assert!(repaired(&erase.degradations), "{:?}", erase.degradations);
+    for p in [1usize, 2] {
+        for assignment in [SlabAssignment::UniqueOwner, SlabAssignment::Replicate] {
+            // Every execution of the one pair task reports it, replicas too.
+            let r = try_overlay_intersection(&la, &lb, p, assignment, &opts).unwrap();
+            let reports: Vec<Degradation> = (0..r.tasks_executed)
+                .flat_map(|_| inter.degradations.iter().cloned())
+                .collect();
+            assert_eq!(r.degradations, reports, "∩ {assignment:?} p={p}");
+            assert_eq!(
+                r.features,
+                vec![inter.result.clone()],
+                "∩ {assignment:?} p={p}"
+            );
+        }
+        let r = try_overlay_difference(&la, &lb, p, &opts).unwrap();
+        assert_eq!(r.degradations, erase.degradations, "− p={p}");
+        assert_eq!(r.features, vec![erase.result.clone()], "− p={p}");
+    }
+}
+
 #[test]
 fn snap_cell_zero_is_the_default_and_disabled() {
     let opts = ClipOptions::default();

@@ -417,7 +417,7 @@ mod fault_injection {
         let baseline =
             try_overlay_intersection(&a, &b, 4, SlabAssignment::UniqueOwner, &seq()).unwrap();
         assert!(baseline.degradations.is_empty());
-        let slabs = baseline.per_slab_clip.len();
+        let slabs = baseline.times.per_slab_clip.len();
         assert!(slabs >= 2);
         for slab in 0..slabs {
             let mut opts = seq();
@@ -429,7 +429,7 @@ mod fault_injection {
         }
         // Erase overlay rides the same ladder.
         let base_d = try_overlay_difference(&a, &b, 4, &seq()).unwrap();
-        let slab = base_d.per_slab_clip.len() - 1;
+        let slab = base_d.times.per_slab_clip.len() - 1;
         let mut opts = seq();
         opts.faults = FaultPlan::panic_in_slab(slab, 2);
         let rd = try_overlay_difference(&a, &b, 4, &opts).unwrap();
