@@ -1,16 +1,23 @@
 //! The scanbeam boolean engine — Algorithm 1 of the paper.
 //!
-//! The pipeline matches the paper's steps exactly:
+//! The pipeline matches the paper's steps exactly, after an input gate and
+//! a bbox cull:
 //!
-//! 1. **Step 1** — sort the event y's (endpoint schedule);
-//! 2. **Step 2** — partition the edges into scanbeams (virtual vertices k');
-//! 3. **Lemma 4** — discover the k intersections by per-beam inversion
+//! 1. **Gate and cull** — reject non-finite input, repair vertices when
+//!    configured and drop degenerate contours. Then, for ∩, drop each
+//!    contour whose bbox misses the other operand's bbox, and for −, each
+//!    clip contour whose bbox misses the subject's. A contour's winding
+//!    number is zero outside its bbox, so the output region is unchanged,
+//!    and the work tracks the part of each operand the other can reach;
+//! 2. **Step 1** — sort the event y's (endpoint schedule);
+//! 3. **Step 2** — partition the edges into scanbeams (virtual vertices k');
+//! 4. **Lemma 4** — discover the k intersections by per-beam inversion
 //!    reporting, then rebuild the scanbeams with the intersection events so
 //!    every beam becomes crossing-free (the two beam builds are the paper's
 //!    "additional processors are requested a constant number of times");
-//! 4. **Step 3** — classify every scanbeam independently (Lemmas 1–3),
+//! 5. **Step 3** — classify every scanbeam independently (Lemmas 1–3),
 //!    emitting boundary fragments and kept intervals;
-//! 5. **Step 4** — merge partial polygons: horizontal interval symmetric
+//! 6. **Step 4** — merge partial polygons: horizontal interval symmetric
 //!    differences between adjacent beams, cancellation, and stitching.
 //!
 //! With `parallel = true` every phase takes its parallel code path; with
@@ -34,12 +41,12 @@ use crate::resilience::{
 use crate::sanitize::{sanitize_set, SanitizeOptions};
 use crate::stats::ClipStats;
 use crate::stitch::stitch_counted;
-use crate::validate::{is_degenerate, sanitize_counted};
-use polyclip_geom::{Contour, FillRule, Point, PolygonSet};
+use crate::validate::contributing_bbox;
+use polyclip_geom::{BBox, Contour, FillRule, Point, PolygonSet};
 use polyclip_sweep::cross::{discover_residual_crossings_in, CrossEvent};
 use polyclip_sweep::{
-    collect_edges, collect_edges_refs, discover_intersections_in, event_ys_in, BeamSet,
-    ForcedSplits, InputEdge, PartitionBackend, SweepScratch, BIG_BEAM,
+    collect_edges_refs, discover_intersections_in, event_ys_in, BeamSet, ForcedSplits, InputEdge,
+    PartitionBackend, SweepScratch, BIG_BEAM,
 };
 use rayon::prelude::*;
 use std::borrow::Cow;
@@ -190,10 +197,10 @@ pub(crate) struct PrepReport {
     pub(crate) input_repairs: usize,
 }
 
-/// Input gate: reject non-finite coordinates (they poison the event
-/// ordering), run the vertex-repair sanitizer when configured (recording
-/// any surgery), then drop contours that provably cannot contribute area,
-/// recording the drops. Borrows the input untouched in the clean case.
+/// Input gate, first half: reject non-finite coordinates (they poison the
+/// event ordering) and run the vertex-repair sanitizer when configured,
+/// recording any surgery. [`Operand::gate`] is the second half. Borrows the
+/// input untouched in the clean case.
 fn gate_input<'a>(
     p: &'a PolygonSet,
     role: InputRole,
@@ -207,43 +214,30 @@ fn gate_input<'a>(
             vertex,
         });
     }
-    let repaired = if opts.sanitize {
-        let (repaired, repairs) = sanitize_set(p, &SanitizeOptions::repairs_only());
-        if !repairs.is_clean() {
-            report.input_repairs += repairs.total();
-            report
-                .degradations
-                .push(Degradation::InputRepaired { role, repairs });
-        }
-        repaired
-    } else {
-        Cow::Borrowed(p)
-    };
-    let (gated, dropped) = match repaired {
-        Cow::Borrowed(q) => sanitize_counted(q),
-        Cow::Owned(q) => {
-            let (g, dropped) = sanitize_counted(&q);
-            (Cow::Owned(g.into_owned()), dropped)
-        }
-    };
-    if dropped > 0 {
-        report.degradations.push(Degradation::SanitizedInput {
-            role,
-            dropped_contours: dropped,
-        });
+    if !opts.sanitize {
+        return Ok(Cow::Borrowed(p));
     }
-    Ok(gated)
+    let (repaired, repairs) = sanitize_set(p, &SanitizeOptions::repairs_only());
+    if !repairs.is_clean() {
+        report.input_repairs += repairs.total();
+        report
+            .degradations
+            .push(Degradation::InputRepaired { role, repairs });
+    }
+    Ok(repaired)
 }
 
-/// [`gate_input`] over a borrowed contour slice: the same non-finite
-/// rejection and degenerate-contour sanitization, with the slice position as
-/// the reported contour index. Borrows the slice untouched in the clean
-/// case.
-fn gate_refs<'a, 'b>(
-    contours: &'b [&'a Contour],
+/// [`gate_input`] and [`Operand::gate`] over a borrowed contour slice: the
+/// same non-finite rejection, with the slice position as the reported
+/// contour index, and the same degenerate-contour drop. Deliberately skips
+/// [`ClipOptions::sanitize`]: this is the slab-worker hot path, whose
+/// band-clipped contours carry exactly-collinear seam vertices that the
+/// merge's fragment cancellation depends on.
+fn gate_refs<'a>(
+    contours: &[&'a Contour],
     role: InputRole,
     report: &mut PrepReport,
-) -> Result<Cow<'b, [&'a Contour]>, ClipError> {
+) -> Result<Operand<'a>, ClipError> {
     for (ci, c) in contours.iter().enumerate() {
         if let Some(vertex) = c.first_non_finite() {
             return Err(ClipError::NonFiniteInput {
@@ -253,57 +247,129 @@ fn gate_refs<'a, 'b>(
             });
         }
     }
-    let dropped = contours.iter().filter(|c| is_degenerate(c)).count();
-    if dropped == 0 {
-        return Ok(Cow::Borrowed(contours));
+    Ok(Operand::gate(contours.iter().copied(), role, report))
+}
+
+/// One operand as the sweep will see it: the contours that passed the
+/// input gate, in input order, each with its bbox.
+struct Operand<'a> {
+    contours: Vec<&'a Contour>,
+    bboxes: Vec<BBox>,
+}
+
+impl<'a> Operand<'a> {
+    /// Input gate, second half: drop the contours that provably cannot
+    /// contribute area ([`crate::validate::is_degenerate`]), recording the
+    /// drops. The degeneracy test computes each contour's bbox; the
+    /// survivors keep theirs for [`cull`].
+    fn gate(
+        contours: impl IntoIterator<Item = &'a Contour>,
+        role: InputRole,
+        report: &mut PrepReport,
+    ) -> Self {
+        let mut op = Operand {
+            contours: Vec::new(),
+            bboxes: Vec::new(),
+        };
+        let mut dropped = 0;
+        for c in contours {
+            match contributing_bbox(c) {
+                Some(bb) => {
+                    op.contours.push(c);
+                    op.bboxes.push(bb);
+                }
+                None => dropped += 1,
+            }
+        }
+        if dropped > 0 {
+            report.degradations.push(Degradation::SanitizedInput {
+                role,
+                dropped_contours: dropped,
+            });
+        }
+        op
     }
-    report.degradations.push(Degradation::SanitizedInput {
-        role,
-        dropped_contours: dropped,
-    });
-    Ok(Cow::Owned(
-        contours
-            .iter()
-            .copied()
-            .filter(|c| !is_degenerate(c))
-            .collect(),
-    ))
+
+    /// The operand's bbox: the hull of its contours' bboxes.
+    fn hull(&self) -> BBox {
+        self.bboxes.iter().fold(BBox::EMPTY, |h, b| h.union(b))
+    }
+
+    /// Keep only the contours whose bbox meets `reach`. The overlap test is
+    /// closed in x and y, so touching counts as meeting.
+    fn keep_meeting(&mut self, reach: &BBox) {
+        let mut kept = 0;
+        for i in 0..self.contours.len() {
+            if self.bboxes[i].intersects(reach) {
+                self.contours[kept] = self.contours[i];
+                self.bboxes[kept] = self.bboxes[i];
+                kept += 1;
+            }
+        }
+        self.contours.truncate(kept);
+        self.bboxes.truncate(kept);
+    }
+}
+
+/// The bbox cull, between the input gate and Step 1: drop every contour
+/// that cannot change `op`'s region. A contour's winding number is zero
+/// outside its bbox. ∩'s region lies inside both operands' bboxes, so a
+/// contour of either operand is kept only if its bbox meets the other
+/// operand's. −'s region lies inside the subject's bbox, so the same test
+/// applies to the clip operand only. ∪ and ⊕ keep every contour. The pass
+/// is O(n + m) over the gated contours and leaves the output region
+/// unchanged; `ClipStats` count the culled input.
+fn cull(op: BoolOp, subject: &mut Operand<'_>, clip: &mut Operand<'_>) {
+    match op {
+        BoolOp::Intersection => {
+            let (s, c) = (subject.hull(), clip.hull());
+            subject.keep_meeting(&c);
+            clip.keep_meeting(&s);
+        }
+        BoolOp::Difference => clip.keep_meeting(&subject.hull()),
+        BoolOp::Union | BoolOp::Xor => {}
+    }
 }
 
 /// Rounds A and B: events, partition, intersection discovery, re-partition.
 /// `Ok(None)` means the gated instance has nothing to sweep (empty result).
+/// `cull_for` is the op whose [`cull`] runs after the gate: the clip entry
+/// passes its op, while the area oracle ([`measure_op`]), the PRAM cost
+/// model and the trapezoid decomposition pass `None` and sweep every gated
+/// contour, so the oracle never shares the cull it checks.
 pub(crate) fn prepare(
     subject: &PolygonSet,
     clip: &PolygonSet,
+    cull_for: Option<BoolOp>,
     opts: &ClipOptions,
     report: &mut PrepReport,
     gate: &Gate,
     scratch: &mut SweepScratch,
 ) -> Result<Option<Prepared>, ClipError> {
-    let subject = gate_input(subject, InputRole::Subject, opts, report)?;
-    let clip = gate_input(clip, InputRole::Clip, opts, report)?;
-    budget::check(gate)?;
-    let edges = collect_edges(&subject, &clip);
-    prepare_edges(edges, opts, report, gate, scratch)
+    let subject_set = gate_input(subject, InputRole::Subject, opts, report)?;
+    let subject = Operand::gate(subject_set.contours(), InputRole::Subject, report);
+    let clip_set = gate_input(clip, InputRole::Clip, opts, report)?;
+    let clip = Operand::gate(clip_set.contours(), InputRole::Clip, report);
+    prepare_operands(subject, clip, cull_for, opts, report, gate, scratch)
 }
 
-/// [`prepare`] over borrowed contour slices — identical non-finite and
-/// degeneracy gating, no `PolygonSet` materialization. Deliberately skips
-/// [`ClipOptions::sanitize`]: this is the slab-worker hot path, whose
-/// band-clipped contours carry exactly-collinear seam vertices that the
-/// merge's fragment cancellation depends on.
-pub(crate) fn prepare_refs(
-    subject: &[&Contour],
-    clip: &[&Contour],
+/// The gated operands' way into the sweep, shared by [`prepare`] and
+/// [`try_clip_refs_in`]: the bbox cull for `cull_for`, when given, then
+/// edge collection and Rounds A and B.
+fn prepare_operands(
+    mut subject: Operand<'_>,
+    mut clip: Operand<'_>,
+    cull_for: Option<BoolOp>,
     opts: &ClipOptions,
     report: &mut PrepReport,
     gate: &Gate,
     scratch: &mut SweepScratch,
 ) -> Result<Option<Prepared>, ClipError> {
-    let subject = gate_refs(subject, InputRole::Subject, report)?;
-    let clip = gate_refs(clip, InputRole::Clip, report)?;
     budget::check(gate)?;
-    let edges = collect_edges_refs(&subject, &clip);
+    if let Some(op) = cull_for {
+        cull(op, &mut subject, &mut clip);
+    }
+    let edges = collect_edges_refs(&subject.contours, &clip.contours);
     prepare_edges(edges, opts, report, gate, scratch)
 }
 
@@ -563,7 +629,7 @@ pub(crate) fn try_clip_with_stats_in(
     scratch: &mut SweepScratch,
 ) -> Result<ClipOutcome, ClipError> {
     let mut report = PrepReport::default();
-    let prepared = prepare(subject, clip, opts, &mut report, gate, scratch)?;
+    let prepared = prepare(subject, clip, Some(op), opts, &mut report, gate, scratch)?;
     let mut outcome = clip_prepared(prepared, report, op, opts, gate, scratch)?;
     if opts.validate_output {
         repair_output(subject, clip, op, opts, &mut outcome);
@@ -669,7 +735,9 @@ pub(crate) fn try_clip_refs_in(
     scratch: &mut SweepScratch,
 ) -> Result<ClipOutcome, ClipError> {
     let mut report = PrepReport::default();
-    let prepared = prepare_refs(subject, clip, opts, &mut report, gate, scratch)?;
+    let subject = gate_refs(subject, InputRole::Subject, &mut report)?;
+    let clip = gate_refs(clip, InputRole::Clip, &mut report)?;
+    let prepared = prepare_operands(subject, clip, Some(op), opts, &mut report, gate, scratch)?;
     clip_prepared(prepared, report, op, opts, gate, scratch)
 }
 
@@ -831,6 +899,7 @@ pub fn measure_op(
     let Ok(Some(p)) = prepare(
         subject,
         clip_p,
+        None,
         opts,
         &mut PrepReport::default(),
         &gate,

@@ -84,6 +84,7 @@ pub fn pram_cost(
     let Ok(Some(p)) = prepare(
         subject,
         clip_p,
+        None,
         opts,
         &mut report,
         &gate,

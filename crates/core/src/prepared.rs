@@ -44,6 +44,13 @@
 //! counters (`n_edges`, `k_intersections`, …) therefore reflect the
 //! reduced work.
 //!
+//! Inside the slabs that do run, both paths hand the same gated contours
+//! to the engine's bbox cull: for ∩ it drops every contour whose bbox
+//! misses the other operand's bbox, for − every query contour whose bbox
+//! misses the layer's. So the cull keeps cold and prepared bit-identical,
+//! and it is what sizes a point query at p = 1 (the service's setting) to
+//! the layer contours the query can reach rather than the whole layer.
+//!
 //! ```
 //! use polyclip_core::prepared::{clip_prepared, PreparedLayer};
 //! use polyclip_core::{BoolOp, ClipOptions};

@@ -8,9 +8,15 @@
 //! Karinthi et al.'s Θ(n²)-processor algorithm.
 
 /// Instance-size and output-size counters for one clipping run.
+///
+/// The instance counters (`n_edges` through `n_subedges`) count the input
+/// the sweep saw. For ∩ and −, the engine's bbox cull has already dropped
+/// every contour that cannot reach the result, so they cover the culled
+/// input, just as a prepared clip's skipped slabs add nothing to them.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ClipStats {
-    /// Non-horizontal input edges across both polygons (the paper's n).
+    /// Non-horizontal input edges across both polygons, after the ∩/−
+    /// bbox cull (the paper's n).
     pub n_edges: usize,
     /// Distinct event scanlines in the final (Round B) schedule.
     pub n_events: usize,

@@ -71,6 +71,7 @@ pub fn trapezoids(
     let Ok(Some(p)) = prepare(
         subject,
         clip_p,
+        None,
         opts,
         &mut Default::default(),
         &gate,

@@ -196,8 +196,8 @@ pub fn fragments_balanced(frags: &[(polyclip_geom::Point, polyclip_geom::Point)]
 /// Note: zero *signed* area includes self-intersecting contours whose lobes
 /// cancel exactly (a symmetric bow-tie), which the engine handles and which
 /// do enclose area under even-odd. The engine's own input gate therefore
-/// uses the strictly conservative [`sanitize_counted`] instead; reach for
-/// this function only when you know such contours are unwanted.
+/// drops only [`is_degenerate`] contours, as [`sanitize_counted`] does;
+/// reach for this function only when you know such contours are unwanted.
 pub fn sanitize(p: &PolygonSet) -> PolygonSet {
     PolygonSet::from_contours(
         p.contours()
@@ -217,11 +217,17 @@ pub fn sanitize(p: &PolygonSet) -> PolygonSet {
 /// self-intersecting contours with cancelling lobes are *not* degenerate —
 /// they enclose area under even-odd and must reach the engine.
 pub fn is_degenerate(c: &polyclip_geom::Contour) -> bool {
+    contributing_bbox(c).is_none()
+}
+
+/// The bbox of a contour that is not [`is_degenerate`], or `None` for a
+/// degenerate one — the engine's input gate keeps this bbox for its cull.
+pub(crate) fn contributing_bbox(c: &polyclip_geom::Contour) -> Option<polyclip_geom::BBox> {
     if c.len() < 3 {
-        return true;
+        return None;
     }
     let bb = c.bbox();
-    bb.xmin == bb.xmax || bb.ymin == bb.ymax
+    (bb.xmin != bb.xmax && bb.ymin != bb.ymax).then_some(bb)
 }
 
 /// Copy-free input gate: drop [`is_degenerate`] contours, reporting how

@@ -313,3 +313,35 @@ fn undersized_arena_pool_survives_a_thread_storm() {
     assert_eq!(r.output, base_big.output);
     assert_eq!(unpooled.pooled_arenas(), 0, "cap 0 must retain nothing");
 }
+
+/// A box query sweeps only the contours it can reach. The layer is 16
+/// disjoint squares turned 45°, so each contributes 4 sweep edges, and the
+/// query box (turned the same way) meets exactly one of them: 4 + 4 edges
+/// for ∩ and −, against 16 · 4 + 4 = 68 for ∪, which keeps every contour.
+#[test]
+fn box_query_sweeps_only_the_contours_it_can_reach() {
+    let diamond = |cx: f64, cy: f64, r: f64| {
+        Contour::from_xy(&[(cx + r, cy), (cx, cy + r), (cx - r, cy), (cx, cy - r)])
+    };
+    let layer_set = PolygonSet::from_contours(
+        (0..16)
+            .map(|i| diamond(3.0 * (i % 4) as f64, 3.0 * (i / 4) as f64, 1.0))
+            .collect(),
+    );
+    let query = PolygonSet::from_contour(diamond(0.5, 0.5, 0.6));
+    let opts = ClipOptions::default();
+    let layer = PreparedLayer::build(&layer_set, &opts).expect("finite layer");
+
+    let cold = polyclip_core::try_clip(&layer_set, &query, BoolOp::Intersection, &opts).unwrap();
+    let warm = try_clip_prepared(&layer, &query, BoolOp::Intersection, 1, &opts).unwrap();
+    assert!(!cold.result.is_empty());
+    assert_eq!(cold.result, warm.output);
+    assert_eq!(cold.stats.n_edges, 8, "cold ∩: {:?}", cold.stats);
+    assert_eq!(warm.stats.n_edges, 8, "prepared ∩: {:?}", warm.stats);
+
+    let diff = polyclip_core::try_clip(&query, &layer_set, BoolOp::Difference, &opts).unwrap();
+    assert_eq!(diff.stats.n_edges, 8, "−: {:?}", diff.stats);
+
+    let union = polyclip_core::try_clip(&layer_set, &query, BoolOp::Union, &opts).unwrap();
+    assert_eq!(union.stats.n_edges, 68, "∪: {:?}", union.stats);
+}

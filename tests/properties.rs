@@ -36,6 +36,13 @@ fn arb_blob() -> impl Strategy<Value = PolygonSet> {
         })
 }
 
+/// `p` plus the contours of `extra` translated by `dx` in x.
+fn with_shifted(p: &PolygonSet, extra: &PolygonSet, dx: f64) -> PolygonSet {
+    let mut out = p.clone();
+    out.extend(extra.translate(Point::new(dx, 0.0)));
+    out
+}
+
 fn close(a: f64, b: f64) -> bool {
     (a - b).abs() < 1e-6 * (1.0 + a.abs().max(b.abs()))
 }
@@ -98,12 +105,24 @@ proptest! {
     }
 
     #[test]
-    fn stitched_area_equals_measured_area(a in arb_polygon(3..10), b in arb_polygon(3..10)) {
-        for op in [BoolOp::Intersection, BoolOp::Union, BoolOp::Difference, BoolOp::Xor] {
-            let out = clip(&a, &b, op, &seq());
-            let stitched = eo_area(&out);
-            let measured = measure_op(&a, &b, op, &seq());
-            prop_assert!(close(stitched, measured), "{op:?}: {stitched} vs {measured}");
+    fn stitched_area_equals_measured_area(
+        a in arb_polygon(3..10),
+        b in arb_polygon(3..10),
+        far in (arb_polygon(3..10), arb_polygon(3..10)),
+    ) {
+        // The second pair gives each operand one more contour, outside the
+        // other operand's bbox. The engine's ∩/− cull drops such contours
+        // and `measure_op` keeps them, so this checks that the cull leaves
+        // every op's region alone.
+        let a_far = with_shifted(&a, &far.0, 10.0);
+        let b_far = with_shifted(&b, &far.1, -10.0);
+        for (a, b) in [(&a, &b), (&a_far, &b_far)] {
+            for op in [BoolOp::Intersection, BoolOp::Union, BoolOp::Difference, BoolOp::Xor] {
+                let out = clip(a, b, op, &seq());
+                let stitched = eo_area(&out);
+                let measured = measure_op(a, b, op, &seq());
+                prop_assert!(close(stitched, measured), "{op:?}: {stitched} vs {measured}");
+            }
         }
     }
 
