@@ -28,20 +28,34 @@
 //! contours go through the band clip, into a reusable per-worker scratch
 //! buffer.
 //!
-//! Every multi-slab run executes a [`GridPlan`] through one driver. The
-//! default [`crate::grid::GridConfig`] plans one cell per event-quantile
-//! slab and runs the cells in plan order on the calling thread; a refining
-//! config (`oversub > 0`) splits heavy slabs into finer cells and runs them
-//! on the work-stealing pool ([`polyclip_parprim::stealpool`]). Step 8 is
-//! one pass: each cell decomposes its own output inside its pool job, and
-//! a single serial stitch on the calling thread dissolves every seam.
+//! Every run, p = 1 included, executes a [`GridPlan`] through one driver.
+//! One slab is a one-cell plan on `[−∞, +∞]`: every contour lies inside it,
+//! so the cell borrows both inputs whole and Step 8 has no seam to
+//! dissolve. The default [`crate::grid::GridConfig`] plans one cell per
+//! event-quantile slab and runs the cells in plan order on the calling
+//! thread; a refining config (`oversub > 0`) splits heavy slabs into finer
+//! cells at p > 1 and runs them on the work-stealing pool
+//! ([`polyclip_parprim::stealpool`]). Step 8 is one pass: each cell
+//! decomposes its own output inside its pool job, and a single serial
+//! stitch on the calling thread dissolves every seam.
+//!
+//! The run splits into a subject half and a query half. The subject half
+//! (`Frozen`) sanitizes the subject, sorts its event y's and caches its
+//! per-contour y-extents. The query half does the rest: it sanitizes the
+//! other operand, merges its y's into the frozen schedule by
+//! order-statistic selection, bins both sides into slabs, skips the slabs
+//! whose output is provably empty, and drives the plan. A cold
+//! [`try_clip_pair_slabs`] freezes its subject for the one call;
+//! [`crate::prepared::PreparedLayer`] freezes it once and runs only the
+//! query half per clip. Both entries share every line after the freeze.
 
 use crate::budget::{self, Gate, MeterSnapshot};
 use crate::classify::BoolOp;
-use crate::engine::{try_clip_refs_in, try_clip_with_stats_in, ClipOptions};
+use crate::engine::{try_clip_refs_in, ClipOptions};
 use crate::grid::{Cell, GridPlan};
 use crate::resilience::{self, ClipError, ClipOutcome, Degradation, InputRole};
-use crate::slabindex::SlabIndex;
+use crate::sanitize::{sanitize_set, SanitizeOptions, SanitizeReport};
+use crate::slabindex::{SlabIndex, Span};
 use crate::stats::ClipStats;
 use polyclip_geom::{Contour, OrdF64, Point, PolygonSet};
 use polyclip_parprim::{par_sort_dedup_gated, stealpool};
@@ -65,8 +79,7 @@ pub struct PhaseTimes {
     /// [`ClipOptions::sanitize`] is off; a single read-only scan (no
     /// allocation) when the input is clean.
     pub sanitize: Duration,
-    /// Shared slab-index build (contour binning) plus cell planning. Zero
-    /// on single-slab runs.
+    /// Shared slab-index build (contour binning) plus cell planning.
     pub index: Duration,
     /// Time each slab spent in `rectangleClip` (partitioning, Steps 4–5).
     pub per_slab_partition: Vec<Duration>,
@@ -104,8 +117,8 @@ pub struct PhaseTimes {
     pub steal: Duration,
     /// Per-worker busy time on the stealing pool: wall clock spent executing
     /// cells (clip plus output decomposition), indexed by worker. One lane
-    /// for unrefined plans, which run on the calling thread; empty on
-    /// single-slab runs.
+    /// for unrefined plans (p = 1 included), which run on the calling
+    /// thread; empty on overlay runs.
     pub per_worker_busy: Vec<Duration>,
     /// The slice of [`PhaseTimes::merge`] that ran serially on the calling
     /// thread after the fan-out, i.e. is not attributable to any worker's
@@ -204,43 +217,6 @@ pub struct Algo2Result {
     pub degradations: Vec<Degradation>,
 }
 
-/// One slab worker's contribution: its partial output plus everything the
-/// aggregate needs (stats, degradations, phase timings).
-struct SlabPartial {
-    output: PolygonSet,
-    stats: ClipStats,
-    degradations: Vec<Degradation>,
-    t_partition: Duration,
-    t_clip: Duration,
-    /// Time burned by attempts that failed (panic or watchdog trip) before
-    /// this partial was produced; aggregated into
-    /// [`PhaseTimes::retry_total`], never into the per-slab load profile.
-    t_retry: Duration,
-}
-
-impl SlabPartial {
-    /// A laddered engine run (outcome, partition time, clip time) as a
-    /// partial: a recovery rung lands in the degradations and counts as a
-    /// slab retry.
-    fn from_ladder(run: Laddered<(ClipOutcome, Duration, Duration)>) -> Self {
-        let (outcome, t_partition, t_clip) = run.out;
-        let mut degradations = outcome.degradations;
-        let mut stats = outcome.stats;
-        if let Some(d) = run.recovery {
-            stats.slab_retries += 1;
-            degradations.push(d);
-        }
-        SlabPartial {
-            output: outcome.result,
-            stats,
-            degradations,
-            t_partition,
-            t_clip,
-            t_retry: run.t_retry,
-        }
-    }
-}
-
 /// The gates a slab worker runs under.
 pub(crate) struct SlabGates<'a> {
     /// First-attempt gate: the global gate's child carrying this slab's
@@ -270,8 +246,7 @@ pub(crate) struct Laddered<T> {
 }
 
 /// Run one slab through the recovery ladder — the one ladder every
-/// Algorithm-2 cell, the single-slab path and every layer-overlay slab
-/// share.
+/// Algorithm-2 cell and every layer-overlay slab share.
 ///
 /// Attempt 0 runs the configured engine under the slab's watchdog gate; if
 /// the worker panics — or the watchdog deadline fires while the global gate
@@ -405,6 +380,11 @@ pub fn clip_pair_slabs(
 /// typed: non-finite inputs are rejected up front, and a cell that dies on
 /// every rung of the ladder surfaces as [`ClipError::SlabPanic`].
 /// [`ClipOptions::grid`] picks the cell plan.
+///
+/// The cold entry: it freezes the subject for this one call (borrowing it
+/// when the sanitizer has nothing to repair) and runs the same query half
+/// as [`crate::prepared::try_clip_prepared`], so a cold and a prepared clip
+/// of the same pair are bit-identical.
 pub fn try_clip_pair_slabs(
     subject: &PolygonSet,
     clip_p: &PolygonSet,
@@ -412,66 +392,211 @@ pub fn try_clip_pair_slabs(
     n_slabs: usize,
     opts: &ClipOptions,
 ) -> Result<Algo2Result, ClipError> {
-    let t_start = Instant::now();
-    // Arm the budget exactly once, at this public boundary: the relative
-    // deadline becomes absolute here, and every slab worker below shares
-    // the gate (via per-slab watchdog children). The recovery gate keeps
-    // only the cancel token — see [`SlabGates::recovery`].
-    let gate = opts.budget.arm();
-    let recovery_gate = opts.budget.cancel_only().arm();
-    budget::check(&gate)?;
-    // Non-finite coordinates would poison the event ordering below before
-    // any slab worker (and its input gate) ever runs; reject them here.
-    for (set, role) in [(subject, InputRole::Subject), (clip_p, InputRole::Clip)] {
-        if let Some((contour, vertex)) = set.first_non_finite() {
+    let armed = Armed::new(opts)?;
+    let frozen = Frozen::new(subject, opts, &armed.gate)?;
+    clip_frozen(
+        &frozen,
+        clip_p,
+        op,
+        n_slabs,
+        opts,
+        &armed,
+        None,
+        SweepScratch::new,
+        drop,
+    )
+}
+
+/// The armed gates and start clock of one public Algorithm-2 call.
+pub(crate) struct Armed {
+    /// The global gate: deadline, work caps and cancel token.
+    gate: Gate,
+    /// The cancel-only recovery gate (see [`SlabGates::recovery`]).
+    recovery: Gate,
+    t_start: Instant,
+}
+
+impl Armed {
+    /// Arm the budget exactly once, at a public boundary: the relative
+    /// deadline becomes absolute here, and every slab worker below shares
+    /// the gate (via per-cell watchdog children). Concurrent calls each get
+    /// their own gate, meter and cancel scope.
+    pub(crate) fn new(opts: &ClipOptions) -> Result<Self, ClipError> {
+        let t_start = Instant::now();
+        let gate = opts.budget.arm();
+        let recovery = opts.budget.cancel_only().arm();
+        budget::check(&gate)?;
+        Ok(Armed {
+            gate,
+            recovery,
+            t_start,
+        })
+    }
+}
+
+/// The subject half of Algorithm 2: everything about the subject that does
+/// not depend on the other operand. A cold call builds one for itself;
+/// [`crate::prepared::PreparedLayer`] keeps one for every clip.
+#[derive(Debug)]
+pub(crate) struct Frozen<'a> {
+    /// The subject as every cell sees it, sanitized iff the freeze options
+    /// asked for it; borrowed when there was nothing to repair.
+    pub(crate) subject: Cow<'a, PolygonSet>,
+    /// The sanitizer's repair record, replayed into every clip's report.
+    pub(crate) repairs: SanitizeReport,
+    /// Sorted, deduplicated event y's of the subject — its half of the
+    /// Step-1 schedule.
+    pub(crate) ys: Vec<OrdF64>,
+    /// Per-contour y-extent `(ymin, ymax)`, in contour order;
+    /// `(INFINITY, NEG_INFINITY)` marks an empty bbox. The subject's input
+    /// to slab binning.
+    extents: Vec<(f64, f64)>,
+    /// Wall clock the sanitizer took.
+    t_sanitize: Duration,
+}
+
+impl<'a> Frozen<'a> {
+    /// Freeze a subject: reject non-finite input, sanitize (honoring
+    /// `opts.sanitize`), sort the event schedule under `gate` and cache
+    /// per-contour extents. Only the sort can start threads (`rayon::join`
+    /// inside `parprim::par_sort_dedup_gated`, above `parprim::SEQ_CUTOFF`
+    /// keys).
+    pub(crate) fn new(
+        subject: &'a PolygonSet,
+        opts: &ClipOptions,
+        gate: &Gate,
+    ) -> Result<Self, ClipError> {
+        if let Some((contour, vertex)) = subject.first_non_finite() {
             return Err(ClipError::NonFiniteInput {
-                role,
+                role: InputRole::Subject,
                 contour,
                 vertex,
             });
         }
+        let t_san = Instant::now();
+        let (subject, repairs) = sanitized(subject, opts);
+        let t_sanitize = t_san.elapsed();
+        let ys = par_sort_dedup_gated(event_ys(&subject), Some(gate));
+        budget::check(gate)?;
+        let extents = subject
+            .contours()
+            .iter()
+            .map(|c| {
+                let bb = c.bbox();
+                if bb.is_empty() {
+                    (f64::INFINITY, f64::NEG_INFINITY)
+                } else {
+                    (bb.ymin, bb.ymax)
+                }
+            })
+            .collect();
+        Ok(Frozen {
+            subject,
+            repairs,
+            ys,
+            extents,
+            t_sanitize,
+        })
     }
 
-    // Up-front sanitization of both operands (once, not per slab), so
-    // every worker sees the repaired geometry and the repairs are reported
-    // exactly once. Slab workers and the merge then run with sanitization
-    // and output validation off: band clipping deliberately creates
-    // exactly-collinear seam vertices that fragment cancellation depends
-    // on, and the output ladder runs once on the merged result below.
-    let t_san = Instant::now();
-    let mut pre_degradations: Vec<Degradation> = Vec::new();
-    let mut pre_repairs = 0usize;
-    let repairs_only = crate::sanitize::SanitizeOptions::repairs_only();
-    let (subject_gate, clip_gate) = if opts.sanitize {
-        let (s, s_rep) = crate::sanitize::sanitize_set(subject, &repairs_only);
-        if !s_rep.is_clean() {
-            pre_repairs += s_rep.total();
-            pre_degradations.push(Degradation::InputRepaired {
-                role: InputRole::Subject,
-                repairs: s_rep,
-            });
+    /// Detach from the caller's subject, for a layer that outlives it.
+    pub(crate) fn into_owned(self) -> Frozen<'static> {
+        Frozen {
+            subject: Cow::Owned(self.subject.into_owned()),
+            repairs: self.repairs,
+            ys: self.ys,
+            extents: self.extents,
+            t_sanitize: self.t_sanitize,
         }
-        let (c, c_rep) = crate::sanitize::sanitize_set(clip_p, &repairs_only);
-        if !c_rep.is_clean() {
-            pre_repairs += c_rep.total();
-            pre_degradations.push(Degradation::InputRepaired {
-                role: InputRole::Clip,
-                repairs: c_rep,
-            });
-        }
-        (s, c)
-    } else {
-        (
-            std::borrow::Cow::Borrowed(subject),
-            std::borrow::Cow::Borrowed(clip_p),
-        )
-    };
-    let (subject, clip_p) = (&*subject_gate, &*clip_gate);
-    let t_sanitize = t_san.elapsed();
+    }
+}
 
-    // Slab workers receive the armed gate explicitly; the budget carried in
+/// `set` as the cells will see it — repaired when `opts.sanitize` asks for
+/// it — with the sanitizer's record (clean when it did not run).
+fn sanitized<'a>(set: &'a PolygonSet, opts: &ClipOptions) -> (Cow<'a, PolygonSet>, SanitizeReport) {
+    if opts.sanitize {
+        sanitize_set(set, &SanitizeOptions::repairs_only())
+    } else {
+        (Cow::Borrowed(set), SanitizeReport::default())
+    }
+}
+
+/// Every vertex y of `set`, unsorted.
+fn event_ys(set: &PolygonSet) -> Vec<OrdF64> {
+    set.contours()
+        .iter()
+        .flat_map(|c| c.points().iter().map(|p| OrdF64::new(p.y)))
+        .collect()
+}
+
+/// The query half of Algorithm 2, shared by the cold and prepared entries:
+/// everything after gate arming that depends on the other operand.
+///
+/// `prepare_build` is the layer's one-time build cost for a prepared clip
+/// and `None` for a cold one, whose freeze ran inside this call (its
+/// sanitize time then counts in [`PhaseTimes::sanitize`]). `acquire` /
+/// `release` supply each worker's scratch arena: fresh arenas on a cold
+/// call, the layer's cross-request pool on a prepared one.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn clip_frozen<A, R>(
+    frozen: &Frozen<'_>,
+    query: &PolygonSet,
+    op: BoolOp,
+    n_slabs: usize,
+    opts: &ClipOptions,
+    armed: &Armed,
+    prepare_build: Option<Duration>,
+    acquire: A,
+    release: R,
+) -> Result<Algo2Result, ClipError>
+where
+    A: Fn() -> SweepScratch + Sync,
+    R: Fn(SweepScratch) + Sync,
+{
+    // Non-finite coordinates would poison the event ordering below before
+    // any cell (and its input gate) ever runs; reject them here.
+    if let Some((contour, vertex)) = query.first_non_finite() {
+        return Err(ClipError::NonFiniteInput {
+            role: InputRole::Clip,
+            contour,
+            vertex,
+        });
+    }
+
+    // Query-side sanitization only: the subject was repaired at freeze
+    // time, and its record is replayed here in subject-then-clip order, so
+    // every cell sees the repaired geometry and each repair is reported
+    // exactly once.
+    let t_san = Instant::now();
+    let (query, query_repairs) = sanitized(query, opts);
+    let query = &*query;
+    let mut t_sanitize = t_san.elapsed();
+    if prepare_build.is_none() {
+        t_sanitize += frozen.t_sanitize;
+    }
+    let subject_repairs = if opts.sanitize {
+        frozen.repairs
+    } else {
+        SanitizeReport::default()
+    };
+    let mut pre_repairs = 0usize;
+    let mut pre_degradations: Vec<Degradation> = Vec::new();
+    for (role, repairs) in [
+        (InputRole::Subject, subject_repairs),
+        (InputRole::Clip, query_repairs),
+    ] {
+        if !repairs.is_clean() {
+            pre_repairs += repairs.total();
+            pre_degradations.push(Degradation::InputRepaired { role, repairs });
+        }
+    }
+
+    // Cell workers receive the armed gate explicitly; the budget carried in
     // their options is reduced to the cancel token so nothing downstream
-    // can re-arm the deadline.
+    // can re-arm the deadline. Sanitization and output validation are off
+    // inside the cells: band clipping deliberately creates
+    // exactly-collinear seam vertices that fragment cancellation depends
+    // on, and the output ladder runs once on the merged result.
     let seq = ClipOptions {
         parallel: false,
         sanitize: false,
@@ -480,150 +605,182 @@ pub fn try_clip_pair_slabs(
         ..opts.clone()
     };
 
-    // Steps 1–3: event schedule and bounding rectangle. Above the parprim
-    // cutoff the sort-and-dedup runs on the rayon pool (parallel merge sort
-    // + dedup-by-pack); below it, the classic sequential idiom.
-    let ys: Vec<OrdF64> = par_sort_dedup_gated(
-        subject
-            .contours()
-            .iter()
-            .chain(clip_p.contours())
-            .flat_map(|c| c.points().iter().map(|p| OrdF64::new(p.y)))
-            .collect(),
-        Some(&gate),
-    );
-    budget::check(&gate)?;
+    // Step 1, query side: the query's event y's that are not already on
+    // the frozen schedule. Above the parprim cutoff the sort-and-dedup runs
+    // on the rayon pool. The combined schedule is then read by
+    // order-statistic selection — the frozen side is never re-sorted.
+    let gate = &armed.gate;
+    let mut extra = par_sort_dedup_gated(event_ys(query), Some(gate));
+    extra.retain(|y| frozen.ys.binary_search(y).is_err());
+    budget::check(gate)?;
+
+    // Steps 2–3: equal-event-count slab boundaries, bit-identical to
+    // `slab_boundaries` of the combined schedule. One slab — p ≤ 1, or
+    // fewer than two distinct event y's — is one cell on [−∞, +∞]: every
+    // contour is inside it, so the cell borrows the inputs whole.
+    let merged_len = frozen.ys.len() + extra.len();
+    let p = if merged_len < 2 { 1 } else { n_slabs.max(1) };
+    let boundaries = if p == 1 {
+        vec![f64::NEG_INFINITY, f64::INFINITY]
+    } else {
+        merged_boundaries(&frozen.ys, &extra, p)
+    };
+    let slabs = boundaries.len() - 1;
+
+    // Slab spans for both sides without touching a single subject vertex:
+    // the subject from its frozen extents, the query from fresh bboxes.
+    let t_ix = Instant::now();
+    let mut spans: Vec<Span> = Vec::with_capacity(frozen.extents.len() + query.contours().len());
+    for &(ymin, ymax) in &frozen.extents {
+        spans.push(Span::of_extent(ymin, ymax, &boundaries));
+    }
+    for c in query.contours() {
+        let bb = c.bbox();
+        spans.push(if bb.is_empty() {
+            Span::NONE
+        } else {
+            Span::of_extent(bb.ymin, bb.ymax, &boundaries)
+        });
+    }
+
+    let index = SlabIndex::from_spans(&frozen.subject, query, spans, &boundaries);
+    // Mark the slabs whose output is provably empty: an intersection needs
+    // both sides present, any op needs one. A bucket lists subject contours
+    // before query contours, so its two ends tell which sides it holds.
+    // Skipped slabs complete without running the engine.
+    let skip: Vec<bool> = (0..slabs)
+        .map(|s| {
+            let bucket = index.slab(s);
+            let has_subject = bucket.first().is_some_and(|e| index.is_subject(e.contour));
+            let has_query = bucket.last().is_some_and(|e| !index.is_subject(e.contour));
+            match op {
+                BoolOp::Intersection => !(has_subject && has_query),
+                _ => bucket.is_empty(),
+            }
+        })
+        .collect();
+    // A refining plan at p > 1 wants the combined event schedule for
+    // y-split candidates; any other plan never splits and skips the merge.
+    let ys = if opts.grid.oversub > 0 && p > 1 {
+        merge_disjoint(&frozen.ys, &extra)
+    } else {
+        Vec::new()
+    };
+    let plan = crate::grid::plan_grid(&boundaries, &index, &ys, &opts.grid, p);
+    let t_index = t_ix.elapsed();
 
     let drive = SlabDrive {
-        subject,
-        clip_p,
+        subject: &frozen.subject,
+        clip_p: query,
         op,
         opts,
         seq: &seq,
-        gate: &gate,
-        recovery_gate: &recovery_gate,
+        armed,
         pre_repairs,
         pre_degradations,
-        t_start,
         t_sanitize,
-        prepare_build: Duration::ZERO,
-        prepared_reused: false,
+        prepare_build,
     };
-
-    if ys.len() < 2 || n_slabs <= 1 {
-        return drive_single_slab(drive, &mut SweepScratch::new());
-    }
-
-    // Equal-event-count slab boundaries over [ymin, ymax], one shared
-    // binning pass over both inputs (instead of p full scans), and the cell
-    // plan on top. The plan is a pure function of the boundaries, the index
-    // and the event schedule — worker count enters only as the paper's p
-    // (the requested slab count), never the machine's thread count, so
-    // results are machine-independent.
-    let boundaries = slab_boundaries(&ys, n_slabs);
-    let t_ix = Instant::now();
-    let index = SlabIndex::build(subject, clip_p, &boundaries);
-    let plan = crate::grid::plan_grid(&boundaries, &index, &ys, &opts.grid, n_slabs);
-    let t_index = t_ix.elapsed();
-    drive_grid(
-        drive,
-        &plan,
-        &index,
-        None,
-        t_index,
-        n_slabs,
-        SweepScratch::new,
-        drop,
-    )
+    drive_grid(drive, &plan, &index, &skip, t_index, p, acquire, release)
 }
 
-/// Everything the drivers need beyond the partition source: the inputs as
-/// the workers will see them (already sanitized), armed gates, per-worker
-/// options, pre-aggregated sanitize results, and the provenance fields that
-/// end up in [`PhaseTimes`]. Shared by the cold path
-/// ([`try_clip_pair_slabs`]) and the prepared path
-/// ([`crate::prepared::try_clip_prepared`]).
-pub(crate) struct SlabDrive<'a> {
-    pub subject: &'a PolygonSet,
-    pub clip_p: &'a PolygonSet,
-    pub op: BoolOp,
+/// The sorted union of two sorted, mutually disjoint event schedules, by
+/// one linear merge.
+fn merge_disjoint(a: &[OrdF64], b: &[OrdF64]) -> Vec<OrdF64> {
+    let mut out = Vec::with_capacity(a.len() + b.len());
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        if a[i] < b[j] {
+            out.push(a[i]);
+            i += 1;
+        } else {
+            out.push(b[j]);
+            j += 1;
+        }
+    }
+    out.extend_from_slice(&a[i..]);
+    out.extend_from_slice(&b[j..]);
+    out
+}
+
+/// The `k`-th smallest element (0-based) of the union of two individually
+/// sorted, strictly increasing, mutually disjoint arrays — O(log) binary
+/// search for the partition point, no merged array materialized. This is
+/// how the query half reads quantiles of the combined event schedule
+/// without re-sorting the frozen side.
+fn select_merged(a: &[OrdF64], b: &[OrdF64], k: usize) -> f64 {
+    debug_assert!(k < a.len() + b.len());
+    // Find the number of elements taken from `a` among the k smallest: the
+    // unique i in [max(0, k - |b|), min(k, |a|)] with a[i-1] < b[k-i] and
+    // b[k-i-1] < a[i] (guards at the ends). Disjointness makes every
+    // comparison strict, so the partition is unique.
+    let mut lo = k.saturating_sub(b.len());
+    let mut hi = k.min(a.len());
+    while lo < hi {
+        let i = (lo + hi) / 2;
+        let j = k - i;
+        if j > 0 && i < a.len() && a[i] < b[j - 1] {
+            lo = i + 1;
+        } else {
+            hi = i;
+        }
+    }
+    let (i, j) = (lo, k - lo);
+    match (a.get(i), b.get(j)) {
+        (Some(x), Some(y)) => x.get().min(y.get()),
+        (Some(x), None) => x.get(),
+        (None, Some(y)) => y.get(),
+        (None, None) => unreachable!("k < |a| + |b|"),
+    }
+}
+
+/// [`slab_boundaries`] over the *virtual* merge of the frozen subject
+/// schedule `a` and the query-only schedule `b` (sorted, disjoint from
+/// `a`): same first/last elements, same interior quantile indices, same
+/// duplicate-collapse rule — bit-identical boundaries to those of the
+/// materialized union, computed in O(p log(|a| + |b|)).
+fn merged_boundaries(a: &[OrdF64], b: &[OrdF64], n_slabs: usize) -> Vec<f64> {
+    let m = a.len() + b.len();
+    if m == 0 {
+        return Vec::new();
+    }
+    let mut out: Vec<f64> = Vec::with_capacity(n_slabs + 1);
+    let mut prev = select_merged(a, b, 0);
+    out.push(prev);
+    for i in 1..n_slabs {
+        let y = select_merged(a, b, i * (m - 1) / n_slabs);
+        if y > prev {
+            out.push(y);
+            prev = y;
+        }
+    }
+    let last = select_merged(a, b, m - 1);
+    if last > prev {
+        out.push(last);
+    }
+    out
+}
+
+/// Everything the driver needs beyond the plan and the index: the inputs
+/// as the cells see them (already sanitized), the caller's armed gates,
+/// the worker options, the pre-aggregated sanitize results, and the
+/// provenance that ends up in [`PhaseTimes`] and [`ClipStats`].
+struct SlabDrive<'a> {
+    subject: &'a PolygonSet,
+    clip_p: &'a PolygonSet,
+    op: BoolOp,
     /// The caller's options (consulted for `validate_output`,
     /// `budget.allow_partial` and `grid`).
-    pub opts: &'a ClipOptions,
+    opts: &'a ClipOptions,
     /// Worker options: sequential, sanitize/validate off, cancel-only
     /// budget.
-    pub seq: &'a ClipOptions,
-    /// The armed global gate.
-    pub gate: &'a Gate,
-    /// The armed cancel-only recovery gate.
-    pub recovery_gate: &'a Gate,
-    pub pre_repairs: usize,
-    pub pre_degradations: Vec<Degradation>,
-    pub t_start: Instant,
-    pub t_sanitize: Duration,
-    pub prepare_build: Duration,
-    pub prepared_reused: bool,
-}
-
-/// Degenerate instance or a single slab: one unbanded worker, still under
-/// the recovery ladder (slab index 0). No watchdog — the slab IS the run,
-/// so its deadline is the global one.
-pub(crate) fn drive_single_slab(
-    d: SlabDrive<'_>,
-    scratch: &mut SweepScratch,
-) -> Result<Algo2Result, ClipError> {
-    let gates = SlabGates {
-        attempt: d.gate,
-        global: d.gate,
-        recovery: d.recovery_gate,
-    };
-    // The engine only reads the inputs, so the one unbanded slab borrows
-    // them whole.
-    let partial = run_slab_ladder(0, d.seq, &gates, scratch, |opts, gate, scratch| {
-        let t0 = Instant::now();
-        try_clip_with_stats_in(d.subject, d.clip_p, d.op, opts, gate, scratch)
-            .map(|outcome| (outcome, Duration::ZERO, t0.elapsed()))
-    })
-    .map(SlabPartial::from_ladder)?;
-    let t_retry = partial.t_retry;
-    let mut stats = partial.stats;
-    stats.input_repairs += d.pre_repairs;
-    stats.prepared_reused = d.prepared_reused;
-    stats.completed_slabs = 1;
-    stats.total_slabs = 1;
-    let mut degradations = d.pre_degradations;
-    degradations.extend(partial.degradations);
-    let mut outcome = ClipOutcome {
-        result: partial.output,
-        stats,
-        degradations,
-    };
-    if d.opts.validate_output {
-        crate::engine::repair_output(d.subject, d.clip_p, d.op, d.opts, &mut outcome);
-    }
-    d.gate
-        .meter()
-        .record_scratch_bytes(scratch.high_water_bytes());
-    let work = d.gate.meter().snapshot();
-    let times = PhaseTimes {
-        sanitize: d.t_sanitize,
-        index: Duration::ZERO,
-        per_slab_partition: vec![Duration::ZERO],
-        per_slab_clip: vec![partial.t_clip],
-        merge: Duration::ZERO,
-        retry_total: t_retry,
-        total: d.t_start.elapsed(),
-        work,
-        prepare_build: d.prepare_build,
-        ..Default::default()
-    };
-    Ok(Algo2Result {
-        output: outcome.result,
-        times,
-        slabs: 1,
-        stats: outcome.stats,
-        degradations: outcome.degradations,
-    })
+    seq: &'a ClipOptions,
+    armed: &'a Armed,
+    pre_repairs: usize,
+    pre_degradations: Vec<Degradation>,
+    t_sanitize: Duration,
+    /// The serving layer's build cost; `None` on a cold call.
+    prepare_build: Option<Duration>,
 }
 
 /// Lazily-computed slab-banded contour pieces shared by the refined cells
@@ -696,7 +853,11 @@ impl SlabBandMemo {
 /// computed from the *original* edges, so y-siblings produce bit-identical
 /// seam vertices), then x-band-clips the y-banded contour (both x-siblings
 /// clip the same y-banded input, so column-seam vertices are bit-identical
-/// too).
+/// too). The one cell of a one-slab plan spans `[−∞, +∞]`, so every contour
+/// is inside it and is borrowed whole.
+///
+/// The laddered result carries the engine outcome, the partition time and
+/// the clip time.
 #[allow(clippy::too_many_arguments)]
 fn run_cell(
     cell_id: usize,
@@ -707,7 +868,7 @@ fn run_cell(
     seq: &ClipOptions,
     gates: &SlabGates<'_>,
     sweep_scratch: &mut SweepScratch,
-) -> Result<SlabPartial, ClipError> {
+) -> Result<Laddered<(ClipOutcome, Duration, Duration)>, ClipError> {
     // Per-entry dispositions for the second pass. `PolygonSet::push`
     // silently drops invalid (< 3 point) contours, so the same filter
     // applies here.
@@ -809,7 +970,6 @@ fn run_cell(
         try_clip_refs_in(&subject_refs, &clip_refs, op, opts, gate, sweep)
             .map(|outcome| (outcome, t_partition, t1.elapsed()))
     })
-    .map(SlabPartial::from_ladder)
 }
 
 /// One cell's landed contribution, parked in its slot until the driver
@@ -831,32 +991,58 @@ struct CellDone {
     lost: bool,
 }
 
+impl CellDone {
+    /// A laddered cell run (outcome, partition time, clip time) as a landed
+    /// cell: a recovery rung lands in the degradations and counts as a slab
+    /// retry, and the output is decomposed against the plan's seams on the
+    /// worker's clock.
+    fn landed(run: Laddered<(ClipOutcome, Duration, Duration)>, plan: &GridPlan) -> Self {
+        let (outcome, t_partition, t_clip) = run.out;
+        let mut degradations = outcome.degradations;
+        let mut stats = outcome.stats;
+        if let Some(d) = run.recovery {
+            stats.slab_retries += 1;
+            degradations.push(d);
+        }
+        let td = Instant::now();
+        let frag = decompose_fragment(outcome.result, &plan.seam_ys, &plan.seam_xs);
+        CellDone {
+            frag,
+            stats,
+            degradations,
+            t_partition,
+            t_clip,
+            t_retry: run.t_retry,
+            t_decompose: td.elapsed(),
+            lost: false,
+        }
+    }
+}
+
 fn lock<'a, T>(m: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Steps 4–8, shared by the cold and prepared paths: executes the plan's
-/// cells on the work-stealing pool, each cell under the recovery ladder and
-/// its own watchdog, then finishes Step 8, salvages partial runs and runs
-/// the output ladder once on the merged result.
+/// Steps 4–8, the one driver: executes the plan's cells on the
+/// work-stealing pool, each cell under the recovery ladder and its own
+/// watchdog, then finishes Step 8, salvages partial runs and runs the
+/// output ladder once on the merged result.
 ///
-/// `skip[s]` marks base slabs whose output is provably empty — the
-/// prepared path's query-side pruning — whose cells are recorded as
-/// completed with zero-duration partials instead of running the engine.
-/// `acquire` / `release` supply each worker's scratch arena: the cold path
-/// makes a fresh arena, the prepared path checks arenas out of the layer's
-/// cross-request pool.
+/// `skip[s]` marks base slabs whose output is provably empty, whose cells
+/// are recorded as completed with zero-duration partials instead of
+/// running the engine. `acquire` / `release` supply each worker's scratch
+/// arena.
 ///
 /// `workers` is the paper's `p` — it sizes the pool, never the plan, so
 /// output depends only on the plan. Each cell decomposes its output for the
 /// seam dissolve inside its own pool job; only the final
 /// concatenate–split–stitch pass runs serially, on the calling thread.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn drive_grid<A, R>(
+fn drive_grid<A, R>(
     d: SlabDrive<'_>,
     plan: &GridPlan,
     index: &SlabIndex<'_>,
-    skip: Option<&[bool]>,
+    skip: &[bool],
     t_index: Duration,
     workers: usize,
     acquire: A,
@@ -867,7 +1053,7 @@ where
     R: Fn(SweepScratch) + Sync,
 {
     let cells = plan.cells.len();
-    let (gate, recovery_gate) = (d.gate, d.recovery_gate);
+    let (gate, recovery_gate) = (&d.armed.gate, &d.armed.recovery);
     // Pool width. An unrefined plan runs on the calling thread: extra
     // workers cut its latency but grow peak RSS far more, through glibc's
     // per-thread malloc arenas (EXPERIMENTS.md). A refining plan runs at the
@@ -932,7 +1118,7 @@ where
         let cell = &plan.cells[i];
         let mut res = CellDone::default();
         // A provably-empty slab completes with a zero-duration partial.
-        if !skip.is_some_and(|s| s[cell.slab]) {
+        if !skip[cell.slab] {
             let mut guard = lock(&scratches[worker]);
             let scratch = guard.get_or_insert_with(&acquire);
             let watchdog = gate.child_with_deadline(deadlines[i]);
@@ -942,16 +1128,7 @@ where
                 recovery: recovery_gate,
             };
             match run_cell(i, cell, index, memo.as_ref(), d.op, d.seq, &gates, scratch) {
-                Ok(p) => {
-                    res.stats = p.stats;
-                    res.degradations = p.degradations;
-                    res.t_partition = p.t_partition;
-                    res.t_clip = p.t_clip;
-                    res.t_retry = p.t_retry;
-                    let td = Instant::now();
-                    res.frag = decompose_fragment(p.output, &plan.seam_ys, &plan.seam_xs);
-                    res.t_decompose = td.elapsed();
-                }
+                Ok(run) => res = CellDone::landed(run, plan),
                 Err(e) if d.opts.budget.allow_partial && budget::is_budget_trip(&e) => {
                     res.lost = true;
                     lock(&first_trip).get_or_insert(e);
@@ -991,7 +1168,7 @@ where
 
     let mut stats = ClipStats {
         input_repairs: d.pre_repairs,
-        prepared_reused: d.prepared_reused,
+        prepared_reused: d.prepare_build.is_some(),
         ..ClipStats::default()
     };
     let mut degradations: Vec<Degradation> = d.pre_degradations;
@@ -1063,9 +1240,9 @@ where
             per_slab_clip,
             merge: decompose_total + merge_serial,
             retry_total,
-            total: d.t_start.elapsed(),
+            total: d.armed.t_start.elapsed(),
             work,
-            prepare_build: d.prepare_build,
+            prepare_build: d.prepare_build.unwrap_or_default(),
             chunks_stolen: pool_stats.stolen,
             steal: pool_stats.steal_time,
             per_worker_busy: pool_stats.worker_busy,
@@ -1353,6 +1530,62 @@ mod tests {
     }
 
     #[test]
+    fn select_merged_matches_materialized_merge() {
+        let a: Vec<OrdF64> = [0.0, 1.5, 2.0, 7.0, 9.0]
+            .iter()
+            .map(|&y| OrdF64::new(y))
+            .collect();
+        let b: Vec<OrdF64> = [-1.0, 0.5, 3.0, 8.0, 10.0, 11.0]
+            .iter()
+            .map(|&y| OrdF64::new(y))
+            .collect();
+        let mut merged: Vec<OrdF64> = a.iter().chain(&b).copied().collect();
+        merged.sort_unstable();
+        for (k, want) in merged.iter().enumerate() {
+            assert_eq!(select_merged(&a, &b, k), want.get(), "k = {k}");
+        }
+        // One side empty, both directions.
+        for k in 0..a.len() {
+            assert_eq!(select_merged(&a, &[], k), a[k].get());
+            assert_eq!(select_merged(&[], &a, k), a[k].get());
+        }
+    }
+
+    #[test]
+    fn merged_boundaries_match_slab_boundaries_of_the_union() {
+        let a: Vec<OrdF64> = (0..40).map(|i| OrdF64::new(i as f64 * 0.7)).collect();
+        let b: Vec<OrdF64> = (0..17)
+            .map(|i| OrdF64::new(i as f64 * 1.31 + 0.05))
+            .collect();
+        let mut merged: Vec<OrdF64> = a.iter().chain(&b).copied().collect();
+        merged.sort_unstable();
+        merged.dedup();
+        for p in [1usize, 2, 3, 4, 8, 64] {
+            assert_eq!(
+                merged_boundaries(&a, &b, p),
+                slab_boundaries(&merged, p),
+                "p = {p}"
+            );
+        }
+    }
+
+    #[test]
+    fn merge_disjoint_matches_the_sorted_union() {
+        let a: Vec<OrdF64> = (0..40).map(|i| OrdF64::new(i as f64 * 0.7)).collect();
+        let b: Vec<OrdF64> = (0..17)
+            .map(|i| OrdF64::new(i as f64 * 1.31 + 0.05))
+            .collect();
+        let mut union: Vec<OrdF64> = a.iter().chain(&b).copied().collect();
+        union.sort_unstable();
+        union.dedup();
+        assert_eq!(merge_disjoint(&a, &b), union);
+        assert_eq!(merge_disjoint(&b, &a), union);
+        // One side empty, both directions.
+        assert_eq!(merge_disjoint(&a, &[]), a);
+        assert_eq!(merge_disjoint(&[], &b), b);
+    }
+
+    #[test]
     fn slab_boundaries_of_empty_input_is_empty() {
         assert!(slab_boundaries(&[], 4).is_empty());
     }
@@ -1420,8 +1653,9 @@ mod tests {
         let r = clip_pair_slabs(&a, &b, BoolOp::Intersection, 1, &seq());
         assert_eq!(r.slabs, 1);
         assert_eq!(r.times.load_imbalance(), 1.0);
-        assert_eq!(r.times.index, Duration::ZERO);
-        assert_eq!(r.times.partition_total(), Duration::ZERO);
+        // One slab is one cell: one partition entry, one busy lane.
+        assert_eq!(r.times.per_slab_partition.len(), 1);
+        assert_eq!(r.times.per_worker_busy.len(), 1);
         assert_eq!(r.times.clip_total(), r.times.per_slab_clip[0]);
     }
 

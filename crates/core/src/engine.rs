@@ -616,10 +616,10 @@ pub fn try_clip_with_stats(
 
 /// [`try_clip_with_stats`] against an already-armed gate and a
 /// caller-owned [`SweepScratch`] — the re-entry point for drivers that arm
-/// one budget for a whole multi-clip operation (Algorithm 2's single-slab
-/// path, every layer-overlay task) and keep one arena per slab, reusing its
-/// capacity across clips. Runs the engine's own sanitizer and output
-/// ladder as `opts` configures them.
+/// one budget for a whole multi-clip operation (every layer-overlay task)
+/// and keep one arena per slab, reusing its capacity across clips. Runs
+/// the engine's own sanitizer and output ladder as `opts` configures them.
+/// Algorithm 2's cells enter through [`try_clip_refs_in`] instead.
 pub(crate) fn try_clip_with_stats_in(
     subject: &PolygonSet,
     clip: &PolygonSet,

@@ -1,5 +1,5 @@
-//! Cell planning for Algorithm 2 ([`crate::algo2`]): every multi-slab run
-//! executes a [`GridPlan`].
+//! Cell planning for Algorithm 2 ([`crate::algo2`]): every run executes a
+//! [`GridPlan`], p = 1 included (one cell on `[−∞, +∞]`).
 //!
 //! The default [`GridConfig`] plans exactly the paper's event-quantile
 //! slabs, one cell each. Static y-slabs balance *event counts*, not work,
@@ -218,7 +218,8 @@ struct Planner<'a, 'b> {
 
 /// Build the plan for the given base-slab boundaries. `workers` is the
 /// paper's `p` (the requested slab count) — deliberately *not* the live
-/// thread count, so the plan and output stay machine-independent.
+/// thread count, so the plan and output stay machine-independent. A
+/// refining config refines only at p > 1: one slab is one cell.
 pub(crate) fn plan_grid(
     boundaries: &[f64],
     index: &SlabIndex<'_>,
@@ -233,7 +234,7 @@ pub(crate) fn plan_grid(
     // An unrefined plan never splits, so it skips the per-contour mass
     // cache and weighs each slab by its bucket entry count, which the
     // binning already produced.
-    let refine = cfg.oversub > 0;
+    let refine = cfg.oversub > 0 && workers > 1;
     let mut cache = if refine {
         MassCache::new(index)
     } else {

@@ -99,7 +99,4 @@ pub use slabindex::{SlabEntry, SlabIndex};
 pub use stats::ClipStats;
 pub use stitch::stitch_counted;
 pub use tess::{trapezoids, triangulate, Trapezoid};
-pub use validate::{
-    assert_canonical, is_degenerate, sanitize, sanitize_counted, validate, ValidationReport,
-    Violation,
-};
+pub use validate::{assert_canonical, is_degenerate, validate, ValidationReport, Violation};

@@ -74,17 +74,6 @@ impl Span {
         }
     }
 
-    /// The inclusive slab range `(lo, hi)` this span covers, or `None` if
-    /// the contour overlaps no slab.
-    #[inline]
-    pub(crate) fn range(&self) -> Option<(usize, usize)> {
-        if self.lo > self.hi {
-            None
-        } else {
-            Some((self.lo as usize, self.hi as usize))
-        }
-    }
-
     #[inline]
     fn len(&self) -> usize {
         if self.lo > self.hi {
@@ -119,6 +108,11 @@ impl<'a> SlabIndex<'a> {
     /// Overlap uses the same closed-band semantics as `band_clip`
     /// ([`polyclip_geom::BBox::y_overlaps`]): a contour touching a boundary
     /// lands in both adjacent slabs, exactly like the full-scan path.
+    ///
+    /// The standalone entry, for callers holding two raw inputs. Algorithm 2
+    /// itself does not call it: its subject half caches the subject's
+    /// y-extents once, and its query half bins both sides through the same
+    /// span tail from those extents and the query's bboxes.
     pub fn build(subject: &'a PolygonSet, clip: &'a PolygonSet, boundaries: &[f64]) -> Self {
         let n_subject = subject.contours().len();
         let n = n_subject + clip.contours().len();
@@ -136,8 +130,7 @@ impl<'a> SlabIndex<'a> {
 
         // Pass 1 (parallel): per-contour slab span by binary search of the
         // contour's y-extent against the sorted boundaries
-        // ([`Span::of_extent`]). The prepared-layer path skips this pass by
-        // feeding [`Self::from_spans`] cached extents instead.
+        // ([`Span::of_extent`]).
         let spans: Vec<Span> = (0..n)
             .into_par_iter()
             .map(|i| {
@@ -153,8 +146,8 @@ impl<'a> SlabIndex<'a> {
 
     /// Assemble the CSR bucketing from precomputed per-contour slab spans
     /// (subject contours first, then clip contours, in input order) — the
-    /// shared tail of [`Self::build`] and the prepared-layer clip path,
-    /// which derives subject spans from extents frozen at build time.
+    /// shared tail of [`Self::build`] and Algorithm 2's query half, which
+    /// derives subject spans from the frozen extents.
     pub(crate) fn from_spans(
         subject: &'a PolygonSet,
         clip: &'a PolygonSet,

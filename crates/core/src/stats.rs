@@ -40,7 +40,7 @@ pub struct ClipStats {
     /// resolution limit (0 on numerically clean instances).
     pub residuals_accepted: usize,
     /// Slab workers that needed a retry or a sequential fallback after a
-    /// panic (Algorithm 2 / overlay runs; always 0 for single-slab runs).
+    /// panic (Algorithm 2 / overlay runs; always 0 for plain engine runs).
     pub slab_retries: usize,
     /// Individual input repairs the sanitizer performed across both
     /// operands (0 when the input was clean or sanitization was off).
@@ -52,7 +52,7 @@ pub struct ClipStats {
     /// runs; equals `total_slabs` unless the run returned a
     /// [`Degradation::PartialResult`](crate::Degradation::PartialResult)).
     pub completed_slabs: usize,
-    /// Slabs the run was partitioned into (0 for single-slab engine runs;
+    /// Slabs the run was partitioned into (0 for plain engine runs;
     /// the slab driver sets both fields after merging).
     pub total_slabs: usize,
     /// This run reused a [`PreparedLayer`](crate::prepared::PreparedLayer)'s

@@ -171,51 +171,16 @@ pub fn assert_canonical(p: &PolygonSet) {
     );
 }
 
-/// Check that a segment list forms closed loops (each vertex balanced) —
-/// used to sanity-check fragment streams in tests.
-pub fn fragments_balanced(frags: &[(polyclip_geom::Point, polyclip_geom::Point)]) -> bool {
-    let mut deg: crate::stitch::PointMap<i64> = Default::default();
-    for (a, b) in frags {
-        *deg.entry((
-            polyclip_geom::OrdF64::new(a.x),
-            polyclip_geom::OrdF64::new(a.y),
-        ))
-        .or_default() += 1;
-        *deg.entry((
-            polyclip_geom::OrdF64::new(b.x),
-            polyclip_geom::OrdF64::new(b.y),
-        ))
-        .or_default() -= 1;
-    }
-    deg.values().all(|&v| v == 0)
-}
-
-/// Degenerate-input hardening helper: drop zero-area and sub-3-vertex
-/// contours from arbitrary external input before clipping.
-///
-/// Note: zero *signed* area includes self-intersecting contours whose lobes
-/// cancel exactly (a symmetric bow-tie), which the engine handles and which
-/// do enclose area under even-odd. The engine's own input gate therefore
-/// drops only [`is_degenerate`] contours, as [`sanitize_counted`] does;
-/// reach for this function only when you know such contours are unwanted.
-pub fn sanitize(p: &PolygonSet) -> PolygonSet {
-    PolygonSet::from_contours(
-        p.contours()
-            .iter()
-            .filter(|c| c.is_valid() && c.signed_area() != 0.0)
-            .cloned()
-            .collect(),
-    )
-}
-
 /// Whether a contour provably cannot contribute area or sweep crossings:
 /// fewer than three vertices, or a bounding box with zero width or height
 /// (a point, or a purely horizontal/vertical sliver — its edges either
-/// never enter the sweep or cancel pairwise).
+/// never enter the sweep or cancel pairwise). The engine's input gate drops
+/// exactly these contours.
 ///
-/// Deliberately weaker than the zero-signed-area test of [`sanitize`]:
-/// self-intersecting contours with cancelling lobes are *not* degenerate —
-/// they enclose area under even-odd and must reach the engine.
+/// Deliberately weaker than a zero-signed-area test: self-intersecting
+/// contours with cancelling lobes (a symmetric bow-tie) are *not*
+/// degenerate — they enclose area under even-odd and must reach the
+/// engine.
 pub fn is_degenerate(c: &polyclip_geom::Contour) -> bool {
     contributing_bbox(c).is_none()
 }
@@ -228,24 +193,6 @@ pub(crate) fn contributing_bbox(c: &polyclip_geom::Contour) -> Option<polyclip_g
     }
     let bb = c.bbox();
     (bb.xmin != bb.xmax && bb.ymin != bb.ymax).then_some(bb)
-}
-
-/// Copy-free input gate: drop [`is_degenerate`] contours, reporting how
-/// many were dropped. Borrows the input untouched in the (overwhelmingly
-/// common) clean case and clones only when something must be removed.
-pub fn sanitize_counted(p: &PolygonSet) -> (std::borrow::Cow<'_, PolygonSet>, usize) {
-    let dropped = p.contours().iter().filter(|c| is_degenerate(c)).count();
-    if dropped == 0 {
-        return (std::borrow::Cow::Borrowed(p), 0);
-    }
-    let clean = PolygonSet::from_contours(
-        p.contours()
-            .iter()
-            .filter(|c| !is_degenerate(c))
-            .cloned()
-            .collect(),
-    );
-    (std::borrow::Cow::Owned(clean), dropped)
 }
 
 #[cfg(test)]
@@ -314,35 +261,28 @@ mod tests {
             .violations
             .iter()
             .any(|v| matches!(v, Violation::ZeroArea { .. })));
-        let clean = sanitize(&p);
-        assert_eq!(clean.len(), 1);
-        assert!(validate(&clean).is_canonical());
     }
 
     #[test]
-    fn sanitize_counted_borrows_clean_input_and_keeps_bowties() {
+    fn bowties_are_not_degenerate_but_slivers_are() {
         use polyclip_geom::point::pt;
-        let clean = PolygonSet::from_xy(&[(0.0, 0.0), (2.0, 2.0), (2.0, 0.0), (0.0, 2.0)]);
         // Symmetric bow-tie: signed area 0, but even-odd area 2 — the
-        // conservative gate must pass it through untouched (borrowed).
-        let (gated, dropped) = sanitize_counted(&clean);
-        assert_eq!(dropped, 0);
-        assert!(matches!(gated, std::borrow::Cow::Borrowed(_)));
-
-        let mut dirty = clean.clone();
-        dirty
-            .contours_mut()
-            .push(Contour::from_xy(&[(0.0, 0.0), (1.0, 0.0)]));
-        dirty
-            .contours_mut()
-            .push(Contour::new(vec![pt(5.0, 5.0), pt(5.0, 5.0), pt(5.0, 5.0)]));
-        // Horizontal sliver: zero bbox height.
-        dirty
-            .contours_mut()
-            .push(Contour::from_xy(&[(0.0, 7.0), (3.0, 7.0), (1.5, 7.0)]));
-        let (gated, dropped) = sanitize_counted(&dirty);
-        assert_eq!(dropped, 3);
-        assert_eq!(gated.len(), 1);
+        // conservative gate must let it through.
+        let bow = Contour::from_xy(&[(0.0, 0.0), (2.0, 2.0), (2.0, 0.0), (0.0, 2.0)]);
+        assert!(!is_degenerate(&bow));
+        // Two points; one point repeated; a horizontal sliver (zero bbox
+        // height).
+        assert!(is_degenerate(&Contour::from_xy(&[(0.0, 0.0), (1.0, 0.0)])));
+        assert!(is_degenerate(&Contour::new(vec![
+            pt(5.0, 5.0),
+            pt(5.0, 5.0),
+            pt(5.0, 5.0)
+        ])));
+        assert!(is_degenerate(&Contour::from_xy(&[
+            (0.0, 7.0),
+            (3.0, 7.0),
+            (1.5, 7.0)
+        ])));
     }
 
     #[test]
@@ -385,19 +325,6 @@ mod tests {
         );
         let err: Box<dyn std::error::Error> = Box::new(Violation::EdgesOverlap);
         assert_eq!(err.to_string(), "two edges overlap collinearly");
-    }
-
-    #[test]
-    fn balanced_fragments_detector() {
-        use polyclip_geom::point::pt;
-        let closed = vec![
-            (pt(0.0, 0.0), pt(1.0, 0.0)),
-            (pt(1.0, 0.0), pt(0.5, 1.0)),
-            (pt(0.5, 1.0), pt(0.0, 0.0)),
-        ];
-        assert!(fragments_balanced(&closed));
-        let open = &closed[..2];
-        assert!(!fragments_balanced(open));
     }
 
     #[test]

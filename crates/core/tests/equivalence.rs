@@ -69,7 +69,8 @@ struct Reference {
 /// The original full-scan Algorithm 2: sanitize both operands once, cut the
 /// event schedule into equal-count slabs, band-clip both *full* inputs into
 /// every slab, clip each slab on the sequential engine, and merge at the
-/// interior boundaries in one pass.
+/// interior boundaries in one pass. One slab (p ≤ 1, or fewer than two
+/// distinct event y's) is the one band `[−∞, +∞]`.
 fn full_scan(
     a: &PolygonSet,
     b: &PolygonSet,
@@ -109,22 +110,11 @@ fn full_scan(
     ys.sort_unstable();
     ys.dedup();
 
-    if ys.len() < 2 || n_slabs <= 1 {
-        let one = try_clip_with_stats(&a, &b, op, &seq).expect("clean clip");
-        let mut stats = one.stats;
-        stats.input_repairs += repairs;
-        stats.completed_slabs = 1;
-        stats.total_slabs = 1;
-        degradations.extend(one.degradations);
-        return Reference {
-            output: one.result,
-            stats,
-            degradations,
-            slabs: 1,
-        };
-    }
-
-    let boundaries = slab_boundaries(&ys, n_slabs);
+    let boundaries = if ys.len() < 2 || n_slabs <= 1 {
+        vec![f64::NEG_INFINITY, f64::INFINITY]
+    } else {
+        slab_boundaries(&ys, n_slabs)
+    };
     let slabs = boundaries.len() - 1;
     let mut stats = ClipStats {
         input_repairs: repairs,
@@ -255,7 +245,19 @@ proptest! {
                     (ga - ia).abs() <= 1e-9 * ia.abs().max(1.0),
                     "area: {} grid {} slab {}", ctx, ga, ia
                 );
+                if slabs == 1 {
+                    // One slab is one cell: p = 1 never refines.
+                    prop_assert_eq!(&g1.output, &ix.output, "p = 1 output: {}", ctx);
+                    prop_assert_eq!(g1.stats, ix.stats, "p = 1 stats: {}", ctx);
+                }
             }
         }
+        // The pairs above rarely carry enough mass to split at all; this one
+        // usually would, so it pins the p = 1 rule too.
+        let (ha, hb) = (gen_set(seed_a, 8), gen_set(seed_b, 8));
+        let g = clip_pair_slabs(&ha, &hb, BoolOp::Union, 1, &refined);
+        let ix = clip_pair_slabs(&ha, &hb, BoolOp::Union, 1, &plain);
+        prop_assert_eq!(&g.output, &ix.output, "heavy p = 1 output");
+        prop_assert_eq!(g.stats, ix.stats, "heavy p = 1 stats");
     }
 }
