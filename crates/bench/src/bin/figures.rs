@@ -1,35 +1,58 @@
-//! Regenerate every table and figure of the paper's evaluation section.
+//! Regenerate every table and figure of the paper's evaluation section,
+//! plus the design ablations, the PRAM primitives and the oracle's price.
 //!
 //! ```sh
 //! cargo run --release -p polyclip-bench --bin figures -- all --scale 0.02
 //! cargo run --release -p polyclip-bench --bin figures -- fig8 fig12
+//! cargo run --release -p polyclip-bench --bin figures -- ablations primitives oracle
 //! ```
 //!
 //! Each experiment prints an aligned table and writes `results/<id>.csv`.
-//! Parallel scaling is reported twice: `measured` wall time on this host and
-//! the `critical-path` projection (slowest slab + sequential merge), which
-//! is what a machine with ≥ p cores realizes — see EXPERIMENTS.md for the
-//! substitution rationale (the paper used a 64-core Opteron).
+//! `--scale` sizes the Table III layers, and the synthetic inputs of
+//! `ablations`, `primitives` and `oracle` in proportion to it (the default,
+//! 0.02, gives their reference sizes); `fig7`, `fig8` and `pram` run fixed
+//! sizes.
+//!
+//! Parallel scaling is reported twice: `measured_ms` is wall time on this
+//! host, and `projected_ms` is [`PhaseTimes::projected_wall`] at p lanes, a
+//! projection from the run's measured phases of what p cores would achieve
+//! (see EXPERIMENTS.md for the substitution rationale; the paper used a
+//! 64-core Opteron).
 
-use polyclip::datagen::{synthetic_pair, table3_spec};
+use polyclip::datagen::{smooth_blob, synthetic_pair, table3_spec};
 use polyclip::parprim::inversions::report_inversion_values;
 use polyclip::prelude::*;
 use polyclip::seqclip::{gh_clip, GhOp};
-use polyclip::sweep::{collect_edges, event_ys, BeamSet, ForcedSplits, PartitionBackend, Source};
+use polyclip::sweep::{
+    bentley_ottmann, collect_edges, discover_intersections, event_ys, BeamSet, ForcedSplits,
+    PartitionBackend, Source,
+};
 use polyclip_bench::*;
 use std::path::PathBuf;
 use std::time::Duration;
+
+/// The default `--scale`, at which the sized experiments run their
+/// reference inputs.
+const DEFAULT_SCALE: f64 = 0.02;
 
 struct Config {
     scale: f64,
     out: PathBuf,
 }
 
+impl Config {
+    /// An input size that is `at_default` at the default scale and moves
+    /// in proportion with `--scale` (never below 16).
+    fn n(&self, at_default: usize) -> usize {
+        ((at_default as f64 * self.scale / DEFAULT_SCALE).round() as usize).max(16)
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut wanted: Vec<String> = Vec::new();
     let mut cfg = Config {
-        scale: 0.02,
+        scale: DEFAULT_SCALE,
         out: PathBuf::from("results"),
     };
     let mut it = args.iter();
@@ -49,7 +72,19 @@ fn main() {
     }
     if wanted.is_empty() || wanted.iter().any(|w| w == "all") {
         wanted = [
-            "table1", "table2", "table3", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "pram",
+            "table1",
+            "table2",
+            "table3",
+            "fig7",
+            "fig8",
+            "fig9",
+            "fig10",
+            "fig11",
+            "fig12",
+            "pram",
+            "ablations",
+            "primitives",
+            "oracle",
         ]
         .iter()
         .map(|s| s.to_string())
@@ -68,6 +103,9 @@ fn main() {
             "fig11" => fig11(&cfg),
             "fig12" => fig12(&cfg),
             "pram" => pram_table(),
+            "ablations" => ablations(&cfg),
+            "primitives" => primitives(&cfg),
+            "oracle" => oracle(&cfg),
             other => {
                 eprintln!("unknown experiment `{other}`");
                 continue;
@@ -254,7 +292,7 @@ fn fig8() -> Vec<ResultTable> {
             "n_edges",
             "slabs",
             "measured_ms",
-            "critical_ms",
+            "projected_ms",
             "proj_speedup",
             "imbalance",
         ],
@@ -265,13 +303,16 @@ fn fig8() -> Vec<ResultTable> {
         let (_, t_seq) = time_best(2, || clip(&a, &b, BoolOp::Intersection, &seq));
         for &slabs in SLAB_SWEEP {
             let (r, measured) = time(|| clip_pair_slabs(&a, &b, BoolOp::Intersection, slabs, &seq));
-            let crit = critical_path(&r.times);
+            let projected = r.times.projected_wall(slabs);
             t.push_row(vec![
                 n.to_string(),
                 r.slabs.to_string(),
                 ms(measured),
-                ms(crit),
-                format!("{:.2}", t_seq.as_secs_f64() / crit.as_secs_f64().max(1e-9)),
+                ms(projected),
+                format!(
+                    "{:.2}",
+                    t_seq.as_secs_f64() / projected.as_secs_f64().max(1e-9)
+                ),
                 format!("{:.2}", r.times.load_imbalance()),
             ]);
         }
@@ -356,7 +397,7 @@ fn fig9(cfg: &Config) -> Vec<ResultTable> {
 fn fig10(cfg: &Config) -> Vec<ResultTable> {
     let mut t = ResultTable::new(
         "fig10_layer_scaling",
-        &["op", "slabs", "measured_ms", "critical_ms", "self_speedup"],
+        &["op", "slabs", "measured_ms", "projected_ms", "self_speedup"],
     );
     let opts = ClipOptions::sequential();
     for (ia, ib) in [(1usize, 2usize), (3, 4)] {
@@ -368,16 +409,19 @@ fn fig10(cfg: &Config) -> Vec<ResultTable> {
         for &slabs in SLAB_SWEEP {
             let (r, measured) =
                 time(|| overlay_intersection(&a, &b, slabs, SlabAssignment::UniqueOwner, &opts));
-            let crit = critical_path(&r.times);
+            let projected = r.times.projected_wall(slabs);
             if slabs == 1 {
-                base = crit;
+                base = projected;
             }
             t.push_row(vec![
                 format!("Intersect({ia}-{ib})"),
-                slabs.to_string(),
+                r.times.per_slab_clip.len().to_string(),
                 ms(measured),
-                ms(crit),
-                format!("{:.2}", base.as_secs_f64() / crit.as_secs_f64().max(1e-9)),
+                ms(projected),
+                format!(
+                    "{:.2}",
+                    base.as_secs_f64() / projected.as_secs_f64().max(1e-9)
+                ),
             ]);
         }
 
@@ -385,16 +429,19 @@ fn fig10(cfg: &Config) -> Vec<ResultTable> {
         let mut base = Duration::ZERO;
         for &slabs in SLAB_SWEEP {
             let (r, measured) = time(|| overlay_union(&a, &b, slabs, &opts));
-            let crit = critical_path(&r.times);
+            let projected = r.times.projected_wall(slabs);
             if slabs == 1 {
-                base = crit;
+                base = projected;
             }
             t.push_row(vec![
                 format!("Union({ia}-{ib})"),
-                r.slabs.to_string(),
+                r.times.per_slab_clip.len().to_string(),
                 ms(measured),
-                ms(crit),
-                format!("{:.2}", base.as_secs_f64() / crit.as_secs_f64().max(1e-9)),
+                ms(projected),
+                format!(
+                    "{:.2}",
+                    base.as_secs_f64() / projected.as_secs_f64().max(1e-9)
+                ),
             ]);
         }
     }
@@ -438,7 +485,7 @@ fn fig12(cfg: &Config) -> Vec<ResultTable> {
             "op",
             "seq_engine_ms",
             "gh_pairwise_ms",
-            "best_parallel_critical_ms",
+            "best_projected_ms",
             "abs_speedup",
             "slabs",
         ],
@@ -464,7 +511,7 @@ fn fig12(cfg: &Config) -> Vec<ResultTable> {
             ("-".to_string(), t_seq)
         };
 
-        // Best parallel configuration by critical path.
+        // Best parallel configuration by projected wall at p lanes.
         let mut best = Duration::MAX;
         let mut best_slabs = 1;
         for &slabs in SLAB_SWEEP {
@@ -473,9 +520,9 @@ fn fig12(cfg: &Config) -> Vec<ResultTable> {
             } else {
                 overlay_union(&a, &b, slabs, &opts).times
             };
-            let crit = critical_path(&times);
-            if crit < best {
-                best = crit;
+            let projected = times.projected_wall(slabs);
+            if projected < best {
+                best = projected;
                 best_slabs = slabs;
             }
         }
@@ -539,6 +586,313 @@ fn pram_table() -> Vec<ResultTable> {
         ]);
     }
     vec![t, ph]
+}
+
+/// Design ablations (DESIGN.md): the Step-2 partition backend, the
+/// overlay's slab assignment, Algorithm 2's cell plan, output sensitivity
+/// at fixed n, inversion-based discovery against Bentley–Ottmann, and the
+/// overhead of an armed budget that cannot trip. Wall clock, best of 3.
+fn ablations(cfg: &Config) -> Vec<ResultTable> {
+    let mut t = ResultTable::new(
+        "ablations",
+        &["ablation", "variant", "input", "best_ms", "note"],
+    );
+    let mut row = |ablation: &str, variant: &str, input: &str, d: Duration, note: String| {
+        t.push_row(vec![
+            ablation.into(),
+            variant.into(),
+            input.into(),
+            ms(d),
+            note,
+        ]);
+    };
+    let seq = ClipOptions::sequential();
+
+    // Step 2: direct scan vs the §III-E segment tree, timed at the
+    // partition, the only step in which the two backends differ.
+    let n = cfg.n(20_000);
+    let (a, b) = synthetic_pair(n, 42);
+    let edges = collect_edges(&a, &b);
+    let ys = event_ys(&edges, &[], false);
+    let forced = ForcedSplits::empty(edges.len());
+    for (name, backend) in [
+        ("direct_scan", PartitionBackend::DirectScan),
+        ("segment_tree", PartitionBackend::SegmentTree),
+    ] {
+        let (beams, d) = time_best(3, || {
+            BeamSet::build(&edges, ys.clone(), &forced, backend, false)
+        });
+        let note = format!("sub_edges={}", beams.total_sub_edges());
+        row("partition_backend", name, &format!("pair n={n}"), d, note);
+    }
+
+    // Overlay slab assignment: the paper's replication vs unique owner.
+    let scale = cfg.scale / 4.0;
+    let (la, lb) = (layer(1, scale, 1007), layer(2, scale, 2007));
+    let input = format!("layers 1+2 scale={scale} p=8");
+    for (name, assignment) in [
+        ("replicate", SlabAssignment::Replicate),
+        ("unique_owner", SlabAssignment::UniqueOwner),
+    ] {
+        let (r, d) = time_best(3, || overlay_intersection(&la, &lb, 8, assignment, &seq));
+        let note = format!("tasks={}", r.tasks_executed);
+        row("slab_assignment", name, &input, d, note);
+    }
+
+    // Algorithm 2's cell plan: one cell per event-quantile slab on the
+    // calling thread vs refined cells on the work-stealing pool.
+    let n = cfg.n(40_000);
+    let (a, b) = synthetic_pair(n, 42);
+    for (name, grid) in [
+        ("slab_index", GridConfig::default()),
+        ("adaptive_grid", GridConfig::refined()),
+    ] {
+        let opts = ClipOptions {
+            grid,
+            ..seq.clone()
+        };
+        for p in [4usize, 16] {
+            let (r, d) = time_best(3, || clip_pair_slabs(&a, &b, BoolOp::Union, p, &opts));
+            let note = format!("cells={}", r.times.per_slab_clip.len());
+            row("cell_plan", name, &format!("pair n={n} p={p}"), d, note);
+        }
+    }
+
+    // Output sensitivity: n fixed, overlap (and so k) growing. The work
+    // must track k, not n².
+    let n = cfg.n(8_000);
+    let fixed = smooth_blob(5, Point::new(0.0, 0.0), 1.0, n, 0.3);
+    for (name, dx) in [
+        ("disjoint", 3.0),
+        ("touching", 1.9),
+        ("half", 1.0),
+        ("deep", 0.3),
+    ] {
+        let moved = smooth_blob(9, Point::new(dx, 0.05), 1.0, n, 0.3);
+        let ((_, stats), d) = time_best(3, || {
+            clip_with_stats(&fixed, &moved, BoolOp::Intersection, &seq)
+        });
+        let note = format!("k={}", stats.k_intersections);
+        row("output_sensitivity", name, &format!("blobs n={n}"), d, note);
+    }
+
+    // Lemma 4's inversion-based discovery (Round-A build included) vs the
+    // classical Bentley–Ottmann sweep.
+    for n in [cfg.n(2_000), cfg.n(8_000)] {
+        let (a, b) = synthetic_pair(n, 42);
+        let edges = collect_edges(&a, &b);
+        let input = format!("pair n={n}");
+        let inversions = || {
+            let ys = event_ys(&edges, &[], false);
+            let forced = ForcedSplits::empty(edges.len());
+            let beams = BeamSet::build(&edges, ys, &forced, PartitionBackend::DirectScan, false);
+            discover_intersections(&beams, &edges, false)
+        };
+        for (name, (found, d)) in [
+            ("inversions", time_best(3, inversions)),
+            ("bentley_ottmann", time_best(3, || bentley_ottmann(&edges))),
+        ] {
+            let note = format!("crossings={}", found.len());
+            row("intersection_discovery", name, &input, d, note);
+        }
+    }
+
+    // Bounded execution (DESIGN.md §4.8): an armed budget that cannot trip
+    // runs every gate, meter and checkpoint. Its wall over the unarmed
+    // run's is the `budget_overhead` the < 1 % contract cites. The two
+    // runs alternate so that a drift in host speed hits both.
+    let (ga, gb) = (
+        flatten_layer(1, cfg.scale, 1007),
+        flatten_layer(2, cfg.scale, 2007),
+    );
+    let armed = ClipOptions {
+        budget: ExecBudget {
+            deadline: Some(Duration::from_secs(3600)),
+            max_intersections: Some(u64::MAX / 2),
+            max_output_vertices: Some(u64::MAX / 2),
+            allow_partial: true,
+            ..Default::default()
+        },
+        ..seq.clone()
+    };
+    let mut best = [Duration::MAX; 2];
+    for _ in 0..5 {
+        for (slot, opts) in best.iter_mut().zip([&seq, &armed]) {
+            *slot = (*slot).min(time(|| clip_pair_slabs(&ga, &gb, BoolOp::Union, 8, opts)).1);
+        }
+    }
+    let input = format!("gis_multi scale={} p=8", cfg.scale);
+    let overhead = best[1].as_secs_f64() / best[0].as_secs_f64().max(1e-12);
+    row("budget_overhead", "unarmed", &input, best[0], "-".into());
+    let note = format!("budget_overhead={overhead:.4}");
+    row("budget_overhead", "armed_unbounded", &input, best[1], note);
+    vec![t]
+}
+
+/// The PRAM primitives of §III that the algorithm reduces to: prefix sums
+/// (Lemma 3), merge sort, inversion counting and reporting (Lemma 4) and
+/// the segment tree (§III-E), sequential against parallel. Wall clock,
+/// best of 3.
+fn primitives(cfg: &Config) -> Vec<ResultTable> {
+    use polyclip::parprim::{
+        count_inversions, inclusive_scan, par_count_inversions, par_inclusive_scan, par_merge_sort,
+        report_inversions,
+    };
+    use polyclip::segtree::{SegmentTree, TreeScratch};
+    let mut t = ResultTable::new("primitives", &["primitive", "variant", "n", "best_ms"]);
+    let mut rows = |primitive: &str, n: usize, timed: &[(&str, Duration)]| {
+        for (variant, d) in timed {
+            t.push_row(vec![
+                primitive.into(),
+                (*variant).into(),
+                n.to_string(),
+                ms(*d),
+            ]);
+        }
+    };
+    for n in [cfg.n(10_000), cfg.n(100_000), cfg.n(1_000_000)] {
+        let xs = xorshift_data(n);
+        let seq = best3(|| inclusive_scan(&xs, |a, b| a + b));
+        let par = best3(|| par_inclusive_scan(&xs, |a, b| a + b));
+        rows("scan", n, &[("seq", seq), ("par", par)]);
+    }
+    for n in [cfg.n(100_000), cfg.n(1_000_000)] {
+        let xs = xorshift_data(n);
+        let sort = |f: fn(&mut [u64])| {
+            best3(|| {
+                let mut v = xs.clone();
+                f(&mut v);
+                v
+            })
+        };
+        let par = sort(|v| par_merge_sort(v, |a, b| a.cmp(b)));
+        let std = sort(|v| v.sort_unstable());
+        rows(
+            "merge_sort",
+            n,
+            &[("par_merge_sort", par), ("std_sort", std)],
+        );
+    }
+    for n in [cfg.n(10_000), cfg.n(100_000)] {
+        let xs = xorshift_data(n);
+        let seq = best3(|| count_inversions(&xs));
+        let par = best3(|| par_count_inversions(&xs));
+        rows("inversions", n, &[("count_seq", seq), ("count_par", par)]);
+    }
+    // Reporting is output-sensitive: near-sorted input, sparse inversions.
+    let n = cfg.n(100_000);
+    let mut nearly: Vec<u64> = (0..n as u64).collect();
+    for i in (0..n - 7).step_by(1000) {
+        nearly.swap(i, i + 7);
+    }
+    let report = best3(|| report_inversions(&nearly));
+    rows("inversions", n, &[("report_sparse", report)]);
+    for n in [cfg.n(10_000), cfg.n(100_000)] {
+        let intervals: Vec<(usize, usize)> = xorshift_data(n)
+            .iter()
+            .map(|&x| {
+                let lo = (x % n as u64) as usize;
+                (lo, (lo + 1 + (x % 64) as usize).min(n))
+            })
+            .collect();
+        let seq = best3(|| SegmentTree::build(n, &intervals));
+        let par = best3(|| SegmentTree::build_in(n, &intervals, true, &mut TreeScratch::default()));
+        let tree = SegmentTree::build(n, &intervals);
+        let stab = best3(|| tree.par_stab_all());
+        rows(
+            "segtree",
+            n,
+            &[("build_seq", seq), ("build_par", par), ("stab_all", stab)],
+        );
+    }
+    vec![t]
+}
+
+/// Best-of-3 wall clock of `f`, its result kept opaque to the optimizer.
+fn best3<T>(mut f: impl FnMut() -> T) -> Duration {
+    time_best(3, || std::hint::black_box(f())).1
+}
+
+/// `n` pseudo-random keys below one million (xorshift, fixed seed).
+fn xorshift_data(n: usize) -> Vec<u64> {
+    let mut s = 0x243f6a8885a308d3u64;
+    (0..n)
+        .map(|_| {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            s % 1_000_000
+        })
+        .collect()
+}
+
+/// The price of a differential verification pass: the independent
+/// Foster–Overfelt reference against the production engine, and the
+/// band-integration comparator on top. Before anything is timed, every pair
+/// must pass the oracle's contract screen and every op must agree within
+/// [`ORACLE_REL_TOL`]: a disagreeing oracle aborts the run. The oracle is a
+/// simple O(S·C) reference, so the pairs are n/80, n/40 and n/20 vertices,
+/// for the 40k-vertex n of the default scale. Wall clock, best of 3.
+fn oracle(cfg: &Config) -> Vec<ResultTable> {
+    const OPS: [(BoolOp, &str); 4] = [
+        (BoolOp::Intersection, "intersection"),
+        (BoolOp::Union, "union"),
+        (BoolOp::Difference, "difference"),
+        (BoolOp::Xor, "xor"),
+    ];
+    let header = [
+        "size",
+        "op",
+        "engine_ms",
+        "oracle_ms",
+        "compare_ms",
+        "screen_ms",
+        "overhead",
+    ];
+    let mut t = ResultTable::new("oracle_cost", &header);
+    let engine = ScanbeamOracle::new(4);
+    let fo = FosterOverfeltOracle;
+    let n = cfg.n(40_000);
+    for (i, size) in [n / 80, n / 40, n / 20].into_iter().enumerate() {
+        let size = size.max(16);
+        let (a, b) = synthetic_pair(size, 0x0c1e + i as u64);
+        assert!(
+            fo.supports(&a, &b),
+            "pair of size {size} fell outside the oracle contract"
+        );
+        for (op, name) in OPS {
+            let (eng_out, fo_out) = (engine.clip(&a, &b, op), fo.clip(&a, &b, op));
+            let diff = compare_outputs(&eng_out.expect("engine"), &fo_out.expect("oracle"));
+            assert!(
+                diff.within_tolerance(ORACLE_REL_TOL),
+                "size {size} {name}: engine {:.12} vs oracle {:.12}, sym-diff {:.3e}",
+                diff.area_a,
+                diff.area_b,
+                diff.sym_diff_area,
+            );
+        }
+        let (_, screen) = time_best(3, || fo.supports(&a, &b));
+        for (op, name) in OPS {
+            let (eng_out, eng) = time_best(3, || engine.clip(&a, &b, op).unwrap());
+            let (fo_out, orc) = time_best(3, || fo.clip(&a, &b, op).unwrap());
+            let (_, cmp) = time_best(3, || compare_outputs(&eng_out, &fo_out));
+            let overhead = orc.as_secs_f64() / eng.as_secs_f64().max(1e-12);
+            let timings = [
+                ms(eng),
+                ms(orc),
+                ms(cmp),
+                ms(screen),
+                format!("{overhead:.2}"),
+            ];
+            t.push_row(
+                [size.to_string(), name.into()]
+                    .into_iter()
+                    .chain(timings)
+                    .collect(),
+            );
+        }
+    }
+    vec![t]
 }
 
 /// Pairwise Greiner–Hormann layer intersection (single-contour features

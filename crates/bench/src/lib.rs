@@ -1,8 +1,10 @@
-//! Shared harness utilities for regenerating the paper's tables and
-//! figures: deterministic workloads, wall-clock measurement, the
-//! critical-path projection used to report parallel scaling on hosts with
-//! fewer cores than the paper's 64-core Opteron, CSV output and quick ASCII
-//! charts.
+//! Shared harness utilities: deterministic workloads, wall-clock
+//! measurement, CSV tables and quick ASCII charts for the `figures` program
+//! (the paper's tables and figures, and the ablations), and the JSON reader
+//! and artifact writer that `perfbench` and `polyclip-serve` share.
+//!
+//! Parallel projections are not made here: `figures` reads them from
+//! [`PhaseTimes::projected_wall`].
 
 use polyclip::prelude::*;
 use std::fmt::Write as _;
@@ -29,23 +31,6 @@ pub fn time_best<T>(reps: usize, mut f: impl FnMut() -> T) -> (T, Duration) {
         }
     }
     (out, best)
-}
-
-/// The parallel-time projection for a slab run (Algorithm 2 or a layer
-/// overlay): the shared slab-index build, plus the slowest slab's
-/// partition + clip, plus the sequential merge. On a machine with ≥ p
-/// cores this equals the measured wall time; on smaller hosts it reports
-/// what the decomposition *would* achieve — the substitution documented in
-/// EXPERIMENTS.md for the paper's 64-core testbed.
-pub fn critical_path(times: &PhaseTimes) -> Duration {
-    let slowest = times
-        .per_slab_partition
-        .iter()
-        .zip(&times.per_slab_clip)
-        .map(|(p, c)| *p + *c)
-        .max()
-        .unwrap_or(Duration::ZERO);
-    times.sanitize + times.index + slowest + times.merge
 }
 
 /// A results table: header plus rows, printable and CSV-serializable.
@@ -134,8 +119,8 @@ pub fn ms(d: Duration) -> String {
 pub const SLAB_SWEEP: &[usize] = &[1, 2, 4, 8, 16, 32, 64];
 
 /// Hand-rolled JSON emission, validation, and parsing for the
-/// machine-readable bench artifacts (`BENCH_algo2.json`) and the
-/// `polyclip-serve` line protocol. The workspace deliberately carries no
+/// machine-readable benchmark artifacts (`perfbench`'s results,
+/// `BENCH_serve.json`) and the `polyclip-serve` line protocol. The workspace deliberately carries no
 /// serde; the subset here (objects, arrays, strings, finite numbers, bools,
 /// null) covers everything those emit, [`json::validate`] gives CI a cheap
 /// well-formedness check on written files, and [`json::Value::parse`] is
@@ -500,7 +485,7 @@ pub fn layer(id: usize, scale: f64, seed: u64) -> Layer {
 
 /// Flatten a generated Table III layer into one multi-contour polygon set —
 /// the many-small-contours regime where slab binning beats p full scans.
-/// Shared by `bench_algo2` and `bench_prepared` (`gis_multi` workload).
+/// Shared by `perfbench`, `polyclip-serve` and its load generator.
 pub fn flatten_layer(id: usize, scale: f64, seed: u64) -> PolygonSet {
     let mut out = PolygonSet::new();
     for feature in
@@ -513,72 +498,12 @@ pub fn flatten_layer(id: usize, scale: f64, seed: u64) -> PolygonSet {
     out
 }
 
-/// The common CLI surface of the bench bins: `--smoke` (CI-sized inputs,
-/// single rep), `--out <path>`, `--n <vertices>`. Full-run defaults match
-/// the checked-in artifacts: n = 40 000 vertices, Table III scale 0.02,
-/// best-of-3 timing.
-#[derive(Debug, Clone)]
-pub struct BenchArgs {
-    /// Artifact path (`--out`), pre-set to the bin's default.
-    pub out_path: String,
-    /// Synthetic-pair vertex count (`--n`).
-    pub n: usize,
-    /// Table III layer scale.
-    pub scale: f64,
-    /// Best-of-N repetitions per configuration.
-    pub reps: usize,
-    /// True when `--smoke` was passed.
-    pub smoke: bool,
-    /// Backend filter (`--backend <name>`): bins that sweep several
-    /// backends run only the named one. `None` runs them all.
-    pub backend: Option<String>,
-}
-
-impl BenchArgs {
-    /// Parse `std::env::args`, panicking on unknown flags (a bench bin has
-    /// no business limping past a typo).
-    pub fn parse(default_out: &str) -> Self {
-        let mut parsed = BenchArgs {
-            out_path: default_out.to_string(),
-            n: 40_000,
-            scale: 0.02,
-            reps: 3,
-            smoke: false,
-            backend: None,
-        };
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        let mut it = args.iter();
-        while let Some(a) = it.next() {
-            match a.as_str() {
-                "--smoke" => {
-                    parsed.n = 2_000;
-                    parsed.scale = 0.002;
-                    parsed.reps = 1;
-                    parsed.smoke = true;
-                }
-                "--out" => parsed.out_path = it.next().expect("--out <path>").clone(),
-                "--n" => {
-                    parsed.n = it
-                        .next()
-                        .and_then(|s| s.parse().ok())
-                        .expect("--n <vertices>");
-                }
-                "--backend" => {
-                    parsed.backend = Some(it.next().expect("--backend <name>").clone());
-                }
-                other => panic!("unknown argument `{other}`"),
-            }
-        }
-        parsed
-    }
-}
-
-/// The shared artifact tail of every bench bin: render the document, write
+/// The shared tail of every JSON artifact writer: render the document, write
 /// it, re-read it, and validate the readback so a truncated or garbled
 /// artifact fails loudly in CI instead of poisoning downstream analysis.
 ///
 /// Returns `Err` (instead of panicking) on I/O failure or an invalid
-/// readback so bins can propagate a non-zero exit status — a smoke job
+/// readback so callers can propagate a non-zero exit status — a smoke job
 /// that inspects only the exit code must not be able to pass on a
 /// malformed artifact.
 #[must_use = "a failed artifact write must fail the bench run"]
@@ -592,7 +517,7 @@ pub fn write_artifact(out_path: &str, doc: &json::Value) -> Result<(), String> {
     Ok(())
 }
 
-/// Exit-status adapter for the bench bins' `main`: report the artifact
+/// Exit-status adapter for an artifact writer's `main`: report the artifact
 /// error on stderr and return the conventional failure code.
 pub fn exit_after_artifact(result: Result<(), String>) -> std::process::ExitCode {
     match result {
@@ -621,21 +546,6 @@ mod tests {
         let csv = std::fs::read_to_string(dir.join("demo.csv")).unwrap();
         assert_eq!(csv.lines().count(), 3);
         assert!(csv.starts_with("a,bb"));
-    }
-
-    #[test]
-    fn critical_path_is_index_plus_slowest_slab_plus_merge() {
-        let times = PhaseTimes {
-            sanitize: Duration::from_millis(1),
-            index: Duration::from_millis(2),
-            per_slab_partition: vec![Duration::from_millis(1), Duration::from_millis(2)],
-            per_slab_clip: vec![Duration::from_millis(10), Duration::from_millis(5)],
-            merge: Duration::from_millis(3),
-            retry_total: Duration::ZERO,
-            total: Duration::from_millis(23),
-            ..Default::default()
-        };
-        assert_eq!(critical_path(&times), Duration::from_millis(17));
     }
 
     #[test]

@@ -192,6 +192,26 @@ impl PhaseTimes {
             .fold(0.0f64, f64::max);
         (max + serial) / denom
     }
+
+    /// What this run's wall clock would be on `lanes` cores: a projection
+    /// from the phases one run measured, not a measurement.
+    ///
+    /// The serial phases (sanitize, index, merge) stay serial. The cells
+    /// are list-scheduled: each cell's partition + clip, in plan order, goes
+    /// onto the least-loaded of `max(lanes, 1)` lanes, and the busiest
+    /// lane's total is the makespan. With `lanes` ≥ cells that is the
+    /// slowest cell (each cell gets its own core); with one lane it is the
+    /// sum of all cells.
+    pub fn projected_wall(&self, lanes: usize) -> Duration {
+        let cells = self.per_slab_partition.iter().zip(&self.per_slab_clip);
+        let mut load = vec![Duration::ZERO; lanes.clamp(1, cells.len().max(1))];
+        for (partition, clip) in cells {
+            let lane = load.iter_mut().min().expect("at least one lane");
+            *lane += *partition + *clip;
+        }
+        let makespan = load.into_iter().max().unwrap_or_default();
+        self.sanitize + self.index + makespan + self.merge
+    }
 }
 
 fn avg(v: &[Duration]) -> Duration {
@@ -1713,6 +1733,64 @@ mod tests {
             ..Default::default()
         };
         assert!((t.load_imbalance() - 18.0 / 11.5).abs() < 1e-12);
+    }
+
+    fn ms(v: u64) -> Duration {
+        Duration::from_millis(v)
+    }
+
+    #[test]
+    fn critical_path_is_index_plus_slowest_slab_plus_merge() {
+        // With a lane per cell the projection is the old critical path:
+        // sanitize 1 + index 2 + slowest cell (1 + 10) + merge 3 = 17 ms.
+        let times = PhaseTimes {
+            sanitize: ms(1),
+            index: ms(2),
+            per_slab_partition: vec![ms(1), ms(2)],
+            per_slab_clip: vec![ms(10), ms(5)],
+            merge: ms(3),
+            total: ms(23),
+            ..Default::default()
+        };
+        for lanes in [2, 3, 64] {
+            assert_eq!(times.projected_wall(lanes), ms(17), "lanes {lanes}");
+        }
+    }
+
+    #[test]
+    fn one_lane_projects_the_serial_sum() {
+        let times = PhaseTimes {
+            sanitize: ms(1),
+            index: ms(2),
+            per_slab_partition: vec![ms(1), ms(2)],
+            per_slab_clip: vec![ms(10), ms(5)],
+            merge: ms(3),
+            ..Default::default()
+        };
+        // 1 + 2 + (11 + 7) + 3.
+        assert_eq!(times.projected_wall(1), ms(24));
+        // Zero lanes behave as one.
+        assert_eq!(times.projected_wall(0), ms(24));
+    }
+
+    #[test]
+    fn more_cells_than_lanes_share_lanes_by_list_schedule() {
+        // Cells of 5, 4, 3, 3 ms on 2 lanes: 5 → A, 4 → B, 3 → B (7),
+        // 3 → A (8). The makespan is 8 ms, not the slowest cell's 5.
+        let times = PhaseTimes {
+            per_slab_partition: vec![Duration::ZERO; 4],
+            per_slab_clip: vec![ms(5), ms(4), ms(3), ms(3)],
+            ..Default::default()
+        };
+        assert_eq!(times.projected_wall(2), ms(8));
+        assert_eq!(times.projected_wall(4), ms(5));
+        assert_eq!(times.projected_wall(1), ms(15));
+        // A run with no cells projects its serial phases only.
+        let empty = PhaseTimes {
+            merge: ms(2),
+            ..Default::default()
+        };
+        assert_eq!(empty.projected_wall(0), ms(2));
     }
 
     #[test]

@@ -23,8 +23,8 @@
 //!
 //! Checkpoints are deliberately coarse — per scanbeam, per merge block, per
 //! segment-tree batch, per slab — so the unarmed/unlimited path stays within
-//! noise (<1 % on the `gis_multi` benchmark; see `bench_algo2`'s
-//! `budget_overhead` column). A blown budget surfaces as
+//! noise (<1 % on `gis_multi` at p = 8; see the `budget_overhead` rows of
+//! `figures ablations`). A blown budget surfaces as
 //! [`ClipError::DeadlineExceeded`], [`ClipError::BudgetExceeded`], or
 //! [`ClipError::Cancelled`]; no partially-built geometry ever escapes an
 //! API boundary.

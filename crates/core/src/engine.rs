@@ -63,8 +63,6 @@ pub struct ClipOptions {
     /// and the `union_all`/`xor_all` reduction tree. The per-beam loops run
     /// sequentially (see the module docs).
     pub parallel: bool,
-    /// Step-2 partition implementation (direct scan vs segment tree).
-    pub backend: PartitionBackend,
     /// Snap-rounding grid cell for intersection vertices. `0.0` (the
     /// default) disables snapping — results are bit-identical to the
     /// pre-snap engine. When positive, every discovered crossing is
@@ -112,7 +110,6 @@ impl Default for ClipOptions {
         ClipOptions {
             fill_rule: FillRule::EvenOdd,
             parallel: true,
-            backend: PartitionBackend::DirectScan,
             snap_cell: 0.0,
             sanitize: true,
             validate_output: false,
@@ -394,7 +391,7 @@ fn prepare_edges(
         &edges,
         ys_a,
         &empty_forced,
-        opts.backend,
+        PartitionBackend::DirectScan,
         opts.parallel,
         Some(gate),
         scratch,
@@ -475,7 +472,7 @@ fn prepare_edges(
             &edges,
             ys_b,
             &forced,
-            opts.backend,
+            PartitionBackend::DirectScan,
             opts.parallel,
             Some(gate),
             scratch,
@@ -1108,18 +1105,58 @@ mod tests {
         }
     }
 
+    /// The engine partitions with the direct scan; the segment tree (the
+    /// paper's §III-E backend, kept in `sweep`) must reproduce the clip when
+    /// it re-partitions the engine's final Round-B schedule. Every interior
+    /// split is forced to the x the engine used, so what is under test is
+    /// the edge-to-beam assignment, the one step the backends differ in.
     #[test]
     fn segment_tree_backend_agrees() {
         let a = PolygonSet::from_xy(&[(0.0, 0.0), (5.0, 0.5), (4.0, 3.0), (1.0, 2.5)]);
         let b = PolygonSet::from_xy(&[(2.0, -1.0), (6.0, 1.5), (3.0, 4.0)]);
-        let mut o1 = opts_seq();
-        let mut o2 = opts_seq();
-        o2.backend = PartitionBackend::SegmentTree;
-        o1.backend = PartitionBackend::DirectScan;
-        assert_eq!(
-            clip(&a, &b, BoolOp::Union, &o1),
-            clip(&a, &b, BoolOp::Union, &o2)
-        );
+        let opts = opts_seq();
+        let gate = Gate::unlimited();
+        let mut scratch = SweepScratch::default();
+        let mut report = PrepReport::default();
+        let op = BoolOp::Union;
+        let scan = prepare(&a, &b, Some(op), &opts, &mut report, &gate, &mut scratch)
+            .unwrap()
+            .expect("the inputs overlap");
+        assert!(scan.k > 0, "the inputs must cross");
+        let mut triples = Vec::new();
+        for i in 0..scan.beams.n_beams() {
+            let y = scan.beams.y_top(i);
+            for s in scan.beams.beam(i) {
+                if y < scan.edges[s.edge_id as usize].hi.y {
+                    triples.push((s.edge_id, y, s.xt));
+                }
+            }
+        }
+        let forced = ForcedSplits::build(scan.edges.len(), triples);
+        let tree = Prepared {
+            beams: BeamSet::build(
+                &scan.edges,
+                scan.beams.ys.clone(),
+                &forced,
+                PartitionBackend::SegmentTree,
+                false,
+            ),
+            edges: scan.edges.clone(),
+            k: scan.k,
+        };
+        let via_tree = clip_prepared(
+            Some(tree),
+            PrepReport::default(),
+            op,
+            &opts,
+            &gate,
+            &mut scratch,
+        )
+        .unwrap();
+        let via_scan = clip_prepared(Some(scan), report, op, &opts, &gate, &mut scratch).unwrap();
+        assert_eq!(via_scan.result, via_tree.result);
+        assert_eq!(via_scan.stats.n_subedges, via_tree.stats.n_subedges);
+        assert_eq!(via_scan.result, clip(&a, &b, op, &opts));
     }
 
     #[test]

@@ -5,13 +5,13 @@
 //! slabs, one cell each. Static y-slabs balance *event counts*, not work,
 //! though: a slab that catches a dense tangle of contours takes several
 //! times longer than its siblings and the whole fan-out waits on it (the
-//! p=8 `load_imbalance` plateau in `BENCH_algo2.json`). Following the
-//! ParGeo recipe, a refining config over-decomposes instead: starting from
-//! the same event-quantile slabs,
-//! any slab whose *mass* (vertex count binned by the CSR
-//! [`crate::slabindex::SlabIndex`]) exceeds a threshold is recursively
-//! split — preferably at the median interior event y, falling back to a
-//! vertical column split when a slab has mass but no interior events —
+//! p = 8 `load_imbalance` plateau that `figures fig9` reports per plan).
+//! Following the ParGeo recipe, a refining config over-decomposes instead:
+//! starting from the same event-quantile slabs, any slab whose *mass*
+//! (vertex count binned by the CSR [`crate::slabindex::SlabIndex`])
+//! exceeds a threshold is recursively split — preferably at the median
+//! interior event y, falling back to a vertical column split when a slab
+//! has mass but no interior events —
 //! until there are roughly `oversub ×` more cells than workers. The cells
 //! are then executed on a work-stealing pool
 //! ([`polyclip_parprim::stealpool`]) so no static assignment can be held

@@ -31,8 +31,9 @@
 //! frozen data, so the output is bit-identical to the cold
 //! [`try_clip_pair_slabs`](crate::algo2::try_clip_pair_slabs). The
 //! `prepared` proptest asserts it, and so checks reuse: one subject frozen
-//! once with its arenas pooled, against a subject frozen per call.
-//! `bench_prepared` asserts it too, before any timing is recorded.
+//! once with its arenas pooled, against a subject frozen per call, and
+//! `clip_prepared_matches_cold_on_gis_layer_and_blob` checks the service's
+//! shapes: a flattened Table III layer under small boxes, and a blob.
 //!
 //! Both paths also do the same work: a slab whose output is provably empty
 //! — an intersection slab without a query (or subject) contour — completes

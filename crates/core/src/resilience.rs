@@ -196,9 +196,9 @@ pub enum Degradation {
         slab: usize,
     },
     /// A slab worker panicked twice and was recovered by re-running the
-    /// slab on the pristine sequential engine (default backend, faults
-    /// stripped). Exact: the fallback computes the same band on the same
-    /// engine configuration family, bit-identical to an unfaulted run.
+    /// slab on the pristine sequential engine (faults stripped). Exact: the
+    /// fallback computes the same band on the same engine configuration
+    /// family, bit-identical to an unfaulted run.
     SlabFallback {
         /// Index of the recovered slab.
         slab: usize,
@@ -586,12 +586,10 @@ pub(crate) fn fault_residual_storm(opts: &crate::ClipOptions) -> bool {
 }
 
 /// The pristine configuration a failed slab falls back to: sequential,
-/// direct-scan beam partition, fault plan stripped. The fill rule is
-/// preserved — it affects the answer.
+/// fault plan stripped. The fill rule is preserved — it affects the answer.
 pub(crate) fn pristine(opts: &crate::ClipOptions) -> crate::ClipOptions {
     crate::ClipOptions {
         parallel: false,
-        backend: polyclip_sweep::PartitionBackend::DirectScan,
         faults: FaultPlan::default(),
         // Recovery stays cancellable but budget-exempt: the failing attempt
         // already consumed the deadline/work allowance, and the fallback is

@@ -13,7 +13,7 @@ use polyclip_core::algo2::try_clip_pair_slabs;
 use polyclip_core::budget::ExecBudget;
 use polyclip_core::prepared::{try_clip_prepared, PreparedLayer};
 use polyclip_core::{BoolOp, ClipOptions, GridConfig};
-use polyclip_datagen::torture_corpus;
+use polyclip_datagen::{generate_layer, synthetic_pair, table3_spec, torture_corpus};
 use polyclip_geom::{Contour, PolygonSet};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -114,6 +114,42 @@ fn clip_prepared_matches_cold_on_torture_corpus() {
     for case in torture_corpus(7) {
         assert_prepared_matches_cold(&case.subject, &case.clip, case.name);
     }
+}
+
+/// A square box query covering `frac` of the subject's bbox span in each
+/// axis, centred horizontally and a quarter of the way up, where an
+/// ordinary slab lies rather than the event median's seam.
+fn box_query(subject: &PolygonSet, frac: f64) -> PolygonSet {
+    let bb = subject.bbox();
+    let (w, h) = (bb.xmax - bb.xmin, bb.ymax - bb.ymin);
+    let (cx, cy) = (bb.xmin + w / 2.0, bb.ymin + h / 4.0);
+    let (hx, hy) = (w * frac / 2.0, h * frac / 2.0);
+    PolygonSet::from_xy(&[
+        (cx - hx, cy - hy),
+        (cx + hx, cy - hy),
+        (cx + hx, cy + hy),
+        (cx - hx, cy + hy),
+    ])
+}
+
+/// The service's shapes: a flattened Table III layer (many small contours)
+/// queried by boxes of 5 % and 0.5 % of its span, and one smooth blob
+/// queried by a point box and by its partner blob (full overlap).
+#[test]
+fn clip_prepared_matches_cold_on_gis_layer_and_blob() {
+    let gis = PolygonSet::from_contours(
+        generate_layer(&table3_spec(1), 0.002, 1007)
+            .into_iter()
+            .flat_map(PolygonSet::into_contours)
+            .collect(),
+    );
+    for frac in [0.05, 0.005] {
+        let ctx = format!("flattened layer 1, box {frac}");
+        assert_prepared_matches_cold(&gis, &box_query(&gis, frac), &ctx);
+    }
+    let (blob, partner) = synthetic_pair(1_000, 42);
+    assert_prepared_matches_cold(&blob, &box_query(&blob, 0.005), "blob, point box");
+    assert_prepared_matches_cold(&blob, &partner, "blob, partner blob");
 }
 
 /// One frozen layer, eight threads, mixed request shapes: unbounded,

@@ -12,8 +12,9 @@
 //!   in beam i" with counting queries first and reporting queries after the
 //!   output-sensitive allocation.
 //!
-//! Both produce identical [`BeamSet`]s (asserted in tests); the bench suite
-//! compares their cost (ablation `ablation_partition_backend`).
+//! Both produce identical [`BeamSet`]s, for Round A and for a Round-B
+//! rebuild with forced splits (asserted in tests); `figures ablations`
+//! compares their cost. The engine always partitions by direct scan.
 
 use crate::edges::{InputEdge, Source};
 use crate::events::event_index;
@@ -611,21 +612,52 @@ mod tests {
 
     #[test]
     fn segment_tree_backend_agrees_with_direct_scan() {
-        let p = PolygonSet::from_xy(&[(0.0, 0.0), (5.0, 0.5), (4.0, 3.0), (1.0, 2.5)]);
-        let q = PolygonSet::from_xy(&[(2.0, 1.0), (6.0, 1.5), (3.0, 4.0)]);
-        for parallel in [false, true] {
-            let (_, a) = beams_of(&p, &q, PartitionBackend::DirectScan, parallel);
-            let (_, b) = beams_of(&p, &q, PartitionBackend::SegmentTree, parallel);
-            assert_eq!(a.n_beams(), b.n_beams());
-            assert_eq!(a.total_sub_edges(), b.total_sub_edges());
-            for i in 0..a.n_beams() {
-                let (sa, sb) = (a.beam(i), b.beam(i));
-                assert_eq!(sa.len(), sb.len(), "beam {i}");
-                for (x, y) in sa.iter().zip(sb) {
-                    assert_eq!(x.edge_id, y.edge_id);
-                    assert_eq!(x.xb.to_bits(), y.xb.to_bits());
-                    assert_eq!(x.xt.to_bits(), y.xt.to_bits());
+        let quad = PolygonSet::from_xy(&[(0.0, 0.0), (5.0, 0.5), (4.0, 3.0), (1.0, 2.5)]);
+        for tri in [
+            PolygonSet::from_xy(&[(2.0, 1.0), (6.0, 1.5), (3.0, 4.0)]),
+            PolygonSet::from_xy(&[(2.0, -1.0), (6.0, 1.5), (3.0, 4.0)]),
+        ] {
+            assert_backends_agree(&quad, &tri);
+        }
+    }
+
+    /// The two partition backends build bit-identical sets, serially and in
+    /// parallel, for Round A (endpoint events only) and for a Round-B
+    /// rebuild that forces a split at each of Round A's crossings, the way
+    /// the engine's refinement rounds do.
+    fn assert_backends_agree(p: &PolygonSet, q: &PolygonSet) {
+        use crate::cross::discover_intersections;
+        let edges = collect_edges(p, q);
+        let empty = ForcedSplits::empty(edges.len());
+        let build = |extra: &[f64], forced: &ForcedSplits, backend, parallel| {
+            BeamSet::build(
+                &edges,
+                event_ys(&edges, extra, false),
+                forced,
+                backend,
+                parallel,
+            )
+        };
+        let round_a = build(&[], &empty, PartitionBackend::DirectScan, false);
+        let mut triples = Vec::new();
+        let mut extra = Vec::new();
+        for c in discover_intersections(&round_a, &edges, false) {
+            for eid in [c.e1, c.e2] {
+                let e = &edges[eid as usize];
+                if e.lo.y < c.p.y && c.p.y < e.hi.y {
+                    triples.push((eid, c.p.y, c.p.x));
                 }
+            }
+            extra.push(c.p.y);
+        }
+        assert!(!triples.is_empty(), "the inputs must cross");
+        let forced = ForcedSplits::build(edges.len(), triples);
+        for parallel in [false, true] {
+            for (extra, forced) in [(&[][..], &empty), (&extra[..], &forced)] {
+                assert_identical(
+                    &build(extra, forced, PartitionBackend::DirectScan, parallel),
+                    &build(extra, forced, PartitionBackend::SegmentTree, parallel),
+                );
             }
         }
     }

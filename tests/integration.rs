@@ -179,20 +179,61 @@ fn dissolve_is_idempotent_and_orients_output() {
     assert!((signed - eo_area(&d1)).abs() < 1e-9 * (1.0 + signed.abs()));
 }
 
+/// The engine partitions by direct scan only; the §III-E segment tree is a
+/// sweep-level backend. On two GIS features laid over each other, both
+/// backends build the same scanbeams, bit for bit, for Round A and for a
+/// Round-B rebuild split at Round A's crossings. Centred on each other the
+/// features nest without crossing, so a second placement moves the
+/// second feature's centre onto the first's bbox corner.
 #[test]
-fn clip_options_backends_agree_on_gis_features() {
+fn partition_backends_agree_on_gis_features() {
+    use polyclip::sweep::{
+        collect_edges, discover_intersections, event_ys, BeamSet, ForcedSplits, PartitionBackend,
+    };
     let feats = generate_layer(&table3_spec(1), 0.002, 9);
     let a = &feats[0];
     let b = feats.get(1).unwrap_or(a);
-    let mut st = seq();
-    st.backend = polyclip::sweep::PartitionBackend::SegmentTree;
-    let shifted = b.translate(Point::new(
-        a.bbox().center().x - b.bbox().center().x,
-        a.bbox().center().y - b.bbox().center().y,
-    ));
-    assert_eq!(
-        clip(a, &shifted, BoolOp::Xor, &seq()),
-        clip(a, &shifted, BoolOp::Xor, &st),
-        "segment-tree partition must be observationally identical"
-    );
+    let (ab, bc) = (a.bbox(), b.bbox().center());
+    let mut crossed = 0;
+    for target in [ab.center(), Point::new(ab.xmax, ab.ymax)] {
+        let shifted = b.translate(Point::new(target.x - bc.x, target.y - bc.y));
+        let edges = collect_edges(a, &shifted);
+        let table = |extra: &[f64], forced: &ForcedSplits, backend| {
+            let ys = event_ys(&edges, extra, false);
+            let bs = BeamSet::build(&edges, ys, forced, backend, false);
+            let ys: Vec<u64> = bs.ys.iter().map(|y| y.to_bits()).collect();
+            let subs: Vec<_> = (0..bs.n_beams())
+                .flat_map(|i| bs.beam(i).iter())
+                .map(|s| {
+                    let x = (s.xb.to_bits(), s.xt.to_bits());
+                    (s.beam, x, s.edge_id, s.winding, s.src)
+                })
+                .collect();
+            (ys, subs)
+        };
+        let empty = ForcedSplits::empty(edges.len());
+        let ys = event_ys(&edges, &[], false);
+        let round_a = BeamSet::build(&edges, ys, &empty, PartitionBackend::DirectScan, false);
+        let crossings = discover_intersections(&round_a, &edges, false);
+        crossed += crossings.len();
+        let mut triples = Vec::new();
+        for c in &crossings {
+            for eid in [c.e1, c.e2] {
+                let e = &edges[eid as usize];
+                if e.lo.y < c.p.y && c.p.y < e.hi.y {
+                    triples.push((eid, c.p.y, c.p.x));
+                }
+            }
+        }
+        let extra: Vec<f64> = crossings.iter().map(|c| c.p.y).collect();
+        let forced = ForcedSplits::build(edges.len(), triples);
+        for (extra, forced) in [(&[][..], &empty), (&extra[..], &forced)] {
+            assert_eq!(
+                table(extra, forced, PartitionBackend::DirectScan),
+                table(extra, forced, PartitionBackend::SegmentTree),
+                "segment-tree partition must be observationally identical"
+            );
+        }
+    }
+    assert!(crossed > 0, "one placement must cross");
 }
