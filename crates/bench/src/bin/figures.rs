@@ -9,8 +9,8 @@
 //!
 //! Each experiment prints an aligned table and writes `results/<id>.csv`.
 //! `--scale` sizes the Table III layers, and the synthetic inputs of
-//! `ablations`, `primitives` and `oracle` in proportion to it (the default,
-//! 0.02, gives their reference sizes); `fig7`, `fig8` and `pram` run fixed
+//! `fig7`, `ablations`, `primitives` and `oracle` in proportion to it (the
+//! default, 0.02, gives their reference sizes); `fig8` and `pram` run fixed
 //! sizes.
 //!
 //! Parallel scaling is reported twice: `measured_ms` is wall time on this
@@ -96,7 +96,7 @@ fn main() {
             "table1" => table1(),
             "table2" => table2(),
             "table3" => table3(&cfg),
-            "fig7" => fig7(),
+            "fig7" => fig7(&cfg),
             "fig8" => fig8(),
             "fig9" => fig9(&cfg),
             "fig10" => fig10(&cfg),
@@ -251,8 +251,12 @@ fn table3(cfg: &Config) -> Vec<ResultTable> {
 }
 
 /// Figure 7: sequential clipping time vs polygon size (superlinear growth —
-/// the reason partitioning into smaller subproblems pays off).
-fn fig7() -> Vec<ResultTable> {
+/// the reason partitioning into smaller subproblems pays off). Two columns
+/// divide a phase by the sub-edges it handles, so a cost that grows faster
+/// than its count shows: the Round-A `BeamSet::build` over the pair's edges
+/// (best of 5, the event schedule's copy included), and the whole ∪ run over
+/// its final sub-edge count.
+fn fig7(cfg: &Config) -> Vec<ResultTable> {
     let mut t = ResultTable::new(
         "fig7_seq_scaling",
         &[
@@ -262,15 +266,33 @@ fn fig7() -> Vec<ResultTable> {
             "us_per_edge",
             "k",
             "k_prime",
+            "build_ns_per_subedge",
+            "engine_ns_per_subedge",
         ],
     );
     let seq = ClipOptions::sequential();
-    for n in [
+    for at_default in [
         1_000usize, 2_000, 4_000, 8_000, 16_000, 32_000, 64_000, 128_000,
     ] {
+        let n = cfg.n(at_default);
         let (a, b) = synthetic_pair(n, 42);
         let ((_, stats), ti) = time_best(2, || clip_with_stats(&a, &b, BoolOp::Intersection, &seq));
-        let (_, tu) = time_best(2, || clip(&a, &b, BoolOp::Union, &seq));
+        let ((_, union), tu) = time_best(2, || clip_with_stats(&a, &b, BoolOp::Union, &seq));
+        let edges = collect_edges(&a, &b);
+        let ys = event_ys(&edges, &[], false);
+        let forced = ForcedSplits::empty(edges.len());
+        let (subedges, tb) = time_best(5, || {
+            BeamSet::build(
+                &edges,
+                ys.clone(),
+                &forced,
+                PartitionBackend::DirectScan,
+                false,
+            )
+            .total_sub_edges()
+        });
+        let ns_per =
+            |d: Duration, count: usize| format!("{:.1}", d.as_secs_f64() * 1e9 / count as f64);
         t.push_row(vec![
             n.to_string(),
             ms(ti),
@@ -278,6 +300,8 @@ fn fig7() -> Vec<ResultTable> {
             format!("{:.3}", ti.as_secs_f64() * 1e6 / n as f64),
             stats.k_intersections.to_string(),
             stats.k_prime.to_string(),
+            ns_per(tb, subedges),
+            ns_per(tu, union.n_subedges),
         ]);
     }
     vec![t]

@@ -99,11 +99,12 @@ pub struct PhaseTimes {
     /// Work-meter totals for the run (intersections found, events
     /// processed, output fragments gathered) — the counters
     /// [`crate::ExecBudget`] limits are enforced against — plus the
-    /// scratch-arena accounting: `peak_scratch_bytes` is the high-water
-    /// mark of arena capacity on any single worker (the steady-state
-    /// memory cost of arena reuse), `scratch_reused_bytes` the capacity
-    /// reused instead of freshly allocated across all rounds and cells
-    /// (the allocator traffic the arenas removed).
+    /// scratch-arena accounting: `peak_scratch_bytes` is the largest
+    /// arena capacity (or single sweep buffer) any engine call of the run
+    /// reported (the steady-state memory cost of arena reuse),
+    /// `scratch_reused_bytes` the capacity reused instead of freshly
+    /// allocated across all rounds and cells (the allocator traffic the
+    /// arenas removed).
     pub work: MeterSnapshot,
     /// One-time build cost of the [`crate::prepared::PreparedLayer`] that
     /// served this call, for amortization accounting (how many clips pay
@@ -804,17 +805,16 @@ struct SlabDrive<'a> {
 }
 
 /// Lazily-computed slab-banded contour pieces shared by the refined cells
-/// of one base slab, indexed by (slab, position-in-bucket). A refined cell
-/// re-bands the already-small slab piece instead of rescanning the full
-/// contour, cutting the flat O(contour × cells) partition cost down to
-/// O(contour × slabs) + O(piece × cells) — the difference between a 40k-
-/// vertex blob scanned 8× per slab and scanned once. Pieces are pure
+/// of one base slab, indexed by the entry's position in the index. A
+/// refined cell re-bands the already-small slab piece instead of rescanning
+/// the full contour, cutting the flat O(contour × cells) partition cost
+/// down to O(contour × slabs) + O(piece × cells) — the difference between a
+/// 40k-vertex blob scanned 8× per slab and scanned once. Pieces are pure
 /// functions of the inputs, so racing `OnceLock` initializations are
 /// benign and plan-determinism is preserved.
 struct SlabBandMemo {
+    /// One slot per index entry.
     pieces: Vec<OnceLock<Contour>>,
-    /// CSR offsets mirroring the index's buckets.
-    bucket_off: Vec<usize>,
     /// Each base slab's full y-band, reconstructed as the envelope of its
     /// cells (keeps the planner's outer-band convention verbatim).
     band: Vec<(f64, f64)>,
@@ -827,15 +827,11 @@ struct SlabBandMemo {
 impl SlabBandMemo {
     fn new(plan: &GridPlan, index: &SlabIndex<'_>) -> Self {
         let n = index.n_slabs();
-        let mut bucket_off = Vec::with_capacity(n + 1);
-        bucket_off.push(0usize);
-        let mut max_id = 0u32;
-        for s in 0..n {
-            for e in index.slab(s) {
-                max_id = max_id.max(e.contour);
-            }
-            bucket_off.push(bucket_off[s] + index.slab(s).len());
-        }
+        let max_id = (0..n)
+            .flat_map(|s| index.slab(s))
+            .map(|e| e.contour)
+            .max()
+            .unwrap_or(0);
         let mut band = vec![(f64::INFINITY, f64::NEG_INFINITY); n];
         for c in &plan.cells {
             let b = &mut band[c.slab];
@@ -843,19 +839,18 @@ impl SlabBandMemo {
             b.1 = b.1.max(c.y1);
         }
         SlabBandMemo {
-            pieces: (0..bucket_off[n]).map(|_| OnceLock::new()).collect(),
-            bucket_off,
+            pieces: (0..index.len()).map(|_| OnceLock::new()).collect(),
             band,
             bboxes: (0..=max_id as usize).map(|_| OnceLock::new()).collect(),
         }
     }
 
-    /// The slab-banded piece for bucket entry `k` of `slab`, computed on
-    /// first use by whichever cell job gets there first.
-    fn piece(&self, slab: usize, k: usize, c: &Contour, scratch: &mut Vec<Point>) -> &Contour {
+    /// The slab-banded piece for index entry `at`, which lies in `slab`'s
+    /// bucket, computed on first use by whichever cell job gets there
+    /// first.
+    fn piece(&self, at: usize, slab: usize, c: &Contour, scratch: &mut Vec<Point>) -> &Contour {
         let (y0, y1) = self.band[slab];
-        self.pieces[self.bucket_off[slab] + k]
-            .get_or_init(|| band_clip_contour_into(c, y0, y1, scratch))
+        self.pieces[at].get_or_init(|| band_clip_contour_into(c, y0, y1, scratch))
     }
 
     fn bbox(&self, id: u32, c: &Contour) -> polyclip_geom::BBox {
@@ -941,7 +936,8 @@ fn run_cell(
             let yc: Cow<'_, Contour> = if inside_y {
                 Cow::Borrowed(c)
             } else if let Some(m) = memo.filter(|_| !e.inside) {
-                let piece = m.piece(cell.slab, k, c, &mut scratch);
+                let at = index.bucket_start(cell.slab) + k;
+                let piece = m.piece(at, cell.slab, c, &mut scratch);
                 if !piece.is_valid() {
                     slots.push(SKIP);
                     continue;

@@ -22,10 +22,12 @@
 //! * **pooled across calls**: [`SweepScratch`] arenas — the beam-schedule
 //!   / sub-edge / segment-tree skeletons a worker allocates are returned
 //!   to the layer's pool and checked out by the next clip, so the
-//!   steady-state request allocates almost nothing. Checkout re-baselines
-//!   the arena's high-water mark, keeping
+//!   steady-state request allocates almost nothing. Each call arms a fresh
+//!   work meter, so
 //!   [`PhaseTimes::work`](crate::algo2::PhaseTimes::work)`.peak_scratch_bytes`
-//!   a *per-call* peak.
+//!   holds only this call's reports; one of them is the capacity the
+//!   checked-out arena held when its engine run ended, which includes what
+//!   earlier calls left parked in it.
 //!
 //! A cold call and a prepared clip run the same query half on the same
 //! frozen data, so the output is bit-identical to the cold
@@ -174,12 +176,9 @@ impl PreparedLayer {
         self.pool.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Check a warm arena out of the pool (or make a fresh one), with its
-    /// high-water mark re-baselined so the caller observes a per-call peak.
+    /// Check a warm arena out of the pool (or make a fresh one).
     fn checkout(&self) -> SweepScratch {
-        let mut s = self.lock_pool().pop().unwrap_or_default();
-        s.reset_high_water();
-        s
+        self.lock_pool().pop().unwrap_or_default()
     }
 
     /// Return an arena to the pool for the next clip.

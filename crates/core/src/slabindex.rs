@@ -6,10 +6,11 @@
 //! shared pass: every contour is binned into the *contiguous* range of slabs
 //! its y-extent overlaps (two binary searches of `bbox.ymin/ymax` against
 //! the sorted slab boundaries), and the per-slab buckets are laid out with
-//! the paper's count → prefix-sum → fill pattern
-//! ([`polyclip_parprim::scatter_offsets`] / [`polyclip_parprim::par_count_then_fill`]),
-//! so the pass itself is parallel and allocation-tight. Each worker then
-//! touches only its own bucket: O(n + Σ overlaps) total partition work.
+//! the paper's count → prefix-sum → fill pattern: a difference array over
+//! the spans prefix-sums to the bucket offsets, and each entry is written at
+//! its slab's cursor, so the layout is allocation-tight and needs no sort.
+//! Each worker then touches only its own bucket: O(n + p + Σ overlaps)
+//! total partition work.
 //!
 //! Each entry also records whether the contour lies **fully inside** its
 //! slab — those contours are handed to the engine by reference, with no
@@ -17,15 +18,13 @@
 //! the Sutherland–Hodgman band clip.
 
 use polyclip_geom::{Contour, PolygonSet};
-use polyclip_parprim::{par_count_then_fill, par_inclusive_scan, par_merge_sort, scatter_offsets};
 use rayon::prelude::*;
 
-/// One (slab, contour) incidence. `contour` is the global contour id:
-/// subject contours first (in input order), then clip contours.
+/// One (slab, contour) incidence, listed in its slab's bucket. `contour` is
+/// the global contour id: subject contours first (in input order), then
+/// clip contours.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SlabEntry {
-    /// Slab this entry belongs to.
-    pub slab: u32,
     /// Global contour id (subject contours, then clip contours).
     pub contour: u32,
     /// The contour's y-extent lies fully inside the slab's closed band:
@@ -73,15 +72,6 @@ impl Span {
             ymax,
         }
     }
-
-    #[inline]
-    fn len(&self) -> usize {
-        if self.lo > self.hi {
-            0
-        } else {
-            (self.hi - self.lo + 1) as usize
-        }
-    }
 }
 
 /// CSR-layout bucketing of both inputs' contours into slabs, borrowing the
@@ -91,8 +81,8 @@ impl Span {
 pub struct SlabIndex<'a> {
     subject: &'a PolygonSet,
     clip: &'a PolygonSet,
-    /// Entries sorted by (slab, contour): each slab's bucket lists its
-    /// overlapping contours in global contour order, which reproduces the
+    /// Entries bucketed by slab: each slab's bucket lists its overlapping
+    /// contours in global contour order, which reproduces the
     /// subject-then-clip input order bit-for-bit.
     entries: Vec<SlabEntry>,
     /// `bucket_start[s] .. bucket_start[s + 1]` delimits slab `s`'s bucket.
@@ -168,31 +158,7 @@ impl<'a> SlabIndex<'a> {
         }
         debug_assert_eq!(spans.len(), n);
 
-        // Pass 2 (parallel): emit one entry per (slab, contour) incidence
-        // into an exactly-sized array via count → prefix-sum → fill, then
-        // establish the per-slab CSR layout with a parallel merge sort on
-        // the total (slab, contour) key — deterministic for any thread
-        // count, and contour order inside a bucket matches input order.
-        let mut entries: Vec<SlabEntry> = par_count_then_fill(
-            n,
-            |i| spans[i].len(),
-            |i, dst| {
-                let sp = &spans[i];
-                for (k, s) in (sp.lo..=sp.hi).enumerate() {
-                    let (blo, bhi) = (boundaries[s as usize], boundaries[s as usize + 1]);
-                    dst[k] = SlabEntry {
-                        slab: s,
-                        contour: i as u32,
-                        inside: sp.ymin >= blo && sp.ymax <= bhi,
-                    };
-                }
-            },
-        );
-        par_merge_sort(&mut entries, |a, b| {
-            (a.slab, a.contour).cmp(&(b.slab, b.contour))
-        });
-
-        // Bucket offsets: per-slab counts from the span difference array,
+        // Bucket offsets first: a difference array over the spans,
         // prefix-summed (the paper's output-sensitive allocation step).
         let mut diff = vec![0i64; slabs + 1];
         for sp in &spans {
@@ -201,13 +167,29 @@ impl<'a> SlabIndex<'a> {
                 diff[sp.hi as usize + 1] -= 1;
             }
         }
-        let counts: Vec<usize> = par_inclusive_scan(&diff[..slabs], |a, b| a + b)
-            .into_iter()
-            .map(|c| c as usize)
-            .collect();
-        let (mut bucket_start, total) = scatter_offsets(&counts);
-        bucket_start.push(total);
-        debug_assert_eq!(total, entries.len());
+        let mut bucket_start = Vec::with_capacity(slabs + 1);
+        bucket_start.push(0usize);
+        let mut active = 0i64;
+        for s in 0..slabs {
+            active += diff[s];
+            bucket_start.push(bucket_start[s] + active as usize);
+        }
+
+        // One fill: each entry is written at its slab's cursor. Contours
+        // are visited in global order, so every bucket comes out in input
+        // order — the order a sort by (slab, contour) would give.
+        let mut cursor = bucket_start[..slabs].to_vec();
+        let mut entries = vec![SlabEntry::default(); bucket_start[slabs]];
+        for (i, sp) in spans.iter().enumerate() {
+            for s in sp.lo..=sp.hi {
+                let (blo, bhi) = (boundaries[s as usize], boundaries[s as usize + 1]);
+                entries[cursor[s as usize]] = SlabEntry {
+                    contour: i as u32,
+                    inside: sp.ymin >= blo && sp.ymax <= bhi,
+                };
+                cursor[s as usize] += 1;
+            }
+        }
 
         SlabIndex {
             subject,
@@ -216,6 +198,12 @@ impl<'a> SlabIndex<'a> {
             bucket_start,
             n_subject,
         }
+    }
+
+    /// Where slab `s`'s bucket starts among all entries: entry `k` of
+    /// [`slab(s)`](Self::slab) is entry `bucket_start(s) + k` of the index.
+    pub(crate) fn bucket_start(&self, s: usize) -> usize {
+        self.bucket_start[s]
     }
 
     /// Number of slabs indexed.

@@ -82,9 +82,10 @@ impl WorkMeter {
         self.vertices.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Record a scratch-buffer high-water mark (bytes). Keeps the maximum
-    /// over all reports, not the sum: concurrent buffers are short-lived and
-    /// the quantity of interest is the largest single allocation.
+    /// Record a scratch footprint (bytes). Keeps the maximum over all
+    /// reports, not the sum: a report is either one big buffer (a beam set's
+    /// sub-edges, a stab report, an inversion fill) or, at the end of an
+    /// engine call, the whole capacity its arena holds.
     pub fn record_scratch_bytes(&self, bytes: u64) {
         self.peak_scratch_bytes.fetch_max(bytes, Ordering::Relaxed);
     }
@@ -130,7 +131,9 @@ pub struct MeterSnapshot {
     /// Output fragments gathered before stitching (each contributes at most
     /// two output vertices).
     pub vertices: u64,
-    /// Largest single scratch allocation observed (bytes).
+    /// Largest scratch footprint reported (bytes): the biggest single
+    /// sweep buffer, or the capacity an engine call's arena held at its end,
+    /// whichever is larger.
     pub peak_scratch_bytes: u64,
     /// Total scratch-arena capacity reused across refinement rounds and
     /// slabs instead of being freshly allocated (bytes, accumulated).

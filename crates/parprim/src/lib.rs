@@ -7,9 +7,9 @@
 //!
 //! * [`scan`] — sequential and parallel prefix sums (inclusive/exclusive) and
 //!   the parity prefix test of the paper's Lemma 3;
-//! * [`pack`](mod@pack) — array packing / stream compaction and the two-phase
-//!   *count → allocate → fill* pattern the paper uses for output-sensitive
-//!   processor allocation;
+//! * [`pack`](mod@pack) — array packing / stream compaction and
+//!   [`scatter_offsets`], the prefix-sum step of the *count → allocate →
+//!   fill* pattern the paper uses for output-sensitive processor allocation;
 //! * [`sort`] — parallel merge sort with a parallel merge (the practical
 //!   stand-in for Cole's pipelined mergesort used in the PRAM analysis);
 //! * [`inversions`] — inversion counting and **inversion-pair reporting**
@@ -36,9 +36,7 @@ pub use inversions::{
     count_inversions, par_count_inversions, par_report_inversions, par_report_inversions_gated,
     report_inversions, report_inversions_in, InvScratch,
 };
-pub use pack::{
-    pack, par_count_then_fill, par_dedup_adjacent, par_pack, par_pack_indexed, scatter_offsets,
-};
+pub use pack::{pack, par_dedup_adjacent, par_pack, par_pack_indexed, scatter_offsets};
 pub use scan::{exclusive_scan, inclusive_scan, par_exclusive_scan, par_inclusive_scan};
 pub use segscan::{flags_from_offsets, par_seg_inclusive_scan, seg_inclusive_scan};
 pub use sort::{

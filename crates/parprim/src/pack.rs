@@ -120,36 +120,6 @@ pub fn scatter_offsets(counts: &[usize]) -> (Vec<usize>, usize) {
     (offsets, total)
 }
 
-/// Parallel count-then-fill: each of `n` producers reports its count, gets a
-/// disjoint output range, and fills it. Returns the concatenated output.
-///
-/// `count(i)` must equal the number of items `fill(i, ...)` appends.
-pub fn par_count_then_fill<T, C, F>(n: usize, count: C, fill: F) -> Vec<T>
-where
-    T: Send + Sync + Copy + Default,
-    C: Fn(usize) -> usize + Send + Sync,
-    F: Fn(usize, &mut [T]) + Send + Sync,
-{
-    let counts: Vec<usize> = (0..n).into_par_iter().map(&count).collect();
-    let (offsets, total) = scatter_offsets(&counts);
-    let mut out = vec![T::default(); total];
-    let mut slices: Vec<&mut [T]> = Vec::with_capacity(n);
-    {
-        let mut rest: &mut [T] = &mut out;
-        for &c in &counts {
-            let (head, tail) = rest.split_at_mut(c);
-            slices.push(head);
-            rest = tail;
-        }
-    }
-    let _ = offsets; // offsets are implicit in the slice partitioning
-    slices
-        .into_par_iter()
-        .enumerate()
-        .for_each(|(i, dst)| fill(i, dst));
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -204,26 +174,5 @@ mod tests {
         let (offsets, total) = scatter_offsets(&counts);
         assert_eq!(offsets, vec![0, 3, 3, 8]);
         assert_eq!(total, 10);
-    }
-
-    #[test]
-    fn count_then_fill_produces_disjoint_ranges() {
-        // Producer i emits i copies of i.
-        let out = par_count_then_fill(
-            5,
-            |i| i,
-            |i, dst| {
-                for d in dst.iter_mut() {
-                    *d = i;
-                }
-            },
-        );
-        assert_eq!(out, vec![1, 2, 2, 3, 3, 3, 4, 4, 4, 4]);
-    }
-
-    #[test]
-    fn count_then_fill_empty_producers() {
-        let out: Vec<usize> = par_count_then_fill(3, |_| 0, |_, _| {});
-        assert!(out.is_empty());
     }
 }

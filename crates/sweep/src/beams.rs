@@ -5,16 +5,20 @@
 //! are the paper's **virtual vertices**; their total count is the k' term of
 //! the output-sensitive complexity. Two backends implement the partition:
 //!
-//! * [`PartitionBackend::DirectScan`] — count sub-edges per edge, prefix-sum,
-//!   scatter, sort by (beam, x): the plain count→allocate→fill pattern;
+//! * [`PartitionBackend::DirectScan`] — two event lookups give each edge its
+//!   beam span, a difference array over the spans prefix-sums to the beam
+//!   offsets, and one pass over the edges writes every sub-edge at its
+//!   beam's cursor: the plain count→allocate→fill pattern;
 //! * [`PartitionBackend::SegmentTree`] — the paper's §III-E construction: a
 //!   segment tree over the event intervals answers "which edges are active
 //!   in beam i" with counting queries first and reporting queries after the
 //!   output-sensitive allocation.
 //!
-//! Both produce identical [`BeamSet`]s, for Round A and for a Round-B
-//! rebuild with forced splits (asserted in tests); `figures ablations`
-//! compares their cost. The engine always partitions by direct scan.
+//! Either way each beam's bucket is then sorted left to right. Both
+//! backends produce identical [`BeamSet`]s, for Round A and for a Round-B
+//! rebuild with forced splits, and so does a global sort of every edge's
+//! sub-edges (all asserted in tests); `figures ablations` compares their
+//! cost. The engine always partitions by direct scan.
 
 use crate::edges::{InputEdge, Source};
 use crate::events::event_index;
@@ -162,7 +166,7 @@ impl ForcedSplits {
 /// Which implementation performs the Step-2 partition.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum PartitionBackend {
-    /// Count → prefix sum → scatter → sort. Default.
+    /// Span offsets → prefix sum → bucketed fill → per-beam sort. Default.
     #[default]
     DirectScan,
     /// Parallel segment tree with count-then-report queries (§III-E).
@@ -183,7 +187,8 @@ impl BeamSet {
     /// Partition `edges` into the scanbeams bounded by `ys`.
     ///
     /// `ys` must contain every edge endpoint y (and every forced split y);
-    /// `parallel` switches the fill and sort to rayon.
+    /// `parallel` runs the per-beam sorts, and the segment tree's build and
+    /// report fill, as rayon tasks.
     pub fn build(
         edges: &[InputEdge],
         ys: Vec<f64>,
@@ -205,20 +210,29 @@ impl BeamSet {
     /// [`build`](Self::build) under a cooperative [`Gate`] and into a
     /// reused [`SweepScratch`].
     ///
-    /// Gating: the splitter fill polls per input edge, the segment-tree
-    /// path uses the gated count-then-report queries, and the final sort is
-    /// skipped once the gate trips. Sub-edge incidences (the paper's `k'`
-    /// scale) are credited to the gate's work meter. A tripped gate leaves
-    /// the `BeamSet` truncated — callers must check the gate before using
-    /// it.
+    /// Both backends know the beam offsets before they write a sub-edge.
+    /// The direct scan takes each edge's beam span from two event lookups,
+    /// prefix-sums a difference array over the spans into the offsets, and
+    /// then writes every sub-edge at its beam's cursor, walking the edges in
+    /// id order. The segment tree's count-then-report pass lists each beam's
+    /// edges contiguously, so its report offsets are the beam offsets. Each
+    /// beam is then sorted by [`SubEdge::order_key`]; `parallel` runs those
+    /// sorts as rayon tasks, and for the segment tree also its build and
+    /// its report fill.
     ///
-    /// Arena: the sub-edge array, CSR offsets, segment-tree buffers and the
-    /// count→allocate→fill working arrays all come from the arena, so
+    /// Gating: the direct-scan fill polls per input edge, the segment-tree
+    /// path uses the gated count-then-report queries, and the sorts poll
+    /// per beam. Sub-edge incidences (the paper's `k'` scale) are credited
+    /// to the gate's work meter. A tripped gate leaves the `BeamSet`
+    /// truncated — callers must check the gate before using it.
+    ///
+    /// Arena: the sub-edge array, the offsets, the edge spans, the
+    /// segment-tree buffers and the fill cursors all come from the arena, so
     /// refinement rounds ≥ 2 (and later slabs on the same worker) reuse
     /// round-1 capacity instead of reallocating. Output is bit-identical to
-    /// a fresh arena's: the fill produces the same sub-edge multiset and the
-    /// final sort key `(beam, xb, xt, edge_id)` is a strict total order.
-    /// Hand the set back with [`recycle`](Self::recycle).
+    /// a fresh arena's, and across backends: both fill the same sub-edge
+    /// multiset and the sort key `(beam, xb, xt, edge_id)` is a strict
+    /// total order. Hand the set back with [`recycle`](Self::recycle).
     pub fn build_gated_in(
         edges: &[InputEdge],
         ys: Vec<f64>,
@@ -231,94 +245,80 @@ impl BeamSet {
         let n_beams = ys.len().saturating_sub(1);
         let tripped = || gate.is_some_and(|g| g.is_tripped());
         let mut sub = scratch.take_sub();
+        let mut beam_start = scratch.take_beam_start();
+        let spans = &mut scratch.intervals;
+        spans.clear();
+        spans.extend(edges.iter().map(|e| beam_span(&ys, e)));
         match backend {
             PartitionBackend::DirectScan => {
-                if parallel {
-                    // Count → allocate → fill: each edge owns a disjoint
-                    // slice sized by its beam span, so the fill is parallel
-                    // and the sub-edge buffer is reused across rounds.
-                    let counts = &mut scratch.counts;
-                    counts.clear();
-                    counts.par_extend(
-                        edges
-                            .par_iter()
-                            .map(|e| event_index(&ys, e.hi.y) - event_index(&ys, e.lo.y)),
-                    );
-                    let total: usize = counts.iter().sum();
-                    sub.resize(total, DUMMY_SUB);
-                    let mut slices: Vec<&mut [SubEdge]> = Vec::with_capacity(edges.len());
-                    let mut rest: &mut [SubEdge] = &mut sub;
-                    for &c in counts.iter() {
-                        let (head, tail) = rest.split_at_mut(c);
-                        slices.push(head);
-                        rest = tail;
+                // Offsets first, from a difference array over the spans. A
+                // slot can dip below zero while the spans are added in, so
+                // the array is kept modulo 2^64; every prefix sum is a
+                // beam's edge count, so the sums come out exact.
+                let counts = &mut scratch.counts;
+                counts.clear();
+                counts.resize(n_beams + 1, 0);
+                for &(i0, i1) in spans.iter() {
+                    counts[i0] = counts[i0].wrapping_add(1);
+                    counts[i1] = counts[i1].wrapping_sub(1);
+                }
+                beam_start.push(0);
+                let mut active = 0usize;
+                for b in 0..n_beams {
+                    active = active.wrapping_add(counts[b]);
+                    beam_start.push(beam_start[b] + active);
+                }
+                // One fill: every sub-edge is written at its beam's cursor.
+                // `reserve_exact` keeps a recycled buffer from doubling when
+                // a later round needs a few more slots than the last.
+                let cursor = counts;
+                cursor.clear();
+                cursor.extend_from_slice(&beam_start[..n_beams]);
+                let total = beam_start[n_beams];
+                sub.reserve_exact(total);
+                sub.resize(total, DUMMY_SUB);
+                for (e, &span) in edges.iter().zip(spans.iter()) {
+                    // Per-edge interruption point: the remaining slots keep
+                    // their placeholder.
+                    if tripped() {
+                        break;
                     }
-                    slices
-                        .into_par_iter()
-                        .zip(edges.par_iter())
-                        .for_each(|(dst, e)| {
-                            // Per-edge interruption point: remaining edges
-                            // degrade to placeholder fills.
-                            if tripped() {
-                                dst.fill(DUMMY_SUB);
-                                return;
-                            }
-                            for (d, s) in dst.iter_mut().zip(EdgeSplitter::new(e, &ys, forced)) {
-                                *d = s;
-                            }
-                        });
-                } else {
-                    // Per-edge interruption point: a tripped gate degrades
-                    // the remaining splitters to empty iterators.
-                    let splitter = |e| {
-                        let mut sp = EdgeSplitter::new(e, &ys, forced);
-                        if tripped() {
-                            sp.cur = sp.end;
-                        }
-                        sp
-                    };
-                    sub.extend(edges.iter().flat_map(splitter));
+                    for s in EdgeSplitter::new(e, &ys, forced, span) {
+                        let c = &mut cursor[s.beam as usize];
+                        sub[*c] = s;
+                        *c += 1;
+                    }
                 }
             }
             PartitionBackend::SegmentTree => {
-                // Intervals in elementary-beam index space.
-                let intervals = &mut scratch.intervals;
-                intervals.clear();
-                intervals.extend(
-                    edges
-                        .iter()
-                        .map(|e| (event_index(&ys, e.lo.y), event_index(&ys, e.hi.y))),
-                );
+                // Intervals in elementary-beam index space are the spans.
                 scratch.credit_reuse(scratch.tree.reusable_bytes());
                 let tree =
                     SegmentTree::build_in(n_beams, &scratch.intervals, parallel, &mut scratch.tree);
                 tree.par_stab_all_in(gate, &mut scratch.stab);
-                if !tripped() {
+                if tripped() {
+                    // Empty beams, consistent with the empty sub-edge array.
+                    beam_start.resize(n_beams + 1, 0);
+                } else {
                     // Reporting phase: each (beam, edge) pair becomes a
                     // sub-edge; beams own disjoint contiguous slices.
                     let offsets = &scratch.stab.offsets;
                     let items = &scratch.stab.items;
+                    beam_start.extend_from_slice(offsets);
                     sub.resize(items.len(), DUMMY_SUB);
-                    if parallel {
-                        let mut slices: Vec<&mut [SubEdge]> = Vec::with_capacity(n_beams);
-                        let mut rest: &mut [SubEdge] = &mut sub;
-                        for b in 0..n_beams {
-                            let (head, tail) = rest.split_at_mut(offsets[b + 1] - offsets[b]);
-                            slices.push(head);
-                            rest = tail;
+                    let fill = |b: usize, dst: &mut [SubEdge]| {
+                        for (d, &id) in dst.iter_mut().zip(&items[offsets[b]..offsets[b + 1]]) {
+                            *d = sub_edge_for(&edges[id as usize], &ys, b, forced);
                         }
-                        slices.into_par_iter().enumerate().for_each(|(b, dst)| {
-                            for (d, &id) in dst.iter_mut().zip(&items[offsets[b]..offsets[b + 1]]) {
-                                *d = sub_edge_for(&edges[id as usize], &ys, b, forced);
-                            }
-                        });
+                    };
+                    if parallel {
+                        buckets_mut(&mut sub, &beam_start)
+                            .into_par_iter()
+                            .enumerate()
+                            .for_each(|(b, dst)| fill(b, dst));
                     } else {
-                        let mut k = 0;
-                        for b in 0..n_beams {
-                            for &id in &items[offsets[b]..offsets[b + 1]] {
-                                sub[k] = sub_edge_for(&edges[id as usize], &ys, b, forced);
-                                k += 1;
-                            }
+                        for (b, dst) in buckets_mut(&mut sub, &beam_start).into_iter().enumerate() {
+                            fill(b, dst);
                         }
                     }
                 }
@@ -331,27 +331,8 @@ impl BeamSet {
             g.meter()
                 .record_scratch_bytes((sub.len() * std::mem::size_of::<SubEdge>()) as u64);
         }
-        // CSR over beams, counted *before* ordering (the counts are
-        // order-independent): having the offsets first lets the ordering
-        // pass run per beam instead of as one global sort.
-        let mut beam_start = scratch.take_beam_start();
-        beam_start.resize(n_beams + 1, 0);
-        for s in &sub {
-            beam_start[s.beam as usize + 1] += 1;
-        }
-        for i in 0..n_beams {
-            beam_start[i + 1] += beam_start[i];
-        }
-
         if !tripped() {
-            sort_sub_by_beam(
-                &mut sub,
-                &beam_start,
-                n_beams,
-                parallel,
-                gate,
-                &mut scratch.counts,
-            );
+            sort_beams(&mut sub, &beam_start, parallel, gate);
         }
 
         BeamSet {
@@ -401,68 +382,45 @@ impl BeamSet {
     }
 }
 
-/// Order `sub` by [`SubEdge::order_key`], given the per-beam CSR offsets:
-/// an in-place bucket permutation by beam (`O(total)` swaps) followed by
-/// independent per-beam sorts. The key is total (edge ids are unique within
-/// a beam), so the result is bit-identical to a global unstable sort by the
-/// same key — but the comparison depth drops from `log total` to
-/// `log beam_len`, the per-beam phase parallelizes over beams, and both
-/// phases poll the gate at bounded intervals, where a single global sort is
-/// uninterruptible for its whole `O(total log total)` run. A trip mid-pass
-/// leaves `sub` partially ordered — callers must check the gate.
-fn sort_sub_by_beam(
-    sub: &mut [SubEdge],
-    beam_start: &[usize],
-    n_beams: usize,
-    parallel: bool,
-    gate: Option<&Gate>,
-    cursor: &mut Vec<usize>,
-) {
+/// Sort each beam's bucket by [`SubEdge::order_key`]. The key is total
+/// (edge ids are unique within a beam), so the sorted buckets do not depend
+/// on the order the fill wrote them in. `parallel` sorts the beams as rayon
+/// tasks. The serial loop polls the gate per beam, and a parallel task
+/// skips its beam once the gate trips. A trip mid-pass leaves `sub`
+/// partially ordered — callers must check the gate.
+fn sort_beams(sub: &mut [SubEdge], beam_start: &[usize], parallel: bool, gate: Option<&Gate>) {
     let tripped = || gate.is_some_and(|g| g.is_tripped());
-    cursor.clear();
-    cursor.extend_from_slice(&beam_start[..n_beams]);
-    let mut ops = 0usize;
-    for b in 0..n_beams {
-        // Buckets below `b` are already complete, so every remaining
-        // misplaced element swaps directly into its final bucket; each
-        // element moves at most once.
-        let end = beam_start[b + 1];
-        while cursor[b] < end {
-            ops += 1;
-            if ops & 0xFFFF == 0 && tripped() {
-                return;
-            }
-            let tb = sub[cursor[b]].beam as usize;
-            if tb == b {
-                cursor[b] += 1;
-            } else {
-                let dst = cursor[tb];
-                cursor[tb] += 1;
-                sub.swap(cursor[b], dst);
-            }
-        }
-    }
     if parallel {
-        let mut slices: Vec<&mut [SubEdge]> = Vec::with_capacity(n_beams);
-        let mut rest: &mut [SubEdge] = sub;
-        for b in 0..n_beams {
-            let (head, tail) = rest.split_at_mut(beam_start[b + 1] - beam_start[b]);
-            slices.push(head);
-            rest = tail;
-        }
-        slices.into_par_iter().for_each(|s| {
+        buckets_mut(sub, beam_start).into_par_iter().for_each(|s| {
             if s.len() > 1 && !tripped() {
                 s.sort_unstable_by_key(|e| e.order_key());
             }
         });
     } else {
-        for b in 0..n_beams {
+        for w in beam_start.windows(2) {
             if tripped() {
                 return;
             }
-            sub[beam_start[b]..beam_start[b + 1]].sort_unstable_by_key(|e| e.order_key());
+            sub[w[0]..w[1]].sort_unstable_by_key(|e| e.order_key());
         }
     }
+}
+
+/// `sub` split into its beams' buckets, given the beam offsets.
+fn buckets_mut<'s>(mut sub: &'s mut [SubEdge], beam_start: &[usize]) -> Vec<&'s mut [SubEdge]> {
+    let mut out = Vec::with_capacity(beam_start.len().saturating_sub(1));
+    for w in beam_start.windows(2) {
+        let (head, tail) = std::mem::take(&mut sub).split_at_mut(w[1] - w[0]);
+        out.push(head);
+        sub = tail;
+    }
+    out
+}
+
+/// The beams `[i0, i1)` edge `e` spans: two event lookups.
+#[inline]
+fn beam_span(ys: &[f64], e: &InputEdge) -> (usize, usize) {
+    (event_index(ys, e.lo.y), event_index(ys, e.hi.y))
 }
 
 /// Compute the sub-edge of `e` in `beam` (both boundary x's).
@@ -507,9 +465,13 @@ struct EdgeSplitter<'a> {
 }
 
 impl<'a> EdgeSplitter<'a> {
-    fn new(e: &'a InputEdge, ys: &'a [f64], forced: &'a ForcedSplits) -> Self {
-        let i0 = event_index(ys, e.lo.y);
-        let i1 = event_index(ys, e.hi.y);
+    /// The splitter over `e`'s beam span `(i0, i1)` (see [`beam_span`]).
+    fn new(
+        e: &'a InputEdge,
+        ys: &'a [f64],
+        forced: &'a ForcedSplits,
+        (i0, i1): (usize, usize),
+    ) -> Self {
         debug_assert!(i0 < i1, "edge must span at least one beam");
         EdgeSplitter {
             e,
@@ -543,19 +505,16 @@ impl Iterator for EdgeSplitter<'_> {
             edge_id: self.e.id,
         })
     }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let n = self.end - self.cur;
-        (n, Some(n))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cross::tests::star;
     use crate::edges::collect_edges;
     use crate::events::{event_ys, event_ys_in};
     use polyclip_geom::PolygonSet;
+    use proptest::prelude::*;
 
     fn beams_of(
         p: &PolygonSet,
@@ -613,32 +572,53 @@ mod tests {
     #[test]
     fn segment_tree_backend_agrees_with_direct_scan() {
         let quad = PolygonSet::from_xy(&[(0.0, 0.0), (5.0, 0.5), (4.0, 3.0), (1.0, 2.5)]);
-        for tri in [
-            PolygonSet::from_xy(&[(2.0, 1.0), (6.0, 1.5), (3.0, 4.0)]),
-            PolygonSet::from_xy(&[(2.0, -1.0), (6.0, 1.5), (3.0, 4.0)]),
+        for (p, q) in [
+            (
+                quad.clone(),
+                PolygonSet::from_xy(&[(2.0, 1.0), (6.0, 1.5), (3.0, 4.0)]),
+            ),
+            (
+                quad,
+                PolygonSet::from_xy(&[(2.0, -1.0), (6.0, 1.5), (3.0, 4.0)]),
+            ),
+            (star(0xabc123, 24, 0.0, 0.0), star(0x987654, 24, 0.4, 0.3)),
         ] {
-            assert_backends_agree(&quad, &tri);
+            assert!(assert_backends_agree(&p, &q) > 0, "the inputs must cross");
         }
     }
 
-    /// The two partition backends build bit-identical sets, serially and in
-    /// parallel, for Round A (endpoint events only) and for a Round-B
-    /// rebuild that forces a split at each of Round A's crossings, the way
-    /// the engine's refinement rounds do.
-    fn assert_backends_agree(p: &PolygonSet, q: &PolygonSet) {
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn backends_agree_on_random_star_pairs(
+            seed_p in 1u64..u64::MAX,
+            seed_q in 1u64..u64::MAX,
+            n_p in 3usize..16,
+            n_q in 3usize..16,
+            dx in -1.0f64..1.0,
+            dy in -1.0f64..1.0,
+        ) {
+            assert_backends_agree(&star(seed_p, n_p, 0.0, 0.0), &star(seed_q, n_q, dx, dy));
+        }
+    }
+
+    /// Both partition backends, serially and in parallel, build the set a
+    /// global sort gives ([`reference`]), for Round A (endpoint events only)
+    /// and for a Round-B rebuild that forces a split at each of Round A's
+    /// crossings, the way the engine's refinement rounds do. Returns the
+    /// number of forced splits.
+    fn assert_backends_agree(p: &PolygonSet, q: &PolygonSet) -> usize {
         use crate::cross::discover_intersections;
         let edges = collect_edges(p, q);
         let empty = ForcedSplits::empty(edges.len());
-        let build = |extra: &[f64], forced: &ForcedSplits, backend, parallel| {
-            BeamSet::build(
-                &edges,
-                event_ys(&edges, extra, false),
-                forced,
-                backend,
-                parallel,
-            )
-        };
-        let round_a = build(&[], &empty, PartitionBackend::DirectScan, false);
+        let round_a = BeamSet::build(
+            &edges,
+            event_ys(&edges, &[], false),
+            &empty,
+            PartitionBackend::DirectScan,
+            false,
+        );
         let mut triples = Vec::new();
         let mut extra = Vec::new();
         for c in discover_intersections(&round_a, &edges, false) {
@@ -650,15 +630,41 @@ mod tests {
             }
             extra.push(c.p.y);
         }
-        assert!(!triples.is_empty(), "the inputs must cross");
+        let n_forced = triples.len();
         let forced = ForcedSplits::build(edges.len(), triples);
-        for parallel in [false, true] {
-            for (extra, forced) in [(&[][..], &empty), (&extra[..], &forced)] {
-                assert_identical(
-                    &build(extra, forced, PartitionBackend::DirectScan, parallel),
-                    &build(extra, forced, PartitionBackend::SegmentTree, parallel),
-                );
+        for (extra, forced) in [(&[][..], &empty), (&extra[..], &forced)] {
+            let want = reference(&edges, event_ys(&edges, extra, false), forced);
+            for backend in [PartitionBackend::DirectScan, PartitionBackend::SegmentTree] {
+                for parallel in [false, true] {
+                    let ys = event_ys(&edges, extra, false);
+                    let got = BeamSet::build(&edges, ys, forced, backend, parallel);
+                    assert_identical(&got, &want);
+                }
             }
+        }
+        n_forced
+    }
+
+    /// The set one global sort gives: every edge's sub-edges in edge order,
+    /// sorted by [`SubEdge::order_key`], with the beam offsets recounted.
+    fn reference(edges: &[InputEdge], ys: Vec<f64>, forced: &ForcedSplits) -> BeamSet {
+        let mut sub: Vec<SubEdge> = edges
+            .iter()
+            .flat_map(|e| EdgeSplitter::new(e, &ys, forced, beam_span(&ys, e)))
+            .collect();
+        sub.sort_unstable_by_key(|s| s.order_key());
+        let n_beams = ys.len().saturating_sub(1);
+        let mut beam_start = vec![0; n_beams + 1];
+        for s in &sub {
+            beam_start[s.beam as usize + 1] += 1;
+        }
+        for i in 0..n_beams {
+            beam_start[i + 1] += beam_start[i];
+        }
+        BeamSet {
+            ys,
+            beam_start,
+            sub,
         }
     }
 
@@ -788,7 +794,6 @@ mod tests {
                 assert_identical(&bs, &fresh);
                 forced.recycle(&mut scratch);
             }
-            assert!(scratch.high_water_bytes() > 0);
         }
     }
 }

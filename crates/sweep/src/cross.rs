@@ -12,10 +12,10 @@
 //! endpoint ties, and both orders break the tie the same way), so endpoint
 //! touching is — correctly — not reported as a crossing.
 
-use crate::beams::BeamSet;
+use crate::beams::{BeamSet, SubEdge};
 use crate::edges::InputEdge;
 use crate::scratch::{BeamScratch, SweepScratch};
-use polyclip_geom::{OrdF64, Point, SegmentIntersection};
+use polyclip_geom::{OrdF64, Point, Segment, SegmentIntersection};
 use polyclip_parprim::inversions::{par_report_inversions_gated, report_inversions_in};
 use polyclip_parprim::Gate;
 use rayon::prelude::*;
@@ -82,41 +82,7 @@ pub fn discover_intersections_in(
     grain: usize,
     scratch: &mut SweepScratch,
 ) -> Vec<CrossEvent> {
-    let mut out = scratch.take_events();
-    if parallel {
-        // Chunk the beams so each task reuses one scratch across its chunk;
-        // chunks are emitted in beam order, so the event order matches the
-        // sequential path exactly.
-        let n = beams.n_beams();
-        let chunk = beam_chunk_size(n);
-        let found: Vec<CrossEvent> = (0..n.div_ceil(chunk.max(1)))
-            .into_par_iter()
-            .flat_map_iter(|c| {
-                let mut bs = BeamScratch::default();
-                let mut acc = Vec::new();
-                for b in c * chunk..((c + 1) * chunk).min(n) {
-                    beam_crossings_in(beams, edges, b, gate, grain, &mut bs, &mut acc);
-                }
-                acc
-            })
-            .collect();
-        out.extend(found);
-    } else {
-        for b in 0..beams.n_beams() {
-            beam_crossings_in(beams, edges, b, gate, grain, &mut scratch.beam, &mut out);
-        }
-    }
-    out
-}
-
-/// Beams per parallel discovery task: a few chunks per thread for load
-/// balance while amortizing one scratch allocation over the whole chunk.
-/// Chunking affects grouping only, never results — events stay in beam
-/// order regardless.
-fn beam_chunk_size(n_beams: usize) -> usize {
-    n_beams
-        .div_ceil((rayon::current_num_threads() * 4).max(1))
-        .max(1)
+    discover_in(beams, On::Edges(edges), parallel, gate, grain, scratch)
 }
 
 /// Discover *residual* crossings in a split beam set: inversions evaluated
@@ -139,8 +105,32 @@ pub fn discover_residual_crossings_in(
     grain: usize,
     scratch: &mut SweepScratch,
 ) -> Vec<CrossEvent> {
+    discover_in(beams, On::SubEdges, parallel, gate, grain, scratch)
+}
+
+/// The segments an inverted pair of sub-edges is intersected on.
+#[derive(Clone, Copy)]
+enum On<'a> {
+    /// The input edges the sub-edges lie on (Round A).
+    Edges(&'a [InputEdge]),
+    /// The sub-edges as drawn across their beam (residuals).
+    SubEdges,
+}
+
+/// The one discovery driver: every beam's crossings on `on`, in beam order.
+fn discover_in(
+    beams: &BeamSet,
+    on: On<'_>,
+    parallel: bool,
+    gate: Option<&Gate>,
+    grain: usize,
+    scratch: &mut SweepScratch,
+) -> Vec<CrossEvent> {
     let mut out = scratch.take_events();
     if parallel {
+        // Chunk the beams so each task reuses one scratch across its chunk;
+        // chunks are emitted in beam order, so the event order matches the
+        // sequential path exactly.
         let n = beams.n_beams();
         let chunk = beam_chunk_size(n);
         let found: Vec<CrossEvent> = (0..n.div_ceil(chunk.max(1)))
@@ -149,7 +139,7 @@ pub fn discover_residual_crossings_in(
                 let mut bs = BeamScratch::default();
                 let mut acc = Vec::new();
                 for b in c * chunk..((c + 1) * chunk).min(n) {
-                    beam_residuals_in(beams, b, gate, grain, &mut bs, &mut acc);
+                    beam_crossings_in(beams, on, b, gate, grain, &mut bs, &mut acc);
                 }
                 acc
             })
@@ -157,62 +147,25 @@ pub fn discover_residual_crossings_in(
         out.extend(found);
     } else {
         for b in 0..beams.n_beams() {
-            beam_residuals_in(beams, b, gate, grain, &mut scratch.beam, &mut out);
+            beam_crossings_in(beams, on, b, gate, grain, &mut scratch.beam, &mut out);
         }
     }
     out
 }
 
-/// Residual crossings of one beam, appended to `out`.
-fn beam_residuals_in(
-    beams: &BeamSet,
-    b: usize,
-    gate: Option<&Gate>,
-    grain: usize,
-    bs: &mut BeamScratch,
-    out: &mut Vec<CrossEvent>,
-) {
-    if gate.is_some_and(|g| g.is_tripped()) {
-        return;
-    }
-    let sub = beams.beam(b);
-    beam_inversions_in(sub, gate, grain, bs);
-    if let Some(g) = gate {
-        if g.intersections_would_exceed(bs.pairs.len() as u64) {
-            return;
-        }
-        g.meter().add_intersections(bs.pairs.len() as u64);
-    }
-    let (yb, yt) = (beams.y_bot(b), beams.y_top(b));
-    out.reserve(bs.pairs.len());
-    for (t, &(i, j)) in bs.pairs.iter().enumerate() {
-        // A dense beam can hold millions of pairs; re-poll inside the O(k)
-        // materialization so cancellation latency stays bounded by the
-        // batch, not the beam.
-        if t & 0xFFF == 0 && t > 0 && gate.is_some_and(|g| g.is_tripped()) {
-            return;
-        }
-        let (sa, sb) = (&sub[i], &sub[j]);
-        let seg_a = polyclip_geom::Segment::new(Point::new(sa.xb, yb), Point::new(sa.xt, yt));
-        let seg_b = polyclip_geom::Segment::new(Point::new(sb.xb, yb), Point::new(sb.xt, yt));
-        if let SegmentIntersection::At(p) = seg_a.intersect(&seg_b) {
-            out.push(CrossEvent {
-                e1: sa.edge_id,
-                e2: sb.edge_id,
-                p,
-            });
-        }
-    }
+/// Beams per parallel discovery task: a few chunks per thread for load
+/// balance while amortizing one scratch allocation over the whole chunk.
+/// Chunking affects grouping only, never results — events stay in beam
+/// order regardless.
+fn beam_chunk_size(n_beams: usize) -> usize {
+    n_beams
+        .div_ceil((rayon::current_num_threads() * 4).max(1))
+        .max(1)
 }
 
 /// Inversion pairs (bottom order vs top order) of one beam's sub-edges,
 /// left in `bs.pairs`.
-fn beam_inversions_in(
-    sub: &[crate::beams::SubEdge],
-    gate: Option<&Gate>,
-    grain: usize,
-    bs: &mut BeamScratch,
-) {
+fn beam_inversions_in(sub: &[SubEdge], gate: Option<&Gate>, grain: usize, bs: &mut BeamScratch) {
     bs.pairs.clear();
     let m = sub.len();
     if m < 2 {
@@ -236,10 +189,10 @@ fn beam_inversions_in(
     }
 }
 
-/// Crossings inside a single beam, appended to `out`.
+/// Crossings inside a single beam, intersected on `on`, appended to `out`.
 fn beam_crossings_in(
     beams: &BeamSet,
-    edges: &[InputEdge],
+    on: On<'_>,
     b: usize,
     gate: Option<&Gate>,
     grain: usize,
@@ -263,10 +216,12 @@ fn beam_crossings_in(
         }
         g.meter().add_intersections(bs.pairs.len() as u64);
     }
+    let (yb, yt) = (beams.y_bot(b), beams.y_top(b));
     out.reserve(bs.pairs.len());
     for (t, &(i, j)) in bs.pairs.iter().enumerate() {
-        // Same batched re-poll as the residual path: k segment-intersection
-        // tests in one beam must not straddle the cancellation contract.
+        // A dense beam can hold millions of pairs; re-poll inside the O(k)
+        // materialization so cancellation latency stays bounded by the
+        // batch, not the beam.
         if t & 0xFFF == 0 && t > 0 && gate.is_some_and(|g| g.is_tripped()) {
             return;
         }
@@ -274,18 +229,25 @@ fn beam_crossings_in(
         if sa.edge_id == sb.edge_id {
             continue; // an edge occurs once per beam, but stay defensive
         }
-        let ea = edges[sa.edge_id as usize].segment();
-        let eb = edges[sb.edge_id as usize].segment();
-        match ea.intersect(&eb) {
-            SegmentIntersection::At(p) => out.push(CrossEvent {
+        let hit = match on {
+            On::Edges(edges) => {
+                let ea = edges[sa.edge_id as usize].segment();
+                ea.intersect(&edges[sb.edge_id as usize].segment())
+            }
+            On::SubEdges => {
+                let across = |s: &SubEdge| Segment::new(Point::new(s.xb, yb), Point::new(s.xt, yt));
+                across(sa).intersect(&across(sb))
+            }
+        };
+        // Collinear overlaps and rounding-phantom inversions carry no
+        // transversal crossing; the parity classifier handles them without
+        // an explicit intersection vertex.
+        if let SegmentIntersection::At(p) = hit {
+            out.push(CrossEvent {
                 e1: sa.edge_id,
                 e2: sb.edge_id,
                 p,
-            }),
-            // Collinear overlaps and rounding-phantom inversions carry no
-            // transversal crossing; the parity classifier handles them
-            // without an explicit intersection vertex.
-            SegmentIntersection::Overlap(..) | SegmentIntersection::None => {}
+            });
         }
     }
 }
@@ -316,7 +278,7 @@ pub fn brute_force_crossings(edges: &[InputEdge]) -> Vec<CrossEvent> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::beams::{BeamSet, ForcedSplits, PartitionBackend};
     use crate::edges::collect_edges;
@@ -393,29 +355,31 @@ mod tests {
         assert!(events.is_empty(), "got {events:?}");
     }
 
+    /// A star-shaped `n`-gon around `(cx, cy)` with pseudo-random radii in
+    /// `[0.4, 1.0)` drawn from `seed` (nonzero): simple, and two of them
+    /// with nearby centers cross many times.
+    pub(crate) fn star(seed: u64, n: usize, cx: f64, cy: f64) -> PolygonSet {
+        let mut s = seed;
+        let mut rng = move || {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            (s % 1000) as f64 / 1000.0
+        };
+        let pts: Vec<(f64, f64)> = (0..n)
+            .map(|i| {
+                let ang = (i as f64) * std::f64::consts::TAU / (n as f64);
+                let r = 0.4 + 0.6 * rng();
+                (cx + r * ang.cos(), cy + r * ang.sin())
+            })
+            .collect();
+        PolygonSet::from_xy(&pts)
+    }
+
     #[test]
     fn matches_bruteforce_on_random_star_polygons() {
-        // Deterministic pseudo-random star polygons with many crossings.
-        let mk = |seed: u64, cx: f64, cy: f64| {
-            let mut s = seed;
-            let mut rng = move || {
-                s ^= s << 13;
-                s ^= s >> 7;
-                s ^= s << 17;
-                (s % 1000) as f64 / 1000.0
-            };
-            let n = 24;
-            let pts: Vec<(f64, f64)> = (0..n)
-                .map(|i| {
-                    let ang = (i as f64) * std::f64::consts::TAU / (n as f64);
-                    let r = 0.4 + 0.6 * rng();
-                    (cx + r * ang.cos(), cy + r * ang.sin())
-                })
-                .collect();
-            PolygonSet::from_xy(&pts)
-        };
-        let a = mk(0xabc123, 0.0, 0.0);
-        let b = mk(0x987654, 0.4, 0.3);
+        let a = star(0xabc123, 24, 0.0, 0.0);
+        let b = star(0x987654, 24, 0.4, 0.3);
         let (edges, beams) = round_a(&a, &b);
         let brute = pair_set(&brute_force_crossings(&edges));
         assert!(!brute.is_empty());

@@ -10,10 +10,10 @@
 //! built *into* the arena with the `*_in` constructors and handed back with
 //! their `recycle` methods, so the steady state allocates nothing.
 //!
-//! The arena also keeps two counters the bench suite reports:
-//! a high-water mark of the total capacity held (observed at each recycle
-//! point) and the cumulative bytes of capacity that were reused instead of
-//! freshly allocated (credited each time a non-empty buffer is taken).
+//! The arena also counts the bytes of capacity that were reused instead of
+//! freshly allocated (credited each time a non-empty buffer is taken), and
+//! reports the capacity it holds; the engine publishes both on the work
+//! meter at the end of every call.
 
 use crate::beams::SubEdge;
 use crate::cross::CrossEvent;
@@ -50,7 +50,7 @@ impl BeamScratch {
 ///
 /// All fields are crate-private; external callers only create one
 /// (`SweepScratch::default()`), pass it by `&mut` into the `*_in` entry
-/// points, and read the [`high_water_bytes`](Self::high_water_bytes) /
+/// points, and read the [`capacity_bytes`](Self::capacity_bytes) /
 /// [`take_reused_bytes`](Self::take_reused_bytes) statistics.
 #[derive(Debug, Default)]
 pub struct SweepScratch {
@@ -62,9 +62,10 @@ pub struct SweepScratch {
     pub(crate) sub: Vec<SubEdge>,
     /// Pool for the per-beam CSR offsets of a `BeamSet`.
     pub(crate) beam_start: Vec<usize>,
-    /// Per-edge / per-beam counts for the count→allocate→fill passes.
+    /// The direct-scan partition's per-beam difference array, then its
+    /// per-beam fill cursors.
     pub(crate) counts: Vec<usize>,
-    /// Edge y-span intervals for the segment-tree backend.
+    /// Each edge's beam span `[i0, i1)`, for both partition backends.
     pub(crate) intervals: Vec<(usize, usize)>,
     /// Segment-tree construction buffers (cover pairs + recycled CSR).
     pub(crate) tree: TreeScratch,
@@ -81,7 +82,6 @@ pub struct SweepScratch {
     /// Sequential per-beam inversion buffers.
     pub(crate) beam: BeamScratch,
     reused_bytes: u64,
-    hwm_bytes: u64,
 }
 
 impl SweepScratch {
@@ -108,32 +108,11 @@ impl SweepScratch {
             + self.beam.capacity_bytes()
     }
 
-    /// Largest total capacity observed at a recycle point (bytes) since the
-    /// arena was created or [`reset_high_water`](Self::reset_high_water) was
-    /// last called.
-    pub fn high_water_bytes(&self) -> u64 {
-        self.hwm_bytes
-    }
-
-    /// Re-baseline the high-water mark to the capacity currently parked in
-    /// the arena. Callers that keep one arena alive across many independent
-    /// clips (the prepared-layer scratch pool) call this when checking an
-    /// arena out, so [`high_water_bytes`](Self::high_water_bytes) reports
-    /// the peak of *this* call instead of the process-lifetime maximum.
-    pub fn reset_high_water(&mut self) {
-        self.hwm_bytes = self.capacity_bytes();
-    }
-
     /// Cumulative bytes of capacity taken from the arena non-empty (i.e.
     /// reused instead of freshly allocated) since the last call; resets the
     /// counter so per-round / per-slab deltas can be attributed.
     pub fn take_reused_bytes(&mut self) -> u64 {
         std::mem::take(&mut self.reused_bytes)
-    }
-
-    /// Update the high-water mark; called whenever buffers come home.
-    pub(crate) fn note_hwm(&mut self) {
-        self.hwm_bytes = self.hwm_bytes.max(self.capacity_bytes());
     }
 
     /// Credit `bytes` of capacity as reused rather than freshly allocated.
@@ -152,7 +131,6 @@ impl SweepScratch {
     /// [`event_ys_in`](crate::events::event_ys_in) whose `BeamSet` was never built.
     pub fn give_ys(&mut self, v: Vec<f64>) {
         self.ys = v;
-        self.note_hwm();
     }
 
     pub(crate) fn take_sub(&mut self) -> Vec<SubEdge> {
@@ -164,7 +142,6 @@ impl SweepScratch {
 
     pub(crate) fn give_sub(&mut self, v: Vec<SubEdge>) {
         self.sub = v;
-        self.note_hwm();
     }
 
     pub(crate) fn take_beam_start(&mut self) -> Vec<usize> {
@@ -176,7 +153,6 @@ impl SweepScratch {
 
     pub(crate) fn give_beam_start(&mut self, v: Vec<usize>) {
         self.beam_start = v;
-        self.note_hwm();
     }
 
     pub(crate) fn take_forced(&mut self) -> (Vec<usize>, Vec<(f64, f64)>) {
@@ -191,7 +167,6 @@ impl SweepScratch {
     pub(crate) fn give_forced(&mut self, start: Vec<usize>, items: Vec<(f64, f64)>) {
         self.forced_start = start;
         self.forced_items = items;
-        self.note_hwm();
     }
 
     pub(crate) fn take_events(&mut self) -> Vec<CrossEvent> {
@@ -205,27 +180,5 @@ impl SweepScratch {
     /// `discover_*_in` entry points.
     pub fn give_events(&mut self, v: Vec<CrossEvent>) {
         self.events = v;
-        self.note_hwm();
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn reset_high_water_rebaselines_to_current_capacity() {
-        let mut s = SweepScratch::new();
-        s.give_ys(Vec::with_capacity(1024));
-        let hwm = s.high_water_bytes();
-        assert!(hwm >= 1024 * std::mem::size_of::<f64>() as u64);
-        // Lending the big buffer out leaves the mark untouched...
-        let lent = s.take_ys();
-        assert_eq!(s.high_water_bytes(), hwm);
-        // ...and resetting re-baselines to what is actually parked now.
-        s.reset_high_water();
-        assert_eq!(s.high_water_bytes(), s.capacity_bytes());
-        assert!(s.high_water_bytes() < hwm);
-        drop(lent);
     }
 }
