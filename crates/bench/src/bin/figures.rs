@@ -19,6 +19,7 @@
 //! (see EXPERIMENTS.md for the substitution rationale; the paper used a
 //! 64-core Opteron).
 
+use polyclip::core::stitch_counted;
 use polyclip::datagen::{smooth_blob, synthetic_pair, table3_spec};
 use polyclip::parprim::inversions::report_inversion_values;
 use polyclip::prelude::*;
@@ -251,11 +252,12 @@ fn table3(cfg: &Config) -> Vec<ResultTable> {
 }
 
 /// Figure 7: sequential clipping time vs polygon size (superlinear growth —
-/// the reason partitioning into smaller subproblems pays off). Two columns
-/// divide a phase by the sub-edges it handles, so a cost that grows faster
-/// than its count shows: the Round-A `BeamSet::build` over the pair's edges
-/// (best of 5, the event schedule's copy included), and the whole ∪ run over
-/// its final sub-edge count.
+/// the reason partitioning into smaller subproblems pays off). Three columns
+/// divide a phase by the items it handles, so a cost that grows faster than
+/// its count shows: the Round-A `BeamSet::build` over the pair's edges (best
+/// of 5, the event schedule's copy included), the whole ∪ run over its final
+/// sub-edge count, and `stitch_counted` over the directed edges of the ∪
+/// output's contours (best of 5, the input's copy included) per edge.
 fn fig7(cfg: &Config) -> Vec<ResultTable> {
     let mut t = ResultTable::new(
         "fig7_seq_scaling",
@@ -268,6 +270,7 @@ fn fig7(cfg: &Config) -> Vec<ResultTable> {
             "k_prime",
             "build_ns_per_subedge",
             "engine_ns_per_subedge",
+            "stitch_ns_per_fragment",
         ],
     );
     let seq = ClipOptions::sequential();
@@ -277,7 +280,8 @@ fn fig7(cfg: &Config) -> Vec<ResultTable> {
         let n = cfg.n(at_default);
         let (a, b) = synthetic_pair(n, 42);
         let ((_, stats), ti) = time_best(2, || clip_with_stats(&a, &b, BoolOp::Intersection, &seq));
-        let ((_, union), tu) = time_best(2, || clip_with_stats(&a, &b, BoolOp::Union, &seq));
+        let ((union_out, union), tu) =
+            time_best(2, || clip_with_stats(&a, &b, BoolOp::Union, &seq));
         let edges = collect_edges(&a, &b);
         let ys = event_ys(&edges, &[], false);
         let forced = ForcedSplits::empty(edges.len());
@@ -291,6 +295,12 @@ fn fig7(cfg: &Config) -> Vec<ResultTable> {
             )
             .total_sub_edges()
         });
+        let fragments: Vec<(Point, Point)> = union_out
+            .contours()
+            .iter()
+            .flat_map(|c| c.edges().map(|e| (e.a, e.b)))
+            .collect();
+        let (_, ts) = time_best(5, || stitch_counted(fragments.clone(), true).1);
         let ns_per =
             |d: Duration, count: usize| format!("{:.1}", d.as_secs_f64() * 1e9 / count as f64);
         t.push_row(vec![
@@ -302,6 +312,7 @@ fn fig7(cfg: &Config) -> Vec<ResultTable> {
             stats.k_prime.to_string(),
             ns_per(tb, subedges),
             ns_per(tu, union.n_subedges),
+            ns_per(ts, fragments.len()),
         ]);
     }
     vec![t]

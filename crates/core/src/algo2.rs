@@ -1382,6 +1382,19 @@ fn decompose_fragment(ps: PolygonSet, y_lines: &[f64], x_lines: &[f64]) -> SeamF
 /// contour sequence the pre-fragment implementation did: pass-through
 /// contours first in part order, then the stitched seam contours.
 fn finish_merge(frags: Vec<SeamFragment>) -> PolygonSet {
+    let (mut pass, edges) = seam_split(frags);
+    if !edges.is_empty() {
+        pass.extend(PolygonSet::from_contours(crate::stitch::stitch(
+            edges, true,
+        )));
+    }
+    pass
+}
+
+/// The half of [`finish_merge`] before the stitch: the pass-through
+/// contours in part order, and every fragment edge with its seam runs split
+/// at the union of both sides' endpoints.
+fn seam_split(frags: Vec<SeamFragment>) -> (PolygonSet, Vec<(Point, Point)>) {
     let mut pass = PolygonSet::new();
     let mut edges: Vec<(Point, Point)> = Vec::new();
     let mut y_cuts: crate::stitch::SeamCuts = HashMap::new();
@@ -1397,16 +1410,16 @@ fn finish_merge(frags: Vec<SeamFragment>) -> PolygonSet {
         }
     }
     if edges.is_empty() {
-        return pass;
+        return (pass, edges);
     }
     for cuts in y_cuts.values_mut().chain(x_cuts.values_mut()) {
         cuts.sort_unstable();
         cuts.dedup();
     }
-    let split_edges = crate::stitch::split_seam_runs(edges, &y_cuts, &x_cuts);
-    let stitched = crate::stitch::stitch(split_edges, true);
-    pass.extend(PolygonSet::from_contours(stitched));
-    pass
+    (
+        pass,
+        crate::stitch::split_seam_runs(edges, &y_cuts, &x_cuts),
+    )
 }
 
 #[cfg(test)]
@@ -1946,5 +1959,55 @@ mod tests {
                 "op {op:?}: no column refinement happened"
             );
         }
+    }
+
+    #[test]
+    fn step8_stitch_matches_the_hash_map_reference() {
+        // Step 8's input: each slab's output decomposed against the seams,
+        // concatenated and seam-split, for the torture corpus at 4 slabs.
+        let mut stitched = 0usize;
+        for seed in 0..8 {
+            for case in polyclip_datagen::torture_corpus(seed) {
+                let (a, b) = (&case.subject, &case.clip);
+                let mut ys: Vec<OrdF64> = a
+                    .contours()
+                    .iter()
+                    .chain(b.contours())
+                    .flat_map(|c| c.points().iter().map(|p| OrdF64::new(p.y)))
+                    .collect();
+                ys.sort_unstable();
+                ys.dedup();
+                let boundaries = slab_boundaries(&ys, 4);
+                let seams = &boundaries[1..boundaries.len() - 1];
+                for op in [
+                    BoolOp::Intersection,
+                    BoolOp::Union,
+                    BoolOp::Difference,
+                    BoolOp::Xor,
+                ] {
+                    let frags = boundaries
+                        .windows(2)
+                        .map(|w| {
+                            let part = crate::engine::clip(
+                                &polyclip_seqclip::band_clip(a, w[0], w[1]),
+                                &polyclip_seqclip::band_clip(b, w[0], w[1]),
+                                op,
+                                &seq(),
+                            );
+                            decompose_fragment(part, seams, &[])
+                        })
+                        .collect();
+                    let (_, edges) = seam_split(frags);
+                    stitched += usize::from(!edges.is_empty());
+                    assert_eq!(
+                        crate::stitch::stitch_counted(edges.clone(), true),
+                        crate::stitch::tests::reference_stitch_counted(edges, true),
+                        "{} seed {seed} op {op:?}",
+                        case.name
+                    );
+                }
+            }
+        }
+        assert!(stitched > 0, "no case reached the Step-8 stitch");
     }
 }

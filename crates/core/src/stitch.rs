@@ -12,105 +12,81 @@
 //!    set of incoming/outgoing edges. Walking from any fragment and always
 //!    taking the sharpest left turn traces the face with interior on the
 //!    left; repeating until all fragments are used yields all output
-//!    contours (outers counterclockwise, holes clockwise);
+//!    contours (outers counterclockwise, holes clockwise). The fragments
+//!    leaving a vertex are found through a successor array built from two
+//!    sorts of the endpoints, with nothing allocated per vertex;
 //! 3. **virtual-vertex removal** — collinear chain vertices introduced by
 //!    the scanbeam partition (the k' virtual vertices) are packed away,
 //!    exactly as the paper prescribes ("removed finally by array packing").
 
 use polyclip_geom::{orient2d, Contour, OrdF64, Orientation, Point, EPS_COLLINEAR_REL};
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 
-type Key = (OrdF64, OrdF64);
+/// A vertex as a pair of integers whose order and equality are those of
+/// `(OrdF64, OrdF64)`: `-0.0` folds onto `+0.0`, then a negative's bits are
+/// flipped and a non-negative's top bit is set, so unsigned order is
+/// numeric order.
+type VertexKey = (u64, u64);
 
 #[inline]
-fn key(p: Point) -> Key {
-    (OrdF64::new(p.x), OrdF64::new(p.y))
-}
-
-/// Multiply-xor hasher for coordinate keys. Vertex coordinates are not
-/// attacker-controlled hash-table keys, so the DoS protection of the
-/// default SipHash only costs time here; this hasher makes the stitching
-/// phase's adjacency map several times faster on large outputs.
-#[derive(Default)]
-pub struct FastHasher(u64);
-
-impl Hasher for FastHasher {
+fn vertex_key(p: Point) -> VertexKey {
     #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut buf = [0u8; 8];
-            buf[..chunk.len()].copy_from_slice(chunk);
-            self.write_u64(u64::from_le_bytes(buf));
+    fn ordered_bits(v: f64) -> u64 {
+        let b = if v == 0.0 { 0 } else { v.to_bits() };
+        if b >> 63 == 1 {
+            !b
+        } else {
+            b | 1 << 63
         }
     }
-
-    #[inline]
-    fn write_u64(&mut self, v: u64) {
-        // splitmix64-style mixing.
-        let mut x = self.0 ^ v.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        x ^= x >> 30;
-        x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        x ^= x >> 27;
-        self.0 = x;
-    }
-
-    #[inline]
-    fn finish(&self) -> u64 {
-        let mut x = self.0;
-        x = x.wrapping_mul(0x94d0_49bb_1331_11eb);
-        x ^= x >> 31;
-        x
-    }
+    (ordered_bits(p.x), ordered_bits(p.y))
 }
-
-/// Hash map keyed by exact vertex coordinates with the fast hasher.
-pub type PointMap<V> = HashMap<Key, V, BuildHasherDefault<FastHasher>>;
 
 /// Remove opposite-direction duplicate fragments. Fragments with identical
 /// geometry and direction are kept with their multiplicity (they can occur
 /// at degenerate tangencies and still stitch correctly).
+///
+/// One sort of `(low endpoint, high endpoint, direction, index)` tuples
+/// groups equal geometry; no two tuples tie, so the order is fixed. The
+/// survivors come out in ascending `(low, high)` order, each rebuilt from
+/// its group's first fragment.
 pub fn cancel_opposites(edges: &mut Vec<(Point, Point)>) {
-    // Canonical form: (low endpoint, high endpoint, direction sign).
-    let mut canon: Vec<(Key, Key, i8)> = edges
+    let mut canon: Vec<(VertexKey, VertexKey, i8, u32)> = edges
         .iter()
-        .map(|&(a, b)| {
-            let (ka, kb) = (key(a), key(b));
+        .enumerate()
+        .map(|(i, &(a, b))| {
+            let (ka, kb) = (vertex_key(a), vertex_key(b));
             if ka <= kb {
-                (ka, kb, 1i8)
+                (ka, kb, 1i8, i as u32)
             } else {
-                (kb, ka, -1i8)
+                (kb, ka, -1i8, i as u32)
             }
         })
         .collect();
-    let mut order: Vec<usize> = (0..canon.len()).collect();
-    order.sort_unstable_by(|&i, &j| canon[i].cmp(&canon[j]));
+    canon.sort_unstable();
 
     let mut out: Vec<(Point, Point)> = Vec::with_capacity(edges.len());
     let mut i = 0;
-    while i < order.len() {
-        let mut j = i;
-        let g = (canon[order[i]].0, canon[order[i]].1);
+    while i < canon.len() {
+        let (lo, hi, dir, first) = canon[i];
         let mut net = 0i32;
-        while j < order.len() && (canon[order[j]].0, canon[order[j]].1) == g {
-            net += canon[order[j]].2 as i32;
+        let mut j = i;
+        while j < canon.len() && (canon[j].0, canon[j].1) == (lo, hi) {
+            net += canon[j].2 as i32;
             j += 1;
         }
         if net != 0 {
-            // Reconstruct |net| copies in the surviving direction.
-            let (lo, hi) = g;
-            let (pl, ph) = (
-                Point::new(lo.0.get(), lo.1.get()),
-                Point::new(hi.0.get(), hi.1.get()),
-            );
-            let e = if net > 0 { (pl, ph) } else { (ph, pl) };
-            for _ in 0..net.abs() {
-                out.push(e);
-            }
+            // |net| copies in the surviving direction.
+            let (a, b) = edges[first as usize];
+            let e = if (net > 0) == (dir > 0) {
+                (a, b)
+            } else {
+                (b, a)
+            };
+            out.extend(std::iter::repeat_n(e, net.unsigned_abs() as usize));
         }
         i = j;
     }
-    canon.clear();
     *edges = out;
 }
 
@@ -135,13 +111,7 @@ pub fn stitch_counted(mut edges: Vec<(Point, Point)>, simplify: bool) -> (Vec<Co
     if edges.is_empty() {
         return (Vec::new(), 0);
     }
-
-    // Outgoing adjacency per vertex.
-    let mut adjacency: PointMap<Vec<u32>> =
-        PointMap::with_capacity_and_hasher(edges.len(), Default::default());
-    for (i, &(a, _)) in edges.iter().enumerate() {
-        adjacency.entry(key(a)).or_default().push(i as u32);
-    }
+    let (out_ids, succ) = successors(&edges);
     let mut used = vec![false; edges.len()];
 
     let mut contours = Vec::new();
@@ -159,8 +129,9 @@ pub fn stitch_counted(mut edges: Vec<(Point, Point)>, simplify: bool) -> (Vec<Co
             if to == edges[start].0 {
                 break true; // back at the starting vertex
             }
-            let d_in = to - from;
-            let Some(next) = pick_next(&edges, &adjacency, &used, to, d_in) else {
+            let (lo, hi) = succ[cur];
+            let cands = &out_ids[lo as usize..hi as usize];
+            let Some(next) = pick_next(&edges, cands, &used, to - from) else {
                 break false;
             };
             cur = next;
@@ -184,18 +155,58 @@ pub fn stitch_counted(mut edges: Vec<(Point, Point)>, simplify: bool) -> (Vec<Co
     (contours, dropped)
 }
 
-/// The sharpest-left-turn successor: among unused fragments leaving `at`,
-/// the one whose direction makes the largest counterclockwise turn from
-/// `d_in` (U-turns rank highest, straight-on in the middle, sharp right
-/// lowest). This keeps the traced face's interior consistently on the left.
-fn pick_next(
-    edges: &[(Point, Point)],
-    adjacency: &PointMap<Vec<u32>>,
-    used: &[bool],
-    at: Point,
-    d_in: Point,
-) -> Option<usize> {
-    let cands = adjacency.get(&key(at))?;
+/// Outgoing adjacency as a CSR array: the fragment ids sorted by start
+/// vertex (ascending id within one vertex), and for every fragment the
+/// `[lo, hi)` range of that array holding the fragments that leave its end
+/// vertex. The ranges come from merge-joining the ids sorted by start
+/// vertex with the ids sorted by end vertex; nothing is allocated per
+/// vertex.
+fn successors(edges: &[(Point, Point)]) -> (Vec<u32>, Vec<(u32, u32)>) {
+    let mut by_from: Vec<(VertexKey, u32)> = edges
+        .iter()
+        .enumerate()
+        .map(|(i, &(a, _))| (vertex_key(a), i as u32))
+        .collect();
+    by_from.sort_unstable();
+    let mut by_to: Vec<(VertexKey, u32)> = edges
+        .iter()
+        .enumerate()
+        .map(|(i, &(_, b))| (vertex_key(b), i as u32))
+        .collect();
+    by_to.sort_unstable();
+
+    let n = edges.len();
+    let mut succ = vec![(0u32, 0u32); n];
+    let (mut lo, mut t) = (0usize, 0usize);
+    while t < n {
+        let k = by_to[t].0;
+        while lo < n && by_from[lo].0 < k {
+            lo += 1;
+        }
+        let mut hi = lo;
+        while hi < n && by_from[hi].0 == k {
+            hi += 1;
+        }
+        while t < n && by_to[t].0 == k {
+            succ[by_to[t].1 as usize] = (lo as u32, hi as u32);
+            t += 1;
+        }
+        lo = hi;
+    }
+    (by_from.into_iter().map(|(_, id)| id).collect(), succ)
+}
+
+/// The sharpest-left-turn successor: among the unused fragments of `cands`
+/// (the fragments leaving the current vertex, ascending id), the one whose
+/// direction makes the largest counterclockwise turn from `d_in` (U-turns
+/// rank highest, straight-on in the middle, sharp right lowest). This keeps
+/// the traced face's interior consistently on the left. A lone candidate
+/// needs no angle: the loop below would take it whatever its turn.
+fn pick_next(edges: &[(Point, Point)], cands: &[u32], used: &[bool], d_in: Point) -> Option<usize> {
+    if let [c] = *cands {
+        let c = c as usize;
+        return (!used[c]).then_some(c);
+    }
     let mut best: Option<(f64, usize)> = None;
     for &c in cands {
         let c = c as usize;
@@ -368,9 +379,146 @@ fn split_run(a: Point, b: Point, cuts: &[OrdF64], horizontal: bool, out: &mut Ve
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use polyclip_geom::point::pt;
+    use proptest::prelude::*;
+    use rand::prelude::*;
+
+    type Key = (OrdF64, OrdF64);
+
+    fn key(p: Point) -> Key {
+        (OrdF64::new(p.x), OrdF64::new(p.y))
+    }
+
+    /// The cancellation the sorted one replaced, kept as its reference: an
+    /// index array sorted by the canonical tuples, each survivor rebuilt
+    /// from its group's keys.
+    ///
+    /// The index sort is stable here. Under an unstable one, which fragment
+    /// of a group lends the survivor its bits is arbitrary, and that shows
+    /// when the group's fragments differ only in the sign of a zero: the
+    /// walk ranks an exact U-turn whose cross product is `-0.0` lowest, not
+    /// highest. The stable sort picks what the sorted cancellation picks,
+    /// the group's first fragment.
+    fn reference_cancel_opposites(edges: &mut Vec<(Point, Point)>) {
+        let canon: Vec<(Key, Key, i8)> = edges
+            .iter()
+            .map(|&(a, b)| {
+                let (ka, kb) = (key(a), key(b));
+                if ka <= kb {
+                    (ka, kb, 1i8)
+                } else {
+                    (kb, ka, -1i8)
+                }
+            })
+            .collect();
+        let mut order: Vec<usize> = (0..canon.len()).collect();
+        order.sort_by(|&i, &j| canon[i].cmp(&canon[j]));
+
+        let mut out: Vec<(Point, Point)> = Vec::with_capacity(edges.len());
+        let mut i = 0;
+        while i < order.len() {
+            let mut j = i;
+            let g = (canon[order[i]].0, canon[order[i]].1);
+            let mut net = 0i32;
+            while j < order.len() && (canon[order[j]].0, canon[order[j]].1) == g {
+                net += canon[order[j]].2 as i32;
+                j += 1;
+            }
+            if net != 0 {
+                let (lo, hi) = g;
+                let (pl, ph) = (
+                    Point::new(lo.0.get(), lo.1.get()),
+                    Point::new(hi.0.get(), hi.1.get()),
+                );
+                let e = if net > 0 { (pl, ph) } else { (ph, pl) };
+                for _ in 0..net.abs() {
+                    out.push(e);
+                }
+            }
+            i = j;
+        }
+        *edges = out;
+    }
+
+    /// The stitch the sorted one replaced, kept as the reference it must
+    /// match bit for bit: a hash map from each vertex to the `Vec` of
+    /// fragments leaving it, in push (ascending id) order.
+    pub(crate) fn reference_stitch_counted(
+        mut edges: Vec<(Point, Point)>,
+        simplify: bool,
+    ) -> (Vec<Contour>, usize) {
+        reference_cancel_opposites(&mut edges);
+        if edges.is_empty() {
+            return (Vec::new(), 0);
+        }
+
+        let mut adjacency: HashMap<Key, Vec<u32>> = HashMap::with_capacity(edges.len());
+        for (i, &(a, _)) in edges.iter().enumerate() {
+            adjacency.entry(key(a)).or_default().push(i as u32);
+        }
+        let mut used = vec![false; edges.len()];
+
+        let mut contours = Vec::new();
+        let mut dropped = 0usize;
+        for start in 0..edges.len() {
+            if used[start] {
+                continue;
+            }
+            let mut pts: Vec<Point> = Vec::new();
+            let mut cur = start;
+            let closed = loop {
+                used[cur] = true;
+                let (from, to) = edges[cur];
+                pts.push(from);
+                if to == edges[start].0 {
+                    break true;
+                }
+                let d_in = to - from;
+                let Some(next) = reference_pick_next(&edges, &adjacency, &used, to, d_in) else {
+                    break false;
+                };
+                cur = next;
+            };
+            if closed && pts.len() >= 3 {
+                let c = if simplify {
+                    simplify_collinear(pts)
+                } else {
+                    Contour::new(pts)
+                };
+                if c.is_valid() && c.signed_area() != 0.0 {
+                    contours.push(c);
+                }
+            } else if !closed {
+                dropped += pts.len();
+            }
+        }
+        (contours, dropped)
+    }
+
+    fn reference_pick_next(
+        edges: &[(Point, Point)],
+        adjacency: &HashMap<Key, Vec<u32>>,
+        used: &[bool],
+        at: Point,
+        d_in: Point,
+    ) -> Option<usize> {
+        let cands = adjacency.get(&key(at))?;
+        let mut best: Option<(f64, usize)> = None;
+        for &c in cands {
+            let c = c as usize;
+            if used[c] {
+                continue;
+            }
+            let d_out = edges[c].1 - edges[c].0;
+            let turn = d_in.cross(&d_out).atan2(d_in.dot(&d_out));
+            if best.is_none_or(|(bt, _)| turn > bt) {
+                best = Some((turn, c));
+            }
+        }
+        best.map(|(_, c)| c)
+    }
 
     fn e(ax: f64, ay: f64, bx: f64, by: f64) -> (Point, Point) {
         (pt(ax, ay), pt(bx, by))
@@ -532,5 +680,82 @@ mod tests {
         assert_eq!(cs.len(), 1);
         assert_eq!(dropped, 2);
         assert!((cs[0].signed_area() - 1.0).abs() < 1e-12);
+    }
+
+    /// A fragment multiset from `seed`: the directed edges of 1–6 random
+    /// polygons on a 7×7 integer grid (so fragments share vertices and
+    /// the walk meets several candidates), reversed copies of some (which
+    /// cancel), same-direction copies of some (which survive with
+    /// multiplicity), some deleted (unclosed walks), and every zero
+    /// coordinate given a random sign.
+    fn fragment_multiset(seed: u64) -> Vec<(Point, Point)> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let grid_pt = |rng: &mut StdRng| {
+            let c = |rng: &mut StdRng| rng.gen_range(-3i32..4) as f64;
+            pt(c(rng), c(rng))
+        };
+        let mut edges = Vec::new();
+        for _ in 0..rng.gen_range(1..7) {
+            let mut ring: Vec<Point> = Vec::new();
+            for _ in 0..rng.gen_range(3..9) {
+                let p = grid_pt(&mut rng);
+                if ring.last() != Some(&p) {
+                    ring.push(p);
+                }
+            }
+            while ring.len() > 1 && ring.first() == ring.last() {
+                ring.pop();
+            }
+            for i in 0..ring.len() {
+                let (a, b) = (ring[i], ring[(i + 1) % ring.len()]);
+                if a != b {
+                    edges.push((a, b));
+                }
+            }
+        }
+        for i in 0..edges.len() {
+            let (a, b) = edges[i];
+            if rng.gen_bool(0.25) {
+                edges.push((b, a));
+            }
+            if rng.gen_bool(0.15) {
+                edges.push((a, b));
+            }
+        }
+        edges.retain(|_| !rng.gen_bool(0.1));
+        let signed = |v: f64, rng: &mut StdRng| {
+            if v == 0.0 && rng.gen_bool(0.5) {
+                -0.0
+            } else {
+                v
+            }
+        };
+        for e in &mut edges {
+            e.0 = pt(signed(e.0.x, &mut rng), signed(e.0.y, &mut rng));
+            e.1 = pt(signed(e.1.x, &mut rng), signed(e.1.y, &mut rng));
+        }
+        edges
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn sorted_stitch_matches_the_hash_map_reference(seed in 0u64..u64::MAX) {
+            let edges = fragment_multiset(seed);
+            let (mut sorted, mut reference) = (edges.clone(), edges.clone());
+            cancel_opposites(&mut sorted);
+            reference_cancel_opposites(&mut reference);
+            prop_assert_eq!(sorted, reference, "seed {}", seed);
+            for simplify in [false, true] {
+                prop_assert_eq!(
+                    stitch_counted(edges.clone(), simplify),
+                    reference_stitch_counted(edges.clone(), simplify),
+                    "seed {} simplify {}",
+                    seed,
+                    simplify
+                );
+            }
+        }
     }
 }

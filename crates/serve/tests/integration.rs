@@ -10,7 +10,7 @@ use polyclip_serve::server::{ServeConfig, Server};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A 4×4 square at the origin — area 16, trivially verifiable.
 fn square_layer() -> Arc<PreparedLayer> {
@@ -263,6 +263,48 @@ fn concurrent_connections_each_get_their_own_answers() {
     for h in handles {
         h.join().unwrap();
     }
+    server.shutdown();
+    server.wait();
+}
+
+#[test]
+fn pipelined_replies_do_not_wait_for_delayed_acks() {
+    // Two requests in one write, two replies back. The second reply is
+    // written while the first is unacknowledged; unless the server sets
+    // TCP_NODELAY, it waits for the client's delayed ACK (~40 ms on
+    // Linux) in every round.
+    let server = Server::start(
+        ServeConfig::default(),
+        vec![("sq".into(), square_layer())],
+        "127.0.0.1:0",
+    )
+    .unwrap();
+    let mut c = TestClient::connect(&server);
+    c.stream.set_nodelay(true).unwrap();
+    let q = [(1.0, 1.0), (3.0, 1.0), (3.0, 3.0), (1.0, 3.0)];
+    let line =
+        |id: u64| render_clip_request(id, BoolOp::Intersection, "sq", Priority::Normal, None, &q);
+    for id in 0..20 {
+        assert_eq!(str_of(&c.round_trip(&line(id)), "status"), "ok");
+    }
+    let mut slow = 0;
+    for round in 0..40u64 {
+        let pair = line(100 + 2 * round) + &line(101 + 2 * round);
+        let t = Instant::now();
+        c.send(&pair);
+        for _ in 0..2 {
+            let mut resp = String::new();
+            c.reader.read_line(&mut resp).expect("read response");
+            let doc = Value::parse(resp.trim_end()).expect("parse response");
+            assert_eq!(str_of(&doc, "status"), "ok", "got: {doc:?}");
+        }
+        slow += usize::from(t.elapsed() >= Duration::from_millis(30));
+    }
+    assert!(
+        slow <= 10,
+        "{slow} of 40 pipelined rounds took 30 ms or more"
+    );
+
     server.shutdown();
     server.wait();
 }
