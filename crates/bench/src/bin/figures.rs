@@ -773,7 +773,7 @@ fn primitives(cfg: &Config) -> Vec<ResultTable> {
         count_inversions, inclusive_scan, par_count_inversions, par_inclusive_scan, par_merge_sort,
         report_inversions,
     };
-    use polyclip::segtree::{SegmentTree, TreeScratch};
+    use polyclip::segtree::SegmentTree;
     let mut t = ResultTable::new("primitives", &["primitive", "variant", "n", "best_ms"]);
     let mut rows = |primitive: &str, n: usize, timed: &[(&str, Duration)]| {
         for (variant, d) in timed {
@@ -831,7 +831,7 @@ fn primitives(cfg: &Config) -> Vec<ResultTable> {
             })
             .collect();
         let seq = best3(|| SegmentTree::build(n, &intervals));
-        let par = best3(|| SegmentTree::build_in(n, &intervals, true, &mut TreeScratch::default()));
+        let par = best3(|| SegmentTree::build_by_sort(n, &intervals, true));
         let tree = SegmentTree::build(n, &intervals);
         let stab = best3(|| tree.par_stab_all());
         rows(

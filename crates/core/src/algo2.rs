@@ -25,8 +25,7 @@
 //! overlaps, and each worker touches only its own bucket — O(n + Σ
 //! overlaps) total. Contours fully inside their slab are passed to the
 //! engine by reference, without clipping or cloning; only boundary-crossing
-//! contours go through the band clip, into a reusable per-worker scratch
-//! buffer.
+//! contours go through the band clip, into a per-cell scratch buffer.
 //!
 //! Every run, p = 1 included, executes a [`GridPlan`] through one driver.
 //! One slab is a one-cell plan on `[−∞, +∞]`: every contour lies inside it,
@@ -51,7 +50,7 @@
 
 use crate::budget::{self, Gate, MeterSnapshot};
 use crate::classify::BoolOp;
-use crate::engine::{try_clip_refs_in, ClipOptions};
+use crate::engine::{try_clip_refs, ClipOptions};
 use crate::grid::{Cell, GridPlan};
 use crate::resilience::{self, ClipError, ClipOutcome, Degradation, InputRole};
 use crate::sanitize::{sanitize_set, SanitizeOptions, SanitizeReport};
@@ -60,7 +59,6 @@ use crate::stats::ClipStats;
 use polyclip_geom::{Contour, OrdF64, Point, PolygonSet};
 use polyclip_parprim::{par_sort_dedup_gated, stealpool};
 use polyclip_seqclip::{band_clip_contour_into, xband_clip_contour_into};
-use polyclip_sweep::SweepScratch;
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -96,15 +94,10 @@ pub struct PhaseTimes {
     pub retry_total: Duration,
     /// End-to-end wall clock.
     pub total: Duration,
-    /// Work-meter totals for the run (intersections found, events
-    /// processed, output fragments gathered) — the counters
-    /// [`crate::ExecBudget`] limits are enforced against — plus the
-    /// scratch-arena accounting: `peak_scratch_bytes` is the largest
-    /// arena capacity (or single sweep buffer) any engine call of the run
-    /// reported (the steady-state memory cost of arena reuse),
-    /// `scratch_reused_bytes` the capacity reused instead of freshly
-    /// allocated across all rounds and cells (the allocator traffic the
-    /// arenas removed).
+    /// Work-meter totals for the run: intersections found, events
+    /// processed and output fragments gathered, summed over every engine
+    /// call of the run — the counters [`crate::ExecBudget`] limits are
+    /// enforced against.
     pub work: MeterSnapshot,
     /// One-time build cost of the [`crate::prepared::PreparedLayer`] that
     /// served this call, for amortization accounting (how many clips pay
@@ -286,21 +279,17 @@ pub(crate) fn run_slab_ladder<T, F>(
     slab: usize,
     seq: &ClipOptions,
     gates: &SlabGates<'_>,
-    scratch: &mut SweepScratch,
     body: F,
 ) -> Result<Laddered<T>, ClipError>
 where
-    F: Fn(&ClipOptions, &Gate, &mut SweepScratch) -> Result<T, ClipError>,
+    F: Fn(&ClipOptions, &Gate) -> Result<T, ClipError>,
 {
-    // The arena stays structurally valid across failed attempts (taken
-    // buffers are replaced by empty vectors), so retries and the pristine
-    // fallback reuse whatever capacity the dead attempt established.
-    let mut attempt_with =
+    let attempt_with =
         |opts: &ClipOptions, gate: &Gate, attempt: u32| -> Result<Result<T, ClipError>, String> {
             catch_unwind(AssertUnwindSafe(|| {
                 resilience::maybe_panic_slab(opts, slab, attempt);
                 resilience::maybe_stall_slab(opts, slab, attempt);
-                body(opts, gate, &mut *scratch)
+                body(opts, gate)
             }))
             .map_err(|p| resilience::panic_message(p.as_ref()))
         };
@@ -415,17 +404,7 @@ pub fn try_clip_pair_slabs(
 ) -> Result<Algo2Result, ClipError> {
     let armed = Armed::new(opts)?;
     let frozen = Frozen::new(subject, opts, &armed.gate)?;
-    clip_frozen(
-        &frozen,
-        clip_p,
-        op,
-        n_slabs,
-        opts,
-        &armed,
-        None,
-        SweepScratch::new,
-        drop,
-    )
+    clip_frozen(&frozen, clip_p, op, n_slabs, opts, &armed, None)
 }
 
 /// The armed gates and start clock of one public Algorithm-2 call.
@@ -555,11 +534,8 @@ fn event_ys(set: &PolygonSet) -> Vec<OrdF64> {
 ///
 /// `prepare_build` is the layer's one-time build cost for a prepared clip
 /// and `None` for a cold one, whose freeze ran inside this call (its
-/// sanitize time then counts in [`PhaseTimes::sanitize`]). `acquire` /
-/// `release` supply each worker's scratch arena: fresh arenas on a cold
-/// call, the layer's cross-request pool on a prepared one.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn clip_frozen<A, R>(
+/// sanitize time then counts in [`PhaseTimes::sanitize`]).
+pub(crate) fn clip_frozen(
     frozen: &Frozen<'_>,
     query: &PolygonSet,
     op: BoolOp,
@@ -567,13 +543,7 @@ pub(crate) fn clip_frozen<A, R>(
     opts: &ClipOptions,
     armed: &Armed,
     prepare_build: Option<Duration>,
-    acquire: A,
-    release: R,
-) -> Result<Algo2Result, ClipError>
-where
-    A: Fn() -> SweepScratch + Sync,
-    R: Fn(SweepScratch) + Sync,
-{
+) -> Result<Algo2Result, ClipError> {
     // Non-finite coordinates would poison the event ordering below before
     // any cell (and its input gate) ever runs; reject them here.
     if let Some((contour, vertex)) = query.first_non_finite() {
@@ -702,7 +672,7 @@ where
         t_sanitize,
         prepare_build,
     };
-    drive_grid(drive, &plan, &index, &skip, t_index, p, acquire, release)
+    drive_grid(drive, &plan, &index, &skip, t_index, p)
 }
 
 /// The sorted union of two sorted, mutually disjoint event schedules, by
@@ -873,7 +843,6 @@ impl SlabBandMemo {
 ///
 /// The laddered result carries the engine outcome, the partition time and
 /// the clip time.
-#[allow(clippy::too_many_arguments)]
 fn run_cell(
     cell_id: usize,
     cell: &Cell,
@@ -882,14 +851,13 @@ fn run_cell(
     op: BoolOp,
     seq: &ClipOptions,
     gates: &SlabGates<'_>,
-    sweep_scratch: &mut SweepScratch,
 ) -> Result<Laddered<(ClipOutcome, Duration, Duration)>, ClipError> {
     // Per-entry dispositions for the second pass. `PolygonSet::push`
     // silently drops invalid (< 3 point) contours, so the same filter
     // applies here.
     const SKIP: u32 = u32::MAX;
     const BORROW: u32 = u32::MAX - 1;
-    run_slab_ladder(cell_id, seq, gates, sweep_scratch, |opts, gate, sweep| {
+    run_slab_ladder(cell_id, seq, gates, |opts, gate| {
         let entries = index.slab(cell.slab);
         let (ylo, yhi) = (cell.y0, cell.y1);
         let (xlo, xhi) = (cell.x0, cell.x1);
@@ -983,7 +951,7 @@ fn run_cell(
         }
         let t_partition = t0.elapsed();
         let t1 = Instant::now();
-        try_clip_refs_in(&subject_refs, &clip_refs, op, opts, gate, sweep)
+        try_clip_refs(&subject_refs, &clip_refs, op, opts, gate)
             .map(|outcome| (outcome, t_partition, t1.elapsed()))
     })
 }
@@ -1046,28 +1014,20 @@ fn lock<'a, T>(m: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
 ///
 /// `skip[s]` marks base slabs whose output is provably empty, whose cells
 /// are recorded as completed with zero-duration partials instead of
-/// running the engine. `acquire` / `release` supply each worker's scratch
-/// arena.
+/// running the engine.
 ///
 /// `workers` is the paper's `p` — it sizes the pool, never the plan, so
 /// output depends only on the plan. Each cell decomposes its output for the
 /// seam dissolve inside its own pool job; only the final
 /// concatenate–split–stitch pass runs serially, on the calling thread.
-#[allow(clippy::too_many_arguments)]
-fn drive_grid<A, R>(
+fn drive_grid(
     d: SlabDrive<'_>,
     plan: &GridPlan,
     index: &SlabIndex<'_>,
     skip: &[bool],
     t_index: Duration,
     workers: usize,
-    acquire: A,
-    release: R,
-) -> Result<Algo2Result, ClipError>
-where
-    A: Fn() -> SweepScratch + Sync,
-    R: Fn(SweepScratch) + Sync,
-{
+) -> Result<Algo2Result, ClipError> {
     let cells = plan.cells.len();
     let (gate, recovery_gate) = (&d.armed.gate, &d.armed.recovery);
     // Pool width. An unrefined plan runs on the calling thread: extra
@@ -1107,10 +1067,6 @@ where
         .collect();
 
     let results: Vec<Mutex<Option<CellDone>>> = (0..cells).map(|_| Mutex::new(None)).collect();
-    // Lazily-populated per-worker scratch arenas: a worker's later cells
-    // replay the capacity its first cell allocated.
-    let scratches: Vec<Mutex<Option<SweepScratch>>> =
-        (0..n_workers).map(|_| Mutex::new(None)).collect();
     let fatal: Mutex<Option<ClipError>> = Mutex::new(None);
     let first_trip: Mutex<Option<ClipError>> = Mutex::new(None);
     let abort = AtomicBool::new(false);
@@ -1130,20 +1086,18 @@ where
     // queued behind it.
     let seeds: Vec<usize> = (0..cells).rev().collect();
     let stop = || abort.load(Ordering::Acquire) || gate.poll().is_some();
-    let exec = |worker: usize, i: usize| -> Vec<usize> {
+    let exec = |_worker: usize, i: usize| -> Vec<usize> {
         let cell = &plan.cells[i];
         let mut res = CellDone::default();
         // A provably-empty slab completes with a zero-duration partial.
         if !skip[cell.slab] {
-            let mut guard = lock(&scratches[worker]);
-            let scratch = guard.get_or_insert_with(&acquire);
             let watchdog = gate.child_with_deadline(deadlines[i]);
             let gates = SlabGates {
                 attempt: &watchdog,
                 global: gate,
                 recovery: recovery_gate,
             };
-            match run_cell(i, cell, index, memo.as_ref(), d.op, d.seq, &gates, scratch) {
+            match run_cell(i, cell, index, memo.as_ref(), d.op, d.seq, &gates) {
                 Ok(run) => res = CellDone::landed(run, plan),
                 Err(e) if d.opts.budget.allow_partial && budget::is_budget_trip(&e) => {
                     res.lost = true;
@@ -1161,11 +1115,6 @@ where
     };
     let (pool_stats, _leftover) = stealpool::run(n_workers, seeds, stop, exec);
 
-    for s in &scratches {
-        if let Some(sc) = lock(s).take() {
-            release(sc);
-        }
-    }
     if let Some(e) = fatal.into_inner().unwrap_or_else(|e| e.into_inner()) {
         return Err(e);
     }

@@ -43,10 +43,10 @@ use crate::stats::ClipStats;
 use crate::stitch::stitch_counted;
 use crate::validate::contributing_bbox;
 use polyclip_geom::{BBox, Contour, FillRule, Point, PolygonSet};
-use polyclip_sweep::cross::{discover_residual_crossings_in, CrossEvent};
+use polyclip_sweep::cross::{discover_residual_crossings, CrossEvent};
 use polyclip_sweep::{
-    collect_edges_refs, discover_intersections_in, event_ys_in, BeamSet, ForcedSplits, InputEdge,
-    PartitionBackend, SweepScratch, BIG_BEAM,
+    collect_edges_refs, discover_intersections_gated, event_ys, BeamSet, ForcedSplits, InputEdge,
+    PartitionBackend, BIG_BEAM,
 };
 use rayon::prelude::*;
 use std::borrow::Cow;
@@ -341,17 +341,16 @@ pub(crate) fn prepare(
     opts: &ClipOptions,
     report: &mut PrepReport,
     gate: &Gate,
-    scratch: &mut SweepScratch,
 ) -> Result<Option<Prepared>, ClipError> {
     let subject_set = gate_input(subject, InputRole::Subject, opts, report)?;
     let subject = Operand::gate(subject_set.contours(), InputRole::Subject, report);
     let clip_set = gate_input(clip, InputRole::Clip, opts, report)?;
     let clip = Operand::gate(clip_set.contours(), InputRole::Clip, report);
-    prepare_operands(subject, clip, cull_for, opts, report, gate, scratch)
+    prepare_operands(subject, clip, cull_for, opts, report, gate)
 }
 
 /// The gated operands' way into the sweep, shared by [`prepare`] and
-/// [`try_clip_refs_in`]: the bbox cull for `cull_for`, when given, then
+/// [`try_clip_refs`]: the bbox cull for `cull_for`, when given, then
 /// edge collection and Rounds A and B.
 fn prepare_operands(
     mut subject: Operand<'_>,
@@ -360,14 +359,13 @@ fn prepare_operands(
     opts: &ClipOptions,
     report: &mut PrepReport,
     gate: &Gate,
-    scratch: &mut SweepScratch,
 ) -> Result<Option<Prepared>, ClipError> {
     budget::check(gate)?;
     if let Some(op) = cull_for {
         cull(op, &mut subject, &mut clip);
     }
     let edges = collect_edges_refs(&subject.contours, &clip.contours);
-    prepare_edges(edges, opts, report, gate, scratch)
+    prepare_edges(edges, opts, report, gate)
 }
 
 /// The shared back half of preparation, from normalized sweep edges onward.
@@ -376,35 +374,26 @@ fn prepare_edges(
     opts: &ClipOptions,
     report: &mut PrepReport,
     gate: &Gate,
-    scratch: &mut SweepScratch,
 ) -> Result<Option<Prepared>, ClipError> {
     if edges.is_empty() {
         return Ok(None);
     }
-    let ys_a = event_ys_in(&edges, &[], opts.parallel, scratch);
+    let ys_a = event_ys(&edges, &[], opts.parallel);
     if ys_a.len() < 2 {
-        scratch.give_ys(ys_a);
         return Ok(None);
     }
     let empty_forced = ForcedSplits::empty(edges.len());
-    let beams_a = BeamSet::build_gated_in(
+    let beams_a = BeamSet::build_gated(
         &edges,
         ys_a,
         &empty_forced,
         PartitionBackend::DirectScan,
         opts.parallel,
         Some(gate),
-        scratch,
     );
     budget::check(gate)?;
-    let crossings = discover_intersections_in(
-        &beams_a,
-        &edges,
-        opts.parallel,
-        Some(gate),
-        BIG_BEAM,
-        scratch,
-    );
+    let crossings =
+        discover_intersections_gated(&beams_a, &edges, opts.parallel, Some(gate), BIG_BEAM);
     budget::check(gate)?;
 
     // Turn crossings into forced splits (both edges share the intersection
@@ -438,8 +427,9 @@ fn prepare_edges(
         }
         k_pairs.push((c.e1.min(c.e2), c.e1.max(c.e2)));
     }
-    beams_a.recycle(scratch);
-    scratch.give_events(crossings);
+    // Round A is done with: free it before Round B builds its own set.
+    drop(beams_a);
+    drop(crossings);
     k_pairs.sort_unstable();
     k_pairs.dedup();
     let k = k_pairs.len();
@@ -451,9 +441,9 @@ fn prepare_edges(
     // iteration only adds events strictly inside an offending beam, so the
     // loop terminates (bounded further by MAX_REFINE as a belt-and-braces).
     //
-    // Every round recycles the previous round's scanbeam structure into
-    // `scratch` and rebuilds it on the merged schedule, reusing that
-    // capacity. The cap makes the extra rebuilds a constant factor on the
+    // Every round drops the previous round's scanbeam structure before it
+    // rebuilds on the merged schedule, so two rounds' sets are never alive
+    // at once. The cap makes the extra rebuilds a constant factor on the
     // paper's two builds.
     const MAX_REFINE: usize = 8;
     let forced_exhaust = resilience::fault_exhaust_refinement(opts);
@@ -463,19 +453,16 @@ fn prepare_edges(
     let mut refine = if forced_exhaust { MAX_REFINE } else { 0 };
     loop {
         budget::check(gate)?;
-        let forced = ForcedSplits::build_in(edges.len(), &triples, scratch);
-        if let Some(old) = beams.take() {
-            old.recycle(scratch);
-        }
-        let ys_b = event_ys_in(&edges, &extra, opts.parallel, scratch);
-        let bs = beams.insert(BeamSet::build_gated_in(
+        let forced = ForcedSplits::build(edges.len(), &triples);
+        drop(beams.take());
+        let ys_b = event_ys(&edges, &extra, opts.parallel);
+        let bs = beams.insert(BeamSet::build_gated(
             &edges,
             ys_b,
             &forced,
             PartitionBackend::DirectScan,
             opts.parallel,
             Some(gate),
-            scratch,
         ));
         budget::check(gate)?;
         refine += 1;
@@ -483,11 +470,8 @@ fn prepare_edges(
             // Bound hit: count what is left so the degradation report is
             // concrete. A genuine (unfaulted) run only lands here after
             // MAX_REFINE rounds that each made progress.
-            let leftover_v =
-                discover_residual_crossings_in(bs, opts.parallel, Some(gate), BIG_BEAM, scratch);
-            let leftover = leftover_v.len();
-            scratch.give_events(leftover_v);
-            forced.recycle(scratch);
+            let leftover =
+                discover_residual_crossings(bs, opts.parallel, Some(gate), BIG_BEAM).len();
             budget::check(gate)?;
             if leftover > 0 || forced_exhaust {
                 report.degradations.push(Degradation::RefinementExhausted {
@@ -497,8 +481,7 @@ fn prepare_edges(
             }
             break;
         }
-        let mut residual =
-            discover_residual_crossings_in(bs, opts.parallel, Some(gate), BIG_BEAM, scratch);
+        let mut residual = discover_residual_crossings(bs, opts.parallel, Some(gate), BIG_BEAM);
         budget::check(gate)?;
         if resilience::fault_residual_storm(opts) && refine == 1 {
             // Synthetic crossing pinned to an edge endpoint: never strictly
@@ -511,8 +494,6 @@ fn prepare_edges(
             });
         }
         if residual.is_empty() {
-            scratch.give_events(residual);
-            forced.recycle(scratch);
             break;
         }
         let mut progressed = false;
@@ -536,8 +517,6 @@ fn prepare_edges(
             extra.push(cp.y);
         }
         let n_residual = residual.len();
-        scratch.give_events(residual);
-        forced.recycle(scratch);
         if !progressed {
             // The remaining residuals sit inside beams already at the
             // resolution limit; the cancellation/stitch phase degrades
@@ -608,26 +587,24 @@ pub fn try_clip_with_stats(
     // this gate by reference.
     let gate = opts.budget.arm();
     budget::check(&gate)?;
-    try_clip_with_stats_in(subject, clip, op, opts, &gate, &mut SweepScratch::new())
+    try_clip_with_stats_gated(subject, clip, op, opts, &gate)
 }
 
-/// [`try_clip_with_stats`] against an already-armed gate and a
-/// caller-owned [`SweepScratch`] — the re-entry point for drivers that arm
-/// one budget for a whole multi-clip operation (every layer-overlay task)
-/// and keep one arena per slab, reusing its capacity across clips. Runs
-/// the engine's own sanitizer and output ladder as `opts` configures them.
-/// Algorithm 2's cells enter through [`try_clip_refs_in`] instead.
-pub(crate) fn try_clip_with_stats_in(
+/// [`try_clip_with_stats`] against an already-armed gate — the re-entry
+/// point for drivers that arm one budget for a whole multi-clip operation
+/// (every layer-overlay task). Runs the engine's own sanitizer and output
+/// ladder as `opts` configures them. Algorithm 2's cells enter through
+/// [`try_clip_refs`] instead.
+pub(crate) fn try_clip_with_stats_gated(
     subject: &PolygonSet,
     clip: &PolygonSet,
     op: BoolOp,
     opts: &ClipOptions,
     gate: &Gate,
-    scratch: &mut SweepScratch,
 ) -> Result<ClipOutcome, ClipError> {
     let mut report = PrepReport::default();
-    let prepared = prepare(subject, clip, Some(op), opts, &mut report, gate, scratch)?;
-    let mut outcome = clip_prepared(prepared, report, op, opts, gate, scratch)?;
+    let prepared = prepare(subject, clip, Some(op), opts, &mut report, gate)?;
+    let mut outcome = clip_prepared(prepared, report, op, opts, gate)?;
     if opts.validate_output {
         repair_output(subject, clip, op, opts, &mut outcome);
     }
@@ -716,26 +693,25 @@ pub(crate) fn repair_output(
         .push(Degradation::OutputRepaired { rung, violations });
 }
 
-/// [`try_clip_with_stats_in`] over borrowed contour slices — Algorithm 2's
+/// [`try_clip_with_stats_gated`] over borrowed contour slices — Algorithm 2's
 /// cell hot path, which hands the engine a mix of borrowed (fully-inside)
 /// and freshly band-clipped contours. Runs the identical pipeline on such a
 /// view, so its result is bit-identical to building a [`PolygonSet`] from
 /// the same contours and clipping it with sanitization and output
 /// validation off (invalid contours must be pre-filtered, as
 /// [`PolygonSet::push`] would).
-pub(crate) fn try_clip_refs_in(
+pub(crate) fn try_clip_refs(
     subject: &[&Contour],
     clip: &[&Contour],
     op: BoolOp,
     opts: &ClipOptions,
     gate: &Gate,
-    scratch: &mut SweepScratch,
 ) -> Result<ClipOutcome, ClipError> {
     let mut report = PrepReport::default();
     let subject = gate_refs(subject, InputRole::Subject, &mut report)?;
     let clip = gate_refs(clip, InputRole::Clip, &mut report)?;
-    let prepared = prepare_operands(subject, clip, Some(op), opts, &mut report, gate, scratch)?;
-    clip_prepared(prepared, report, op, opts, gate, scratch)
+    let prepared = prepare_operands(subject, clip, Some(op), opts, &mut report, gate)?;
+    clip_prepared(prepared, report, op, opts, gate)
 }
 
 /// Classification + merge + stitching: the shared tail of the two fallible
@@ -746,7 +722,6 @@ fn clip_prepared(
     op: BoolOp,
     opts: &ClipOptions,
     gate: &Gate,
-    scratch: &mut SweepScratch,
 ) -> Result<ClipOutcome, ClipError> {
     let Some(p) = prepared else {
         return Ok(ClipOutcome {
@@ -827,11 +802,6 @@ fn clip_prepared(
         total_slabs: 0,
         prepared_reused: false,
     };
-    // Hand the scanbeam buffers back so the next clip on this worker's
-    // arena reuses them, and publish the arena counters on the meter.
-    p.beams.recycle(scratch);
-    gate.meter().record_scratch_bytes(scratch.capacity_bytes());
-    gate.meter().add_scratch_reused(scratch.take_reused_bytes());
     Ok(ClipOutcome {
         result: out,
         stats,
@@ -900,7 +870,6 @@ pub fn measure_op(
         opts,
         &mut PrepReport::default(),
         &gate,
-        &mut SweepScratch::new(),
     ) else {
         return 0.0;
     };
@@ -1116,10 +1085,9 @@ mod tests {
         let b = PolygonSet::from_xy(&[(2.0, -1.0), (6.0, 1.5), (3.0, 4.0)]);
         let opts = opts_seq();
         let gate = Gate::unlimited();
-        let mut scratch = SweepScratch::default();
         let mut report = PrepReport::default();
         let op = BoolOp::Union;
-        let scan = prepare(&a, &b, Some(op), &opts, &mut report, &gate, &mut scratch)
+        let scan = prepare(&a, &b, Some(op), &opts, &mut report, &gate)
             .unwrap()
             .expect("the inputs overlap");
         assert!(scan.k > 0, "the inputs must cross");
@@ -1132,7 +1100,7 @@ mod tests {
                 }
             }
         }
-        let forced = ForcedSplits::build(scan.edges.len(), triples);
+        let forced = ForcedSplits::build(scan.edges.len(), &triples);
         let tree = Prepared {
             beams: BeamSet::build(
                 &scan.edges,
@@ -1144,16 +1112,8 @@ mod tests {
             edges: scan.edges.clone(),
             k: scan.k,
         };
-        let via_tree = clip_prepared(
-            Some(tree),
-            PrepReport::default(),
-            op,
-            &opts,
-            &gate,
-            &mut scratch,
-        )
-        .unwrap();
-        let via_scan = clip_prepared(Some(scan), report, op, &opts, &gate, &mut scratch).unwrap();
+        let via_tree = clip_prepared(Some(tree), PrepReport::default(), op, &opts, &gate).unwrap();
+        let via_scan = clip_prepared(Some(scan), report, op, &opts, &gate).unwrap();
         assert_eq!(via_scan.result, via_tree.result);
         assert_eq!(via_scan.stats.n_subedges, via_tree.stats.n_subedges);
         assert_eq!(via_scan.result, clip(&a, &b, op, &opts));
@@ -1212,15 +1172,14 @@ mod tests {
         assert!((eo_area(&out) - star_area).abs() < 1e-9);
     }
 
-    // A budget trip must leave the scratch arena structurally valid: the
-    // next clip through the same arena has to succeed and match a
-    // fresh-arena run bit for bit. The dense cap sweep lands trips in
-    // every phase — Round-A discovery, the crossing post-process, and the
-    // refinement rounds ≥ 2 (the workload runs several) — so a rebuild
-    // interrupted halfway through a round is covered, not just clean-phase
-    // boundaries.
+    // A budget cap lands trips in every phase — Round-A discovery, the
+    // crossing post-process, and the refinement rounds ≥ 2 (the workload
+    // runs several) — so a rebuild interrupted halfway through a round is
+    // covered, not just clean-phase boundaries. Each trip must surface as a
+    // typed error, and a clean clip after it must match the baseline bit
+    // for bit.
     #[test]
-    fn tripped_scratch_arena_stays_reusable() {
+    fn cap_sweep_trips_every_phase_and_clean_clips_match_baseline() {
         use polyclip_datagen::degenerate::{shingled_strips, sliver_fan};
         let subject = shingled_strips(5, pt(-1.0, -1.0), 2.0, 2.0, 10, 1e-6);
         let clip_p = sliver_fan(6, pt(0.0, 0.0), 1.4, 8);
@@ -1232,7 +1191,6 @@ mod tests {
             baseline.stats
         );
 
-        let mut scratch = SweepScratch::new();
         let mut trips = 0usize;
         for cap in 1..=96u64 {
             let tight = ClipOptions {
@@ -1242,31 +1200,14 @@ mod tests {
                 },
                 ..ClipOptions::default()
             };
-            let gate = tight.budget.arm();
-            match try_clip_with_stats_in(
-                &subject,
-                &clip_p,
-                BoolOp::Union,
-                &tight,
-                &gate,
-                &mut scratch,
-            ) {
+            match try_clip_with_stats(&subject, &clip_p, BoolOp::Union, &tight) {
                 Err(ClipError::BudgetExceeded { .. }) => trips += 1,
                 Ok(_) => {}
                 Err(e) => panic!("cap {cap}: unexpected error {e:?}"),
             }
-            let clean_gate = opts.budget.arm();
-            let reused = try_clip_with_stats_in(
-                &subject,
-                &clip_p,
-                BoolOp::Union,
-                &opts,
-                &clean_gate,
-                &mut scratch,
-            )
-            .unwrap();
-            assert_eq!(reused.result, baseline.result, "cap {cap}: output differs");
-            assert_eq!(reused.stats, baseline.stats, "cap {cap}: stats differ");
+            let clean = try_clip_with_stats(&subject, &clip_p, BoolOp::Union, &opts).unwrap();
+            assert_eq!(clean.result, baseline.result, "cap {cap}: output differs");
+            assert_eq!(clean.stats, baseline.stats, "cap {cap}: stats differ");
         }
         assert!(
             trips >= 8,

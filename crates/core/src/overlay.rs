@@ -21,9 +21,9 @@
 //!
 //! Intersection and erase share one driver, which is Algorithm 2's slab
 //! pattern applied to features: each op supplies only its task list and
-//! its per-task engine call. Every slab clips its tasks in order through
-//! one scratch arena under Algorithm 2's recovery ladder, and the run
-//! reports its timings as a [`PhaseTimes`]. A task clips whole features, so
+//! its per-task engine call. Every slab clips its tasks in order under
+//! Algorithm 2's recovery ladder, and the run reports its timings as a
+//! [`PhaseTimes`]. A task clips whole features, so
 //! it keeps the caller's [`ClipOptions::sanitize`] and
 //! [`ClipOptions::validate_output`] (Algorithm 2 turns both off inside its
 //! band-clipped cells to protect their seam vertices). The layer union is
@@ -34,11 +34,10 @@ use crate::algo2::{
 };
 use crate::budget::{self, Gate};
 use crate::classify::BoolOp;
-use crate::engine::{try_clip_with_stats_in, ClipOptions};
+use crate::engine::{try_clip_with_stats_gated, ClipOptions};
 use crate::resilience::{ClipError, ClipOutcome, Degradation, InputRole};
 use polyclip_geom::{BBox, FillRule, OrdF64, PolygonSet};
 use polyclip_parprim::par_sort_dedup_gated;
-use polyclip_sweep::SweepScratch;
 use rayon::prelude::*;
 use std::time::{Duration, Instant};
 
@@ -151,8 +150,7 @@ type OverlayPlan<T> = (Vec<OrdF64>, Vec<(T, f64, f64)>);
 /// into equal-count slabs and assigns each task to the slab holding `lo`
 /// ([`SlabAssignment::UniqueOwner`]) or to every slab `[lo, hi]` touches
 /// ([`SlabAssignment::Replicate`]). Each slab then clips its tasks in order
-/// with `clip`, through one scratch arena, under Algorithm 2's recovery
-/// ladder. Without a watchdog the slab's first attempt runs on the global
+/// with `clip`, under Algorithm 2's recovery ladder. Without a watchdog the slab's first attempt runs on the global
 /// gate itself, so any error from it propagates.
 fn drive_overlay<T: Sync>(
     a: &Layer,
@@ -161,7 +159,7 @@ fn drive_overlay<T: Sync>(
     assignment: SlabAssignment,
     opts: &ClipOptions,
     plan: impl FnOnce(&[BBox], &[BBox], &[(u32, u32)]) -> OverlayPlan<T>,
-    clip: impl Fn(&T, &ClipOptions, &Gate, &mut SweepScratch) -> Result<ClipOutcome, ClipError> + Sync,
+    clip: impl Fn(&T, &ClipOptions, &Gate) -> Result<ClipOutcome, ClipError> + Sync,
 ) -> Result<OverlayResult, ClipError> {
     let t_start = Instant::now();
     let gate = opts.budget.arm();
@@ -217,27 +215,21 @@ fn drive_overlay<T: Sync>(
         .par_iter()
         .enumerate()
         .map(|(slab, list)| {
-            run_slab_ladder(
-                slab,
-                &seq,
-                &gates,
-                &mut SweepScratch::new(),
-                |o, g, scratch| {
-                    let t0 = Instant::now();
-                    let mut outs: Vec<(u32, PolygonSet)> = Vec::with_capacity(list.len());
-                    let mut degradations = Vec::new();
-                    for &t in list {
-                        // Coarse per-task checkpoint between engine calls.
-                        budget::check(g)?;
-                        let outcome = clip(&tasks[t as usize].0, o, g, scratch)?;
-                        degradations.extend(outcome.degradations);
-                        if !outcome.result.is_empty() {
-                            outs.push((t, outcome.result));
-                        }
+            run_slab_ladder(slab, &seq, &gates, |o, g| {
+                let t0 = Instant::now();
+                let mut outs: Vec<(u32, PolygonSet)> = Vec::with_capacity(list.len());
+                let mut degradations = Vec::new();
+                for &t in list {
+                    // Coarse per-task checkpoint between engine calls.
+                    budget::check(g)?;
+                    let outcome = clip(&tasks[t as usize].0, o, g)?;
+                    degradations.extend(outcome.degradations);
+                    if !outcome.result.is_empty() {
+                        outs.push((t, outcome.result));
                     }
-                    Ok((outs, degradations, t0.elapsed()))
-                },
-            )
+                }
+                Ok((outs, degradations, t0.elapsed()))
+            })
         })
         .collect::<Result<Vec<_>, ClipError>>()?;
 
@@ -325,9 +317,9 @@ pub fn try_overlay_intersection(
                 .collect();
             (events, tasks)
         },
-        |&(i, j), o, g, scratch| {
+        |&(i, j), o, g| {
             let (fa, fb) = (&a.features[i as usize], &b.features[j as usize]);
-            try_clip_with_stats_in(fa, fb, BoolOp::Intersection, o, g, scratch)
+            try_clip_with_stats_gated(fa, fb, BoolOp::Intersection, o, g)
         },
     )
 }
@@ -416,7 +408,7 @@ pub fn try_overlay_difference(
             }
             (events, tasks)
         },
-        |(i, partners), o, g, scratch| {
+        |(i, partners), o, g| {
             let fa = &a.features[*i as usize];
             if partners.is_empty() {
                 return Ok(ClipOutcome {
@@ -428,7 +420,7 @@ pub fn try_overlay_difference(
             for &j in partners {
                 mask.extend(b.features[j as usize].clone());
             }
-            try_clip_with_stats_in(fa, &mask, BoolOp::Difference, o, g, scratch)
+            try_clip_with_stats_gated(fa, &mask, BoolOp::Difference, o, g)
         },
     )
 }

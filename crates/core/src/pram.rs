@@ -81,15 +81,7 @@ pub fn pram_cost(
 ) -> PramCostModel {
     let mut report = Default::default();
     let gate = crate::budget::Gate::unlimited();
-    let Ok(Some(p)) = prepare(
-        subject,
-        clip_p,
-        None,
-        opts,
-        &mut report,
-        &gate,
-        &mut polyclip_sweep::SweepScratch::new(),
-    ) else {
+    let Ok(Some(p)) = prepare(subject, clip_p, None, opts, &mut report, &gate) else {
         return PramCostModel::default();
     };
     let n = p.edges.len();

@@ -18,22 +18,14 @@
 //!   y's merged into the frozen schedule by order-statistic selection
 //!   (no re-sort of the subject side), slab-span binning of both sides
 //!   from the frozen extents and the query's bboxes, band clipping, the
-//!   per-cell scanbeam runs, and the merge;
-//! * **pooled across calls**: [`SweepScratch`] arenas — the beam-schedule
-//!   / sub-edge / segment-tree skeletons a worker allocates are returned
-//!   to the layer's pool and checked out by the next clip, so the
-//!   steady-state request allocates almost nothing. Each call arms a fresh
-//!   work meter, so
-//!   [`PhaseTimes::work`](crate::algo2::PhaseTimes::work)`.peak_scratch_bytes`
-//!   holds only this call's reports; one of them is the capacity the
-//!   checked-out arena held when its engine run ended, which includes what
-//!   earlier calls left parked in it.
+//!   per-cell scanbeam runs, and the merge. Each call allocates its own
+//!   sweep buffers and frees them when it returns.
 //!
 //! A cold call and a prepared clip run the same query half on the same
 //! frozen data, so the output is bit-identical to the cold
 //! [`try_clip_pair_slabs`](crate::algo2::try_clip_pair_slabs). The
 //! `prepared` proptest asserts it, and so checks reuse: one subject frozen
-//! once with its arenas pooled, against a subject frozen per call, and
+//! once, against a subject frozen per call, and
 //! `clip_prepared_matches_cold_on_gis_layer_and_blob` checks the service's
 //! shapes: a flattened Table III layer under small boxes, and a blob.
 //!
@@ -70,15 +62,8 @@ use crate::classify::BoolOp;
 use crate::engine::ClipOptions;
 use crate::resilience::ClipError;
 use polyclip_geom::{BBox, PolygonSet};
-use polyclip_sweep::SweepScratch;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Default cap on arenas kept warm between clips; beyond this the pool
-/// stops growing and surplus arenas are dropped on check-in (bounds
-/// steady-state memory under a concurrency spike). Override per layer with
-/// [`PreparedLayer::build_with_pool_limit`].
-const MAX_POOLED_ARENAS: usize = 16;
 
 /// An immutable, `Send + Sync` snapshot of everything about a subject layer
 /// that does not depend on the query: build once, share
@@ -96,12 +81,6 @@ pub struct PreparedLayer {
     /// [`PhaseTimes::prepare_build`](crate::algo2::PhaseTimes) so callers
     /// can account amortization.
     build_time: Duration,
-    /// Warm [`SweepScratch`] arenas shared by all clips on this layer.
-    pool: Mutex<Vec<SweepScratch>>,
-    /// Check-in cap for the pool: surplus arenas beyond this are dropped.
-    /// A checkout against an empty pool always makes a fresh arena, so an
-    /// undersized pool costs allocations, never progress.
-    pool_limit: usize,
 }
 
 impl PreparedLayer {
@@ -113,19 +92,6 @@ impl PreparedLayer {
     /// [`clip_prepared`] using the *same* sanitize setting for bit-identity
     /// with the cold path.
     pub fn build(subject: &PolygonSet, opts: &ClipOptions) -> Result<Arc<Self>, ClipError> {
-        Self::build_with_pool_limit(subject, opts, MAX_POOLED_ARENAS)
-    }
-
-    /// [`build`](Self::build) with an explicit scratch-pool check-in cap.
-    /// `0` disables pooling entirely (every clip allocates fresh arenas);
-    /// a cap below the expected concurrency still serves every request —
-    /// checkouts against an empty pool fall back to fresh arenas — it just
-    /// trades allocations for memory. The default cap is 16.
-    pub fn build_with_pool_limit(
-        subject: &PolygonSet,
-        opts: &ClipOptions,
-        pool_limit: usize,
-    ) -> Result<Arc<Self>, ClipError> {
         let t0 = Instant::now();
         let gate = opts.budget.arm();
         budget::check(&gate)?;
@@ -135,8 +101,6 @@ impl PreparedLayer {
             frozen,
             bbox,
             build_time: t0.elapsed(),
-            pool: Mutex::new(Vec::new()),
-            pool_limit,
         }))
     }
 
@@ -164,30 +128,6 @@ impl PreparedLayer {
     pub fn build_time(&self) -> Duration {
         self.build_time
     }
-
-    /// Arenas currently parked in the scratch pool (diagnostics).
-    pub fn pooled_arenas(&self) -> usize {
-        self.lock_pool().len()
-    }
-
-    fn lock_pool(&self) -> std::sync::MutexGuard<'_, Vec<SweepScratch>> {
-        // The lock only guards a Vec push/pop; a thread that panicked while
-        // holding it cannot have left the Vec inconsistent.
-        self.pool.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Check a warm arena out of the pool (or make a fresh one).
-    fn checkout(&self) -> SweepScratch {
-        self.lock_pool().pop().unwrap_or_default()
-    }
-
-    /// Return an arena to the pool for the next clip.
-    fn checkin(&self, s: SweepScratch) {
-        let mut pool = self.lock_pool();
-        if pool.len() < self.pool_limit {
-            pool.push(s);
-        }
-    }
 }
 
 /// Clip a query polygon against a prepared layer — the lenient wrapper
@@ -207,8 +147,8 @@ pub fn clip_prepared(
 /// `(layer.subject(), query)` under the same options.
 ///
 /// Arms its gates and runs Algorithm 2's query half — the same code a cold
-/// call runs after freezing its subject — on the layer's frozen subject
-/// and pooled arenas, with two provenance marks in the result:
+/// call runs after freezing its subject — on the layer's frozen subject,
+/// with two provenance marks in the result:
 /// [`ClipStats::prepared_reused`](crate::ClipStats::prepared_reused)
 /// is true and
 /// [`PhaseTimes::prepare_build`](crate::algo2::PhaseTimes::prepare_build)
@@ -229,8 +169,6 @@ pub fn try_clip_prepared(
         opts,
         &armed,
         Some(layer.build_time),
-        || layer.checkout(),
-        |s| layer.checkin(s),
     )
 }
 
@@ -358,23 +296,6 @@ mod tests {
                 ..
             })
         ));
-    }
-
-    #[test]
-    fn scratch_pool_is_reused_across_clips() {
-        let layer = PreparedLayer::build(&sq(0.0, 0.0, 4.0, 12.0), &seq()).unwrap();
-        assert_eq!(layer.pooled_arenas(), 0);
-        let q = sq(1.0, 1.0, 3.0, 11.0);
-        clip_prepared(&layer, &q, BoolOp::Intersection, 4, &seq());
-        let after_first = layer.pooled_arenas();
-        assert!(after_first >= 1);
-        // The second clip checks arenas back out and returns them.
-        let r = clip_prepared(&layer, &q, BoolOp::Intersection, 4, &seq());
-        assert!(layer.pooled_arenas() >= 1);
-        assert!(
-            r.times.work.scratch_reused_bytes > 0,
-            "arena capacity must be replayed"
-        );
     }
 
     #[test]

@@ -160,9 +160,8 @@ impl fmt::Display for ClipError {
             }
             ClipError::BudgetExceeded { work } => write!(
                 f,
-                "work budget exceeded ({} intersections, {} events, {} vertices, \
-                 {} peak scratch bytes)",
-                work.intersections, work.events, work.vertices, work.peak_scratch_bytes
+                "work budget exceeded ({} intersections, {} events, {} vertices)",
+                work.intersections, work.events, work.vertices
             ),
             ClipError::Cancelled => write!(f, "operation cancelled by caller"),
         }

@@ -214,9 +214,10 @@ fn pick_next(edges: &[(Point, Point)], cands: &[u32], used: &[bool], d_in: Point
             continue;
         }
         let d_out = edges[c].1 - edges[c].0;
-        let turn = d_in.cross(&d_out).atan2(d_in.dot(&d_out));
-        // atan2(0, negative) == π for the exact U-turn: the maximum, as
-        // desired. Tie-break by index for determinism.
+        // Adding +0.0 folds a −0.0 cross product onto +0.0, so an exact
+        // U-turn ranks atan2(+0, negative) == π, the maximum, whichever
+        // sign its zero came out with. Tie-break by index for determinism.
+        let turn = (d_in.cross(&d_out) + 0.0).atan2(d_in.dot(&d_out));
         if best.is_none_or(|(bt, _)| turn > bt) {
             best = Some((turn, c));
         }
@@ -512,7 +513,7 @@ pub(crate) mod tests {
                 continue;
             }
             let d_out = edges[c].1 - edges[c].0;
-            let turn = d_in.cross(&d_out).atan2(d_in.dot(&d_out));
+            let turn = (d_in.cross(&d_out) + 0.0).atan2(d_in.dot(&d_out));
             if best.is_none_or(|(bt, _)| turn > bt) {
                 best = Some((turn, c));
             }
@@ -680,6 +681,31 @@ pub(crate) mod tests {
         assert_eq!(cs.len(), 1);
         assert_eq!(dropped, 2);
         assert!((cs[0].signed_area() - 1.0).abs() < 1e-12);
+    }
+
+    /// An exact U-turn ranks highest whichever sign its zero cross product
+    /// has. Here the first fragment ends at `(2, z)` and the second leaves
+    /// that vertex back along it; with `z = −0.0` the cross product of the
+    /// two directions is −0.0, which used to rank the U-turn lowest and
+    /// send the walk up the vertical fragment instead (5 fragments dropped
+    /// against 2 for `z = +0.0`).
+    #[test]
+    fn exact_u_turn_ranks_the_same_for_both_signed_zeros() {
+        let walk = |z: f64| {
+            stitch_counted(
+                vec![
+                    e(0.0, 0.0, 2.0, z),
+                    e(2.0, 0.0, 1.0, z),
+                    e(2.0, 0.0, 2.0, 1.0),
+                    e(1.0, 0.0, 0.0, 0.0),
+                    e(2.0, 1.0, 0.0, 0.0),
+                ],
+                false,
+            )
+        };
+        let plus = walk(0.0);
+        assert_eq!(plus, walk(-0.0));
+        assert_eq!(plus.1, 2, "the +0.0 walk drops the two dead ends");
     }
 
     /// A fragment multiset from `seed`: the directed edges of 1–6 random

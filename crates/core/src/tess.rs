@@ -68,15 +68,7 @@ pub fn trapezoids(
     opts: &ClipOptions,
 ) -> Vec<Trapezoid> {
     let gate = crate::budget::Gate::unlimited();
-    let Ok(Some(p)) = prepare(
-        subject,
-        clip_p,
-        None,
-        opts,
-        &mut Default::default(),
-        &gate,
-        &mut polyclip_sweep::SweepScratch::new(),
-    ) else {
+    let Ok(Some(p)) = prepare(subject, clip_p, None, opts, &mut Default::default(), &gate) else {
         return Vec::new();
     };
     let beams = &p.beams;

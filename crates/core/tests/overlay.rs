@@ -3,8 +3,7 @@
 //! The test-side reference [`per_task`] cuts the slabs and assigns the
 //! tasks the way the overlay module documents, then runs every assigned
 //! task through [`try_clip_with_stats`] — one fresh engine call per task,
-//! no slab driver, no shared arena — and keeps a replicated task's first
-//! output.
+//! no slab driver — and keeps a replicated task's first output.
 
 use polyclip_core::algo2::slab_boundaries;
 use polyclip_core::overlay::candidate_pairs;
@@ -214,56 +213,4 @@ fn overlay_features_match_per_task_reference() {
             }
         }
     }
-}
-
-/// Every slab clips its tasks through one scratch arena. A clip already
-/// reuses arena capacity across its own refinement rounds, so the test
-/// compares against the tasks run alone: a slab holding two or more tasks
-/// must reuse strictly more, because each task after the first also
-/// reuses the capacity its predecessors left behind.
-#[test]
-fn overlay_slab_reuses_its_arena_across_tasks() {
-    let (a, b) = (
-        grid_layer(5, 5, 1.0, 0.9, 0.0),
-        grid_layer(5, 5, 1.0, 0.9, 0.45),
-    );
-    let o = ClipOptions::sequential();
-    let boxes = |l: &Layer| -> Vec<BBox> { l.features.iter().map(|f| f.bbox()).collect() };
-    let pairs = candidate_pairs(&boxes(&a), &boxes(&b));
-    let layer = |fs: Vec<&PolygonSet>| Layer::new(fs.into_iter().cloned().collect());
-
-    let inter = try_overlay_intersection(&a, &b, 1, SlabAssignment::UniqueOwner, &o).unwrap();
-    let alone: u64 = pairs
-        .iter()
-        .map(|&(i, j)| {
-            let (fa, fb) = (&a.features[i as usize], &b.features[j as usize]);
-            let r = try_overlay_intersection(
-                &layer(vec![fa]),
-                &layer(vec![fb]),
-                1,
-                SlabAssignment::UniqueOwner,
-                &o,
-            );
-            r.unwrap().times.work.scratch_reused_bytes
-        })
-        .sum();
-    assert!(inter.tasks_executed >= 2);
-    let reused = inter.times.work.scratch_reused_bytes;
-    assert!(reused > alone, "∩ reused {reused} B, tasks alone {alone} B");
-
-    let erase = try_overlay_difference(&a, &b, 1, &o).unwrap();
-    let alone: u64 = (0..a.len() as u32)
-        .map(|i| {
-            let partners = pairs
-                .iter()
-                .filter(|p| p.0 == i)
-                .map(|&(_, j)| &b.features[j as usize]);
-            let fa = &a.features[i as usize];
-            let r = try_overlay_difference(&layer(vec![fa]), &layer(partners.collect()), 1, &o);
-            r.unwrap().times.work.scratch_reused_bytes
-        })
-        .sum();
-    assert!(erase.tasks_executed >= 2);
-    let reused = erase.times.work.scratch_reused_bytes;
-    assert!(reused > alone, "− reused {reused} B, tasks alone {alone} B");
 }

@@ -244,110 +244,86 @@ fn concurrent_clips_on_one_layer_stay_isolated() {
         &ClipOptions::sequential(),
     );
     assert!(again.stats.prepared_reused);
-    assert!(layer.pooled_arenas() > 0, "arenas returned to the pool");
 }
 
-/// Hammer one layer from eight threads through a pool capped far below the
-/// concurrency (2 arenas for 8 threads): checkouts against the drained
-/// pool must fall back to fresh arenas — never block, never deadlock —
-/// every call must stay bit-identical to its single-threaded baseline, the
-/// per-call arena accounting must be live for every request, and the pool
-/// must still respect its cap once the storm passes.
+/// Hammer one layer from eight threads with two query shapes under both
+/// cell plans at p = 4. The default plan runs its cells on the calling
+/// thread; the refined one runs them on the work-stealing pool, so several
+/// callers drive their own pools at once. Every call must stay
+/// bit-identical to its single-threaded baseline for that query and plan,
+/// with the same per-call statistics, and the layer must still serve
+/// correct answers once the storm passes.
 #[test]
-fn undersized_arena_pool_survives_a_thread_storm() {
-    const POOL_CAP: usize = 2;
+fn thread_storm_on_one_layer_matches_single_threaded_baselines() {
     const THREADS: u64 = 8;
     const ITERS: u64 = 24;
     let subject = gen_set(0xdecade, 8);
-    let layer =
-        PreparedLayer::build_with_pool_limit(&subject, &ClipOptions::sequential(), POOL_CAP)
-            .unwrap();
+    let layer = PreparedLayer::build(&subject, &ClipOptions::sequential()).unwrap();
 
-    // Two query shapes with very different arena appetites, so recycled
-    // arenas constantly change hands between light and heavy work.
-    let small_q = gen_set(0x51, 1);
-    let big_q = gen_set(0xb16, 6);
-    let baseline = |q: &PolygonSet| {
-        polyclip_core::prepared::try_clip_prepared(
-            &layer,
-            q,
-            BoolOp::Intersection,
-            4,
-            &ClipOptions::sequential(),
-        )
-        .expect("baseline clip")
+    // Two query shapes of very different size, under both plans.
+    let queries = [gen_set(0x51, 1), gen_set(0xb16, 6)];
+    let opts = grids().map(|grid| ClipOptions {
+        grid,
+        ..ClipOptions::sequential()
+    });
+    let clip = |q: &PolygonSet, o: &ClipOptions| {
+        try_clip_prepared(&layer, q, BoolOp::Intersection, 4, o).expect("prepared clip")
     };
-    let base_small = baseline(&small_q);
-    let base_big = baseline(&big_q);
-    assert!(
-        base_big.times.work.peak_scratch_bytes > 0,
-        "hwm accounting is live"
-    );
+    let baselines: Vec<Vec<_>> = queries
+        .iter()
+        .map(|q| opts.iter().map(|o| clip(q, o)).collect())
+        .collect();
+    // On a multi-core host the refined plan runs on two or more pool
+    // workers, so the storm drives several steal pools at once.
+    if std::thread::available_parallelism().map_or(1, usize::from) >= 2 {
+        for row in &baselines {
+            assert!(
+                row[1].times.per_worker_busy.len() >= 2,
+                "refined plan ran on one worker"
+            );
+        }
+    }
 
     let handles: Vec<_> = (0..THREADS)
         .map(|t| {
             let layer: Arc<PreparedLayer> = Arc::clone(&layer);
-            let small_q = small_q.clone();
-            let big_q = big_q.clone();
-            let (small_out, big_out) = (base_small.output.clone(), base_big.output.clone());
+            let queries = queries.clone();
+            let opts = opts.clone();
+            let want: Vec<Vec<_>> = baselines
+                .iter()
+                .map(|row| row.iter().map(|r| (r.output.clone(), r.stats)).collect())
+                .collect();
             std::thread::spawn(move || {
                 for i in 0..ITERS {
-                    let big = (t + i) % 2 == 0;
-                    let q = if big { &big_q } else { &small_q };
-                    let r = polyclip_core::prepared::try_clip_prepared(
-                        &layer,
-                        q,
-                        BoolOp::Intersection,
-                        4,
-                        &ClipOptions::sequential(),
-                    )
-                    .expect("no failures under contention");
-                    let want = if big { &big_out } else { &small_out };
-                    assert_eq!(
-                        &r.output, want,
-                        "thread {t} iter {i}: output diverged under contention"
-                    );
+                    // Alternate the query shape every call and the plan
+                    // every second call, so each thread runs all four.
+                    let (qi, gi) = (((t + i) % 2) as usize, ((i / 2) % 2) as usize);
+                    let r =
+                        try_clip_prepared(&layer, &queries[qi], BoolOp::Intersection, 4, &opts[gi])
+                            .expect("no failures under contention");
+                    let (out, stats) = &want[qi][gi];
+                    let ctx = format!("thread {t} iter {i} query {qi} plan {gi}");
+                    assert_eq!(&r.output, out, "{ctx}: output diverged under contention");
                     // Per-call accounting: the stats describe this request's
                     // own run, not a neighbour's.
-                    assert_eq!(r.stats.total_slabs, r.slabs);
-                    assert_eq!(r.stats.completed_slabs, r.slabs);
-                    assert!(r.stats.prepared_reused);
-                    assert!(
-                        r.times.work.peak_scratch_bytes > 0,
-                        "hwm lost under contention"
-                    );
+                    assert_eq!(&r.stats, stats, "{ctx}: stats diverged");
+                    assert_eq!(r.stats.total_slabs, r.slabs, "{ctx}");
+                    assert_eq!(r.stats.completed_slabs, r.slabs, "{ctx}");
+                    assert!(r.stats.prepared_reused, "{ctx}");
                 }
             })
         })
         .collect();
     for h in handles {
-        h.join().expect("no panics under pool starvation");
+        h.join().expect("no panics under contention");
     }
 
-    // The check-in cap held: at most POOL_CAP arenas were retained no
-    // matter how many fresh ones the storm forced into existence.
-    assert!(
-        layer.pooled_arenas() <= POOL_CAP,
-        "pool grew past its cap: {}",
-        layer.pooled_arenas()
-    );
-    // And the layer still serves correct answers afterwards.
-    let after = baseline(&big_q);
-    assert_eq!(after.output, base_big.output);
-
-    // pool_limit = 0 disables retention entirely while still serving.
-    let unpooled =
-        PreparedLayer::build_with_pool_limit(&subject, &ClipOptions::sequential(), 0).unwrap();
-    let r = polyclip_core::prepared::try_clip_prepared(
-        &unpooled,
-        &big_q,
-        BoolOp::Intersection,
-        4,
-        &ClipOptions::sequential(),
-    )
-    .unwrap();
-    assert_eq!(r.output, base_big.output);
-    assert_eq!(unpooled.pooled_arenas(), 0, "cap 0 must retain nothing");
+    // The layer still serves correct answers afterwards.
+    for (q, row) in queries.iter().zip(&baselines) {
+        for (o, want) in opts.iter().zip(row) {
+            assert_eq!(clip(q, o).output, want.output);
+        }
+    }
 }
 
 /// A box query sweeps only the contours it can reach. The layer is 16

@@ -10,7 +10,7 @@
 //!   flag, cloneable across threads, flipped once and observed by cheap
 //!   relaxed loads;
 //! * [`WorkMeter`] — lock-free relaxed counters for intersections found,
-//!   events processed, vertices emitted, and peak scratch bytes;
+//!   events processed and vertices emitted;
 //! * [`Gate`] — a cancel token + optional deadline + optional work limits
 //!   bundled behind two check entry points: [`Gate::poll`] (two relaxed
 //!   atomic loads, safe to call per scanbeam / per merge block) and
@@ -61,8 +61,6 @@ pub struct WorkMeter {
     intersections: AtomicU64,
     events: AtomicU64,
     vertices: AtomicU64,
-    peak_scratch_bytes: AtomicU64,
-    scratch_reused_bytes: AtomicU64,
 }
 
 impl WorkMeter {
@@ -82,23 +80,6 @@ impl WorkMeter {
         self.vertices.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Record a scratch footprint (bytes). Keeps the maximum over all
-    /// reports, not the sum: a report is either one big buffer (a beam set's
-    /// sub-edges, a stab report, an inversion fill) or, at the end of an
-    /// engine call, the whole capacity its arena holds.
-    pub fn record_scratch_bytes(&self, bytes: u64) {
-        self.peak_scratch_bytes.fetch_max(bytes, Ordering::Relaxed);
-    }
-
-    /// Credit bytes of scratch capacity that were *reused* instead of
-    /// freshly allocated (arena buffers handed back to a later refinement
-    /// round or slab). Unlike the peak, reuse accumulates: the quantity of
-    /// interest is the total allocation traffic the arena avoided.
-    pub fn add_scratch_reused(&self, bytes: u64) {
-        self.scratch_reused_bytes
-            .fetch_add(bytes, Ordering::Relaxed);
-    }
-
     pub fn intersections(&self) -> u64 {
         self.intersections.load(Ordering::Relaxed)
     }
@@ -113,8 +94,6 @@ impl WorkMeter {
             intersections: self.intersections.load(Ordering::Relaxed),
             events: self.events.load(Ordering::Relaxed),
             vertices: self.vertices.load(Ordering::Relaxed),
-            peak_scratch_bytes: self.peak_scratch_bytes.load(Ordering::Relaxed),
-            scratch_reused_bytes: self.scratch_reused_bytes.load(Ordering::Relaxed),
         }
     }
 }
@@ -131,13 +110,6 @@ pub struct MeterSnapshot {
     /// Output fragments gathered before stitching (each contributes at most
     /// two output vertices).
     pub vertices: u64,
-    /// Largest scratch footprint reported (bytes): the biggest single
-    /// sweep buffer, or the capacity an engine call's arena held at its end,
-    /// whichever is larger.
-    pub peak_scratch_bytes: u64,
-    /// Total scratch-arena capacity reused across refinement rounds and
-    /// slabs instead of being freshly allocated (bytes, accumulated).
-    pub scratch_reused_bytes: u64,
 }
 
 /// Why a [`Gate`] tripped.
@@ -407,18 +379,12 @@ mod tests {
         m.add_intersections(3);
         m.add_events(5);
         m.add_vertices(7);
-        m.record_scratch_bytes(100);
-        m.record_scratch_bytes(50); // max, not sum
-        m.add_scratch_reused(40);
-        m.add_scratch_reused(2); // sum, not max
         assert_eq!(
             m.snapshot(),
             MeterSnapshot {
                 intersections: 3,
                 events: 5,
                 vertices: 7,
-                peak_scratch_bytes: 100,
-                scratch_reused_bytes: 42,
             }
         );
     }

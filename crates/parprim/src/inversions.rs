@@ -88,13 +88,6 @@ pub struct InvScratch {
     buf: Vec<usize>,
 }
 
-impl InvScratch {
-    /// Bytes of heap capacity currently held by the scratch buffers.
-    pub fn capacity_bytes(&self) -> u64 {
-        ((self.idx.capacity() + self.buf.capacity()) * std::mem::size_of::<usize>()) as u64
-    }
-}
-
 /// [`report_inversions`] into caller-supplied buffers: `out` is cleared and
 /// filled with the inversion pairs; `scratch` is reused across calls so the
 /// steady state performs no allocation. Results are identical to
@@ -298,8 +291,6 @@ where
         if g.intersections_would_exceed(total as u64) || g.checkpoint().is_some() {
             return Vec::new();
         }
-        g.meter()
-            .record_scratch_bytes((total * std::mem::size_of::<(usize, usize)>()) as u64);
     }
 
     // Phase 2: fill. Each position writes its own disjoint range.

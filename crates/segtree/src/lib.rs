@@ -41,58 +41,12 @@ pub struct SegmentTree {
     cover_items: Vec<u32>,
 }
 
-/// Reusable construction/query buffers for a [`SegmentTree`]: the transient
-/// `(node, id)` cover pairs of the parallel build, plus the CSR arrays a
-/// retired tree hands back via [`SegmentTree::recycle`]. Holding one per
-/// worker makes repeated build→stab→drop cycles (one per refinement round or
-/// slab) allocation-free once capacity is established.
-#[derive(Debug, Default)]
-pub struct TreeScratch {
-    pairs: Vec<(u32, u32)>,
-    cover_start: Vec<usize>,
-    cover_items: Vec<u32>,
-}
-
-impl TreeScratch {
-    /// Bytes of heap capacity currently held by the scratch buffers.
-    pub fn capacity_bytes(&self) -> u64 {
-        (self.pairs.capacity() * std::mem::size_of::<(u32, u32)>()
-            + self.cover_start.capacity() * std::mem::size_of::<usize>()
-            + self.cover_items.capacity() * std::mem::size_of::<u32>()) as u64
-    }
-
-    /// Bytes of capacity a fresh build would have had to allocate — credited
-    /// before buffers are taken, so the first use reports zero.
-    pub fn reusable_bytes(&self) -> u64 {
-        self.capacity_bytes()
-    }
-}
-
-/// Reusable buffers for [`SegmentTree::par_stab_all_in`]: per-leaf counts and
-/// the CSR `(offsets, items)` batch-query result.
-#[derive(Debug, Default)]
-pub struct StabScratch {
-    counts: Vec<usize>,
-    /// CSR offsets of the last batch query (`n_leaves + 1` entries).
-    pub offsets: Vec<usize>,
-    /// Interval ids, sliced by `offsets`.
-    pub items: Vec<u32>,
-}
-
-impl StabScratch {
-    /// Bytes of heap capacity currently held by the scratch buffers.
-    pub fn capacity_bytes(&self) -> u64 {
-        ((self.counts.capacity() + self.offsets.capacity()) * std::mem::size_of::<usize>()
-            + self.items.capacity() * std::mem::size_of::<u32>()) as u64
-    }
-}
-
 impl SegmentTree {
     /// Build from `intervals`, each a half-open range `lo..hi` of elementary
     /// interval indices (`hi <= n_leaves`). Empty ranges are skipped.
     ///
-    /// Sequential construction, allocating fresh buffers; the reference
-    /// the pipeline's [`build_in`](Self::build_in) is checked against.
+    /// Sequential construction from per-node lists; the reference the
+    /// pipeline's [`build_by_sort`](Self::build_by_sort) is checked against.
     pub fn build(n_leaves: usize, intervals: &[(usize, usize)]) -> Self {
         let size = n_leaves.next_power_of_two().max(1);
         let n_nodes = 2 * size;
@@ -123,27 +77,19 @@ impl SegmentTree {
         }
     }
 
-    /// [`build`](Self::build) into reused buffers: the transient cover
-    /// pairs and the tree's own CSR arrays come from `scratch`, so a
-    /// build→[`recycle`](Self::recycle) cycle performs no allocation once
-    /// capacity is established. Cover lists are identical to the allocating
-    /// build (each node's ids ascend in both).
+    /// [`build`](Self::build) by one sort: the `(node, id)` cover pairs of
+    /// all intervals are emitted, sorted by node, and sliced into CSR. Cover
+    /// lists are identical to [`build`](Self::build)'s (each node's ids
+    /// ascend in both).
     ///
-    /// With `parallel`, the `(node, id)` cover pairs of all intervals are
-    /// emitted in parallel, sorted by node, and sliced into CSR —
+    /// With `parallel`, the pairs are emitted and sorted in parallel —
     /// `O(N log N)` work for `N = Σ O(log m)` pairs, polylog span, mirroring
     /// the parallel segment-tree construction of Atallah et al. cited by
     /// the paper.
-    pub fn build_in(
-        n_leaves: usize,
-        intervals: &[(usize, usize)],
-        parallel: bool,
-        scratch: &mut TreeScratch,
-    ) -> Self {
+    pub fn build_by_sort(n_leaves: usize, intervals: &[(usize, usize)], parallel: bool) -> Self {
         let size = n_leaves.next_power_of_two().max(1);
         let n_nodes = 2 * size;
-        let pairs = &mut scratch.pairs;
-        pairs.clear();
+        let mut pairs: Vec<(u32, u32)> = Vec::new();
         if parallel {
             pairs.par_extend(
                 intervals
@@ -167,31 +113,20 @@ impl SegmentTree {
             }
             pairs.sort_unstable();
         }
-        let mut cover_start = std::mem::take(&mut scratch.cover_start);
-        cover_start.clear();
-        cover_start.resize(n_nodes + 1, 0);
-        for &(v, _) in pairs.iter() {
+        let mut cover_start = vec![0; n_nodes + 1];
+        for &(v, _) in &pairs {
             cover_start[v as usize + 1] += 1;
         }
         for i in 0..n_nodes {
             cover_start[i + 1] += cover_start[i];
         }
-        let mut cover_items = std::mem::take(&mut scratch.cover_items);
-        cover_items.clear();
-        cover_items.extend(pairs.drain(..).map(|(_, id)| id));
+        let cover_items = pairs.iter().map(|&(_, id)| id).collect();
         SegmentTree {
             n_leaves,
             size,
             cover_start,
             cover_items,
         }
-    }
-
-    /// Hand the tree's CSR arrays back to `scratch` for the next
-    /// [`build_in`](Self::build_in).
-    pub fn recycle(self, scratch: &mut TreeScratch) {
-        scratch.cover_start = self.cover_start;
-        scratch.cover_items = self.cover_items;
     }
 
     /// Number of elementary intervals.
@@ -267,59 +202,45 @@ impl SegmentTree {
     /// exactly `k'` slots by prefix sum, phase 3 reports in parallel into
     /// disjoint ranges — the output-sensitive processor allocation of §III-E.
     pub fn par_stab_all(&self) -> (Vec<usize>, Vec<u32>) {
-        let mut scratch = StabScratch::default();
-        self.par_stab_all_in(None, &mut scratch);
-        (scratch.offsets, scratch.items)
+        self.par_stab_all_gated(None)
     }
 
     /// [`par_stab_all`](Self::par_stab_all) under a cooperative
-    /// [`Gate`](polyclip_parprim::Gate) and into reused buffers.
+    /// [`Gate`](polyclip_parprim::Gate).
     ///
-    /// Gating: the count and report batches poll the gate per query, a
+    /// Gating: the count and report batches poll the gate per query, and a
     /// checkpoint sits between the two phases (before the `O(k')`
-    /// allocation), and the allocation is metered as scratch. When the gate
-    /// trips the result is truncated/empty — callers must check the gate
-    /// before using it.
-    ///
-    /// Buffers: `scratch.offsets`/`scratch.items` hold the CSR result on
-    /// return, and a steady-state caller (one batch query per refinement
-    /// round or slab) performs no allocation once capacity is established.
-    pub fn par_stab_all_in(
+    /// allocation). When the gate trips the result is truncated/empty —
+    /// callers must check the gate before using it.
+    pub fn par_stab_all_gated(
         &self,
         gate: Option<&polyclip_parprim::Gate>,
-        scratch: &mut StabScratch,
-    ) {
-        let counts = &mut scratch.counts;
-        counts.clear();
-        counts.par_extend((0..self.n_leaves).into_par_iter().map(|i| {
-            // Per-batch poll: remaining queries degrade to zero counts.
-            if gate.is_some_and(|g| g.is_tripped()) {
-                return 0;
-            }
-            self.stab_count(i)
-        }));
-        let offsets = &mut scratch.offsets;
-        offsets.clear();
-        offsets.reserve(self.n_leaves + 1);
+    ) -> (Vec<usize>, Vec<u32>) {
+        let counts: Vec<usize> = (0..self.n_leaves)
+            .into_par_iter()
+            .map(|i| {
+                // Per-batch poll: remaining queries degrade to zero counts.
+                if gate.is_some_and(|g| g.is_tripped()) {
+                    return 0;
+                }
+                self.stab_count(i)
+            })
+            .collect();
+        let mut offsets = Vec::with_capacity(self.n_leaves + 1);
         let mut total = 0usize;
-        for &c in counts.iter() {
+        for &c in &counts {
             offsets.push(total);
             total += c;
         }
         offsets.push(total);
-        scratch.items.clear();
-        if let Some(g) = gate {
-            if g.checkpoint().is_some() {
-                return;
-            }
-            g.meter()
-                .record_scratch_bytes((total * std::mem::size_of::<u32>()) as u64);
+        if gate.is_some_and(|g| g.checkpoint().is_some()) {
+            return (offsets, Vec::new());
         }
-        scratch.items.resize(total, 0);
+        let mut items = vec![0; total];
         let mut slices: Vec<&mut [u32]> = Vec::with_capacity(self.n_leaves);
         {
-            let mut rest: &mut [u32] = &mut scratch.items;
-            for &c in counts.iter() {
+            let mut rest: &mut [u32] = &mut items;
+            for &c in &counts {
                 let (head, tail) = rest.split_at_mut(c);
                 slices.push(head);
                 rest = tail;
@@ -331,6 +252,7 @@ impl SegmentTree {
             }
             self.stab_fill(i, dst);
         });
+        (offsets, items)
     }
 }
 
@@ -471,22 +393,18 @@ mod tests {
     }
 
     #[test]
-    fn build_in_recycle_cycle_matches_allocating_builds() {
+    fn sorted_build_matches_the_reference_build() {
         let intervals: Vec<(usize, usize)> =
             (0..300).map(|i| (i % 40, 40 + (i * 11) % 61)).collect();
         let reference = SegmentTree::build(100, &intervals);
         let (ref_offsets, ref_items) = reference.par_stab_all();
-        let mut scratch = TreeScratch::default();
         for parallel in [false, true] {
-            let t = SegmentTree::build_in(100, &intervals, parallel, &mut scratch);
+            let t = SegmentTree::build_by_sort(100, &intervals, parallel);
             assert_eq!(t.cover_start, reference.cover_start);
             assert_eq!(t.cover_items, reference.cover_items);
-            let mut stab = StabScratch::default();
-            t.par_stab_all_in(None, &mut stab);
-            assert_eq!(stab.offsets, ref_offsets);
-            assert_eq!(stab.items, ref_items);
-            t.recycle(&mut scratch);
-            assert!(scratch.reusable_bytes() > 0, "recycled capacity is held");
+            let (offsets, items) = t.par_stab_all_gated(None);
+            assert_eq!(offsets, ref_offsets);
+            assert_eq!(items, ref_items);
         }
     }
 

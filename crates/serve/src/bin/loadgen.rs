@@ -14,10 +14,14 @@
 //! politely self-throttle and hide saturation.
 //!
 //! The run calibrates mean service time with a short closed-loop burst,
-//! then drives ≥ 3 load points at multiples of the estimated capacity —
-//! the last one past saturation, where the artifact must show shedding
-//! engaging (`rejected > 0`) while the p99 of *completed* requests stays
-//! bounded by the deadline distribution instead of growing with the queue.
+//! then drives three load points at ×0.5, ×1 and ×2.5 the estimated
+//! capacity. Each point records `saturated` (`rejected > 0`), but the run
+//! does not require it: the calibration is the mean of closed-loop round
+//! trips, wire included, so the ×2.5 point may shed only a sliver of its
+//! requests or none. What the run does require is that every request is
+//! answered: after writing the artifact it exits non-zero if any point
+//! lost a reply (`lost > 0`), and the artifact stays on disk for
+//! inspection.
 //!
 //! Traffic mix per request, deterministically seeded: priority 20% high /
 //! 60% normal / 20% low; deadline 5× / 20× / 100× mean service time;
@@ -366,12 +370,7 @@ fn main() -> ExitCode {
     let server = if args.spawn {
         let scale = if args.smoke { 0.002 } else { 0.01 };
         let gis = flatten_layer(1, scale, 1007);
-        let layer = PreparedLayer::build_with_pool_limit(
-            &gis,
-            &ClipOptions::sequential(),
-            args.workers.max(1),
-        )
-        .expect("layer build");
+        let layer = PreparedLayer::build(&gis, &ClipOptions::sequential()).expect("layer build");
         let cfg = ServeConfig {
             workers: args.workers,
             queue_capacity: args.queue_cap,
@@ -428,6 +427,7 @@ fn main() -> ExitCode {
     let multipliers = [0.5, 1.0, 2.5];
     let duration = Duration::from_millis(args.duration_ms);
     let mut points: Vec<Value> = Vec::new();
+    let mut lossy: Vec<f64> = Vec::new();
     for &m in &multipliers {
         let rate = (capacity_qps * m).clamp(5.0, 50_000.0);
         let before = collector.snapshot();
@@ -449,6 +449,9 @@ fn main() -> ExitCode {
             next += model.gap(rate);
         }
         let lost = client.drain(Duration::from_secs(3));
+        if lost > 0 {
+            lossy.push(m);
+        }
         let elapsed = t0.elapsed().as_secs_f64();
 
         let after = collector.snapshot();
@@ -531,5 +534,13 @@ fn main() -> ExitCode {
         ("load_points", Value::Arr(points)),
         ("server_stats", final_stats),
     ]);
-    exit_after_artifact(write_artifact(&args.out, &doc))
+    let written = write_artifact(&args.out, &doc);
+    if written.is_ok() && !lossy.is_empty() {
+        eprintln!(
+            "loadgen: replies lost at load point(s) ×{lossy:?}; see {}",
+            args.out
+        );
+        return ExitCode::FAILURE;
+    }
+    exit_after_artifact(written)
 }

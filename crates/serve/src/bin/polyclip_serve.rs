@@ -104,13 +104,10 @@ fn main() {
     // Build the layers before binding: a server that accepts connections
     // must be ready to serve them.
     let opts = ClipOptions::sequential();
-    let pool_limit = args.workers.max(1);
     let gis_set = flatten_layer(1, args.scale, 1007);
-    let gis = PreparedLayer::build_with_pool_limit(&gis_set, &opts, pool_limit)
-        .expect("gis layer build failed");
+    let gis = PreparedLayer::build(&gis_set, &opts).expect("gis layer build failed");
     let (blob_set, _) = synthetic_pair(args.n, 42);
-    let blob = PreparedLayer::build_with_pool_limit(&blob_set, &opts, pool_limit)
-        .expect("blob layer build failed");
+    let blob = PreparedLayer::build(&blob_set, &opts).expect("blob layer build failed");
     eprintln!(
         "layers ready: gis {} contours / {} events, blob {} vertices / {} events",
         gis.subject().len(),

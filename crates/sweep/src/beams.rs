@@ -22,7 +22,6 @@
 
 use crate::edges::{InputEdge, Source};
 use crate::events::event_index;
-use crate::scratch::SweepScratch;
 use polyclip_geom::OrdF64;
 use polyclip_parprim::Gate;
 use polyclip_segtree::SegmentTree;
@@ -93,42 +92,19 @@ impl ForcedSplits {
 
     /// Build from `(edge_id, y, x)` triples; duplicates (same edge, same y)
     /// collapse to one entry.
-    pub fn build(n_edges: usize, triples: Vec<(u32, f64, f64)>) -> Self {
-        Self::build_in(n_edges, &triples, &mut SweepScratch::default())
-    }
-
-    /// [`build`](Self::build) from a borrowed triple slice into reused
-    /// buffers: the sort/dedup working copy and the CSR arrays come from
-    /// `scratch`, so per-round rebuilds of the forced-split table allocate
-    /// nothing once capacity is established. Hand the table back with
-    /// [`recycle`](Self::recycle).
-    pub fn build_in(
-        n_edges: usize,
-        triples: &[(u32, f64, f64)],
-        scratch: &mut SweepScratch,
-    ) -> Self {
-        let mut buf = std::mem::take(&mut scratch.triples);
-        buf.clear();
-        buf.extend_from_slice(triples);
+    pub fn build(n_edges: usize, triples: &[(u32, f64, f64)]) -> Self {
+        let mut buf = triples.to_vec();
         buf.sort_unstable_by(|a, b| (a.0, OrdF64::new(a.1)).cmp(&(b.0, OrdF64::new(b.1))));
         buf.dedup_by(|a, b| a.0 == b.0 && a.1 == b.1);
-        let (mut start, mut items) = scratch.take_forced();
-        start.resize(n_edges + 1, 0);
-        for &(id, _, _) in buf.iter() {
+        let mut start = vec![0; n_edges + 1];
+        for &(id, _, _) in &buf {
             start[id as usize + 1] += 1;
         }
         for i in 0..n_edges {
             start[i + 1] += start[i];
         }
-        items.extend(buf.drain(..).map(|(_, y, x)| (y, x)));
-        scratch.triples = buf;
+        let items = buf.iter().map(|&(_, y, x)| (y, x)).collect();
         ForcedSplits { start, items }
-    }
-
-    /// Hand the CSR arrays back to `scratch` for the next
-    /// [`build_in`](Self::build_in).
-    pub fn recycle(self, scratch: &mut SweepScratch) {
-        scratch.give_forced(self.start, self.items);
     }
 
     /// The forced x for `edge` at exactly `y`, if any.
@@ -196,19 +172,10 @@ impl BeamSet {
         backend: PartitionBackend,
         parallel: bool,
     ) -> Self {
-        Self::build_gated_in(
-            edges,
-            ys,
-            forced,
-            backend,
-            parallel,
-            None,
-            &mut SweepScratch::default(),
-        )
+        Self::build_gated(edges, ys, forced, backend, parallel, None)
     }
 
-    /// [`build`](Self::build) under a cooperative [`Gate`] and into a
-    /// reused [`SweepScratch`].
+    /// [`build`](Self::build) under a cooperative [`Gate`].
     ///
     /// Both backends know the beam offsets before they write a sub-edge.
     /// The direct scan takes each edge's beam span from two event lookups,
@@ -218,50 +185,38 @@ impl BeamSet {
     /// edges contiguously, so its report offsets are the beam offsets. Each
     /// beam is then sorted by [`SubEdge::order_key`]; `parallel` runs those
     /// sorts as rayon tasks, and for the segment tree also its build and
-    /// its report fill.
+    /// its report fill. Output is bit-identical across backends: both fill
+    /// the same sub-edge multiset and the sort key `(beam, xb, xt,
+    /// edge_id)` is a strict total order.
     ///
     /// Gating: the direct-scan fill polls per input edge, the segment-tree
     /// path uses the gated count-then-report queries, and the sorts poll
     /// per beam. Sub-edge incidences (the paper's `k'` scale) are credited
     /// to the gate's work meter. A tripped gate leaves the `BeamSet`
     /// truncated — callers must check the gate before using it.
-    ///
-    /// Arena: the sub-edge array, the offsets, the edge spans, the
-    /// segment-tree buffers and the fill cursors all come from the arena, so
-    /// refinement rounds ≥ 2 (and later slabs on the same worker) reuse
-    /// round-1 capacity instead of reallocating. Output is bit-identical to
-    /// a fresh arena's, and across backends: both fill the same sub-edge
-    /// multiset and the sort key `(beam, xb, xt, edge_id)` is a strict
-    /// total order. Hand the set back with [`recycle`](Self::recycle).
-    pub fn build_gated_in(
+    pub fn build_gated(
         edges: &[InputEdge],
         ys: Vec<f64>,
         forced: &ForcedSplits,
         backend: PartitionBackend,
         parallel: bool,
         gate: Option<&Gate>,
-        scratch: &mut SweepScratch,
     ) -> Self {
         let n_beams = ys.len().saturating_sub(1);
         let tripped = || gate.is_some_and(|g| g.is_tripped());
-        let mut sub = scratch.take_sub();
-        let mut beam_start = scratch.take_beam_start();
-        let spans = &mut scratch.intervals;
-        spans.clear();
-        spans.extend(edges.iter().map(|e| beam_span(&ys, e)));
-        match backend {
+        let spans: Vec<(usize, usize)> = edges.iter().map(|e| beam_span(&ys, e)).collect();
+        let (beam_start, mut sub) = match backend {
             PartitionBackend::DirectScan => {
                 // Offsets first, from a difference array over the spans. A
                 // slot can dip below zero while the spans are added in, so
                 // the array is kept modulo 2^64; every prefix sum is a
                 // beam's edge count, so the sums come out exact.
-                let counts = &mut scratch.counts;
-                counts.clear();
-                counts.resize(n_beams + 1, 0);
-                for &(i0, i1) in spans.iter() {
+                let mut counts = vec![0usize; n_beams + 1];
+                for &(i0, i1) in &spans {
                     counts[i0] = counts[i0].wrapping_add(1);
                     counts[i1] = counts[i1].wrapping_sub(1);
                 }
+                let mut beam_start = Vec::with_capacity(n_beams + 1);
                 beam_start.push(0);
                 let mut active = 0usize;
                 for b in 0..n_beams {
@@ -269,15 +224,9 @@ impl BeamSet {
                     beam_start.push(beam_start[b] + active);
                 }
                 // One fill: every sub-edge is written at its beam's cursor.
-                // `reserve_exact` keeps a recycled buffer from doubling when
-                // a later round needs a few more slots than the last.
-                let cursor = counts;
-                cursor.clear();
-                cursor.extend_from_slice(&beam_start[..n_beams]);
-                let total = beam_start[n_beams];
-                sub.reserve_exact(total);
-                sub.resize(total, DUMMY_SUB);
-                for (e, &span) in edges.iter().zip(spans.iter()) {
+                let mut cursor = beam_start[..n_beams].to_vec();
+                let mut sub = vec![DUMMY_SUB; beam_start[n_beams]];
+                for (e, &span) in edges.iter().zip(&spans) {
                     // Per-edge interruption point: the remaining slots keep
                     // their placeholder.
                     if tripped() {
@@ -289,47 +238,41 @@ impl BeamSet {
                         *c += 1;
                     }
                 }
+                (beam_start, sub)
             }
             PartitionBackend::SegmentTree => {
                 // Intervals in elementary-beam index space are the spans.
-                scratch.credit_reuse(scratch.tree.reusable_bytes());
-                let tree =
-                    SegmentTree::build_in(n_beams, &scratch.intervals, parallel, &mut scratch.tree);
-                tree.par_stab_all_in(gate, &mut scratch.stab);
+                let tree = SegmentTree::build_by_sort(n_beams, &spans, parallel);
+                let (offsets, items) = tree.par_stab_all_gated(gate);
                 if tripped() {
                     // Empty beams, consistent with the empty sub-edge array.
-                    beam_start.resize(n_beams + 1, 0);
+                    (vec![0; n_beams + 1], Vec::new())
                 } else {
                     // Reporting phase: each (beam, edge) pair becomes a
                     // sub-edge; beams own disjoint contiguous slices.
-                    let offsets = &scratch.stab.offsets;
-                    let items = &scratch.stab.items;
-                    beam_start.extend_from_slice(offsets);
-                    sub.resize(items.len(), DUMMY_SUB);
+                    let mut sub = vec![DUMMY_SUB; items.len()];
                     let fill = |b: usize, dst: &mut [SubEdge]| {
                         for (d, &id) in dst.iter_mut().zip(&items[offsets[b]..offsets[b + 1]]) {
                             *d = sub_edge_for(&edges[id as usize], &ys, b, forced);
                         }
                     };
                     if parallel {
-                        buckets_mut(&mut sub, &beam_start)
+                        buckets_mut(&mut sub, &offsets)
                             .into_par_iter()
                             .enumerate()
                             .for_each(|(b, dst)| fill(b, dst));
                     } else {
-                        for (b, dst) in buckets_mut(&mut sub, &beam_start).into_iter().enumerate() {
+                        for (b, dst) in buckets_mut(&mut sub, &offsets).into_iter().enumerate() {
                             fill(b, dst);
                         }
                     }
+                    (offsets, sub)
                 }
-                tree.recycle(&mut scratch.tree);
             }
         };
 
         if let Some(g) = gate {
             g.meter().add_events(sub.len() as u64);
-            g.meter()
-                .record_scratch_bytes((sub.len() * std::mem::size_of::<SubEdge>()) as u64);
         }
         if !tripped() {
             sort_beams(&mut sub, &beam_start, parallel, gate);
@@ -340,14 +283,6 @@ impl BeamSet {
             beam_start,
             sub,
         }
-    }
-
-    /// Hand the set's buffers (event schedule, sub-edge array, CSR offsets)
-    /// back to `scratch` for the next build or refinement round.
-    pub fn recycle(self, scratch: &mut SweepScratch) {
-        scratch.give_ys(self.ys);
-        scratch.give_sub(self.sub);
-        scratch.give_beam_start(self.beam_start);
     }
 
     /// Number of scanbeams.
@@ -512,7 +447,7 @@ mod tests {
     use super::*;
     use crate::cross::tests::star;
     use crate::edges::collect_edges;
-    use crate::events::{event_ys, event_ys_in};
+    use crate::events::event_ys;
     use polyclip_geom::PolygonSet;
     use proptest::prelude::*;
 
@@ -631,7 +566,7 @@ mod tests {
             extra.push(c.p.y);
         }
         let n_forced = triples.len();
-        let forced = ForcedSplits::build(edges.len(), triples);
+        let forced = ForcedSplits::build(edges.len(), &triples);
         for (extra, forced) in [(&[][..], &empty), (&extra[..], &forced)] {
             let want = reference(&edges, event_ys(&edges, extra, false), forced);
             for backend in [PartitionBackend::DirectScan, PartitionBackend::SegmentTree] {
@@ -678,7 +613,7 @@ mod tests {
             .find(|e| e.lo == polyclip_geom::Point::new(0.0, 0.0) && e.hi.x == 2.0)
             .unwrap();
         let ys = event_ys(&edges, &[2.0], false);
-        let forced = ForcedSplits::build(edges.len(), vec![(diag.id, 2.0, 0.75)]);
+        let forced = ForcedSplits::build(edges.len(), &[(diag.id, 2.0, 0.75)]);
         let bs = BeamSet::build(&edges, ys, &forced, PartitionBackend::DirectScan, false);
         // The diagonal's sub-edge below y=2 ends at x=0.75, not at 1.0.
         let below: Vec<&SubEdge> = bs.beam(0).iter().filter(|s| s.edge_id == diag.id).collect();
@@ -692,7 +627,7 @@ mod tests {
     fn forced_splits_dedupe() {
         let f = ForcedSplits::build(
             2,
-            vec![(0, 1.0, 5.0), (0, 1.0, 5.0), (0, 2.0, 6.0), (1, 1.0, 7.0)],
+            &[(0, 1.0, 5.0), (0, 1.0, 5.0), (0, 2.0, 6.0), (1, 1.0, 7.0)],
         );
         assert_eq!(f.len(), 3);
         assert_eq!(f.forced_x(0, 1.0), Some(5.0));
@@ -731,69 +666,6 @@ mod tests {
             assert_eq!(x.src, y.src);
             assert_eq!(x.winding, y.winding);
             assert_eq!(x.edge_id, y.edge_id);
-        }
-    }
-
-    /// Forced triples for `new_ys`: every edge strictly spanning a new y
-    /// gets a forced vertex there, mimicking what intersection discovery
-    /// feeds the engine.
-    fn triples_at(edges: &[InputEdge], new_ys: &[f64]) -> Vec<(u32, f64, f64)> {
-        let mut t = Vec::new();
-        for &y in new_ys {
-            for e in edges {
-                if e.lo.y < y && y < e.hi.y {
-                    t.push((e.id, y, e.x_at_y(y)));
-                }
-            }
-        }
-        t
-    }
-
-    /// Each refinement round recycles the previous round's set into the
-    /// arena and rebuilds from it: the rebuild must draw its buffers from
-    /// that capacity and still match a fresh-arena build bit for bit.
-    #[test]
-    fn refine_rebuild_reuses_arena_capacity() {
-        let p = PolygonSet::from_xy(&[(0.0, 0.0), (5.0, 0.5), (4.0, 3.0), (1.0, 2.5)]);
-        let q = PolygonSet::from_xy(&[(2.0, 1.0), (6.0, 1.5), (3.0, 4.0)]);
-        let edges = collect_edges(&p, &q);
-        for backend in [PartitionBackend::DirectScan, PartitionBackend::SegmentTree] {
-            let mut scratch = SweepScratch::new();
-            let ys0 = event_ys_in(&edges, &[], false, &mut scratch);
-            let empty = ForcedSplits::empty(edges.len());
-            let mut bs =
-                BeamSet::build_gated_in(&edges, ys0, &empty, backend, false, None, &mut scratch);
-            let mut extra_all: Vec<f64> = Vec::new();
-            for round_ys in [[0.8, 2.2], [1.4, 0.9]] {
-                extra_all.extend_from_slice(&round_ys);
-                let triples = triples_at(&edges, &extra_all);
-                let forced = ForcedSplits::build_in(edges.len(), &triples, &mut scratch);
-                bs.recycle(&mut scratch);
-                scratch.take_reused_bytes();
-                let ys = event_ys_in(&edges, &extra_all, false, &mut scratch);
-                bs = BeamSet::build_gated_in(
-                    &edges,
-                    ys,
-                    &forced,
-                    backend,
-                    false,
-                    None,
-                    &mut scratch,
-                );
-                assert!(
-                    scratch.take_reused_bytes() > 0,
-                    "{backend:?}: the rebuild allocated afresh"
-                );
-                let fresh = BeamSet::build(
-                    &edges,
-                    event_ys(&edges, &extra_all, false),
-                    &forced,
-                    backend,
-                    false,
-                );
-                assert_identical(&bs, &fresh);
-                forced.recycle(&mut scratch);
-            }
         }
     }
 }

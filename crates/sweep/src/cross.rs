@@ -14,9 +14,8 @@
 
 use crate::beams::{BeamSet, SubEdge};
 use crate::edges::InputEdge;
-use crate::scratch::{BeamScratch, SweepScratch};
 use polyclip_geom::{OrdF64, Point, Segment, SegmentIntersection};
-use polyclip_parprim::inversions::{par_report_inversions_gated, report_inversions_in};
+use polyclip_parprim::inversions::{par_report_inversions_gated, report_inversions_in, InvScratch};
 use polyclip_parprim::Gate;
 use rayon::prelude::*;
 
@@ -34,7 +33,7 @@ pub struct CrossEvent {
 
 /// Beams whose active list is at least this long use the parallel
 /// inversion reporter internally (nested parallelism over huge beams).
-/// The `*_in` discovery entry points take the cutoff as their `grain`
+/// The gated discovery entry points take the cutoff as their `grain`
 /// parameter; the engine passes this constant.
 pub const BIG_BEAM: usize = 16 * 1024;
 
@@ -47,18 +46,10 @@ pub fn discover_intersections(
     edges: &[InputEdge],
     parallel: bool,
 ) -> Vec<CrossEvent> {
-    discover_intersections_in(
-        beams,
-        edges,
-        parallel,
-        None,
-        BIG_BEAM,
-        &mut SweepScratch::default(),
-    )
+    discover_intersections_gated(beams, edges, parallel, None, BIG_BEAM)
 }
 
-/// [`discover_intersections`] under a cooperative [`Gate`] and into a
-/// reused [`SweepScratch`].
+/// [`discover_intersections`] under a cooperative [`Gate`].
 ///
 /// Gating: each scanbeam polls the gate before doing any work (the
 /// per-scanbeam checkpoint of the bounded-execution design), credits its
@@ -67,22 +58,17 @@ pub fn discover_intersections(
 /// `O(k)` fill when `max_intersections` would blow. A tripped gate yields a
 /// truncated event list — callers must check the gate.
 ///
-/// Arena: the event list and the per-beam inversion buffers come from the
-/// arena (the parallel path keeps one [`BeamScratch`] per rayon fold
-/// segment), so repeated rounds allocate nothing once capacity is
-/// established. Event order is preserved exactly (beam order, then
-/// within-beam pair order), so downstream forced-split dedup sees the same
-/// first-wins winner. Hand the returned vector back via [`SweepScratch`]
-/// when done.
-pub fn discover_intersections_in(
+/// Event order is the same on both paths (beam order, then within-beam
+/// pair order), so downstream forced-split dedup sees the same first-wins
+/// winner.
+pub fn discover_intersections_gated(
     beams: &BeamSet,
     edges: &[InputEdge],
     parallel: bool,
     gate: Option<&Gate>,
     grain: usize,
-    scratch: &mut SweepScratch,
 ) -> Vec<CrossEvent> {
-    discover_in(beams, On::Edges(edges), parallel, gate, grain, scratch)
+    discover_on(beams, On::Edges(edges), parallel, gate, grain)
 }
 
 /// Discover *residual* crossings in a split beam set: inversions evaluated
@@ -96,16 +82,15 @@ pub fn discover_intersections_in(
 /// points come from the sub-edge segments, which guarantees they fall
 /// *strictly inside* the offending beam and therefore make progress.
 ///
-/// Gating, arena discipline and the event-order guarantee are those of
-/// [`discover_intersections_in`].
-pub fn discover_residual_crossings_in(
+/// Gating and the event-order guarantee are those of
+/// [`discover_intersections_gated`].
+pub fn discover_residual_crossings(
     beams: &BeamSet,
     parallel: bool,
     gate: Option<&Gate>,
     grain: usize,
-    scratch: &mut SweepScratch,
 ) -> Vec<CrossEvent> {
-    discover_in(beams, On::SubEdges, parallel, gate, grain, scratch)
+    discover_on(beams, On::SubEdges, parallel, gate, grain)
 }
 
 /// The segments an inverted pair of sub-edges is intersected on.
@@ -117,23 +102,33 @@ enum On<'a> {
     SubEdges,
 }
 
+/// Per-beam working buffers for inversion discovery: the top-order
+/// permutation, its rank array, the merge-sort scratch of the reporter and
+/// the reported pairs. One serves a whole serial discovery pass; the
+/// parallel path makes one per chunk of beams.
+#[derive(Default)]
+struct BeamScratch {
+    top_order: Vec<u32>,
+    rank: Vec<u32>,
+    inv: InvScratch,
+    pairs: Vec<(usize, usize)>,
+}
+
 /// The one discovery driver: every beam's crossings on `on`, in beam order.
-fn discover_in(
+fn discover_on(
     beams: &BeamSet,
     on: On<'_>,
     parallel: bool,
     gate: Option<&Gate>,
     grain: usize,
-    scratch: &mut SweepScratch,
 ) -> Vec<CrossEvent> {
-    let mut out = scratch.take_events();
+    let n = beams.n_beams();
     if parallel {
         // Chunk the beams so each task reuses one scratch across its chunk;
         // chunks are emitted in beam order, so the event order matches the
         // sequential path exactly.
-        let n = beams.n_beams();
         let chunk = beam_chunk_size(n);
-        let found: Vec<CrossEvent> = (0..n.div_ceil(chunk.max(1)))
+        (0..n.div_ceil(chunk.max(1)))
             .into_par_iter()
             .flat_map_iter(|c| {
                 let mut bs = BeamScratch::default();
@@ -143,14 +138,15 @@ fn discover_in(
                 }
                 acc
             })
-            .collect();
-        out.extend(found);
+            .collect()
     } else {
-        for b in 0..beams.n_beams() {
-            beam_crossings_in(beams, on, b, gate, grain, &mut scratch.beam, &mut out);
+        let mut bs = BeamScratch::default();
+        let mut out = Vec::new();
+        for b in 0..n {
+            beam_crossings_in(beams, on, b, gate, grain, &mut bs, &mut out);
         }
+        out
     }
-    out
 }
 
 /// Beams per parallel discovery task: a few chunks per thread for load
@@ -390,16 +386,13 @@ pub(crate) mod tests {
         // pass must find the same pairs.
         for parallel in [false, true] {
             for grain in [1, BIG_BEAM] {
-                let mut scratch = SweepScratch::new();
-                let events =
-                    discover_intersections_in(&beams, &edges, parallel, None, grain, &mut scratch);
+                let events = discover_intersections_gated(&beams, &edges, parallel, None, grain);
                 assert_eq!(
                     pair_set(&events),
                     brute,
                     "parallel={parallel} grain={grain}: inversion discovery disagrees with brute force"
                 );
-                let residual =
-                    discover_residual_crossings_in(&beams, parallel, None, grain, &mut scratch);
+                let residual = discover_residual_crossings(&beams, parallel, None, grain);
                 assert_eq!(
                     pair_set(&residual),
                     brute,

@@ -1,7 +1,6 @@
 //! Event-point schedule: the sorted, distinct y-coordinates (Step 1).
 
 use crate::edges::InputEdge;
-use crate::scratch::SweepScratch;
 use polyclip_geom::OrdF64;
 use polyclip_parprim::sort::par_merge_sort;
 
@@ -11,38 +10,19 @@ use polyclip_parprim::sort::par_merge_sort;
 /// scanbeam has strictly positive height — "intervals with `y_i` equal to
 /// `y_{i+1}` are not considered as they do not form a valid scanbeam".
 pub fn event_ys(edges: &[InputEdge], extra: &[f64], parallel: bool) -> Vec<f64> {
-    event_ys_in(edges, extra, parallel, &mut SweepScratch::default())
-}
-
-/// [`event_ys`] into a reused [`SweepScratch`]: the `OrdF64` sort buffer and
-/// the returned `f64` vector both come from the arena (the latter is handed
-/// back when the owning `BeamSet` is recycled), so per-round schedule
-/// rebuilds allocate nothing once capacity is established.
-pub fn event_ys_in(
-    edges: &[InputEdge],
-    extra: &[f64],
-    parallel: bool,
-    scratch: &mut SweepScratch,
-) -> Vec<f64> {
-    let ord = &mut scratch.ord_ys;
-    ord.clear();
-    ord.reserve(2 * edges.len() + extra.len());
+    let mut ord = Vec::with_capacity(2 * edges.len() + extra.len());
     for e in edges {
         ord.push(OrdF64::new(e.lo.y));
         ord.push(OrdF64::new(e.hi.y));
     }
     ord.extend(extra.iter().map(|&y| OrdF64::new(y)));
     if parallel {
-        par_merge_sort(ord, |a, b| a.cmp(b));
+        par_merge_sort(&mut ord, |a, b| a.cmp(b));
     } else {
         ord.sort_unstable();
     }
     ord.dedup();
-    let n = ord.len();
-    let mut ys = scratch.take_ys();
-    ys.reserve(n);
-    ys.extend(scratch.ord_ys.iter().map(|y| y.get()));
-    ys
+    ord.iter().map(|y| y.get()).collect()
 }
 
 /// Index of `y` in the sorted event array. For event values this is an exact

@@ -26,11 +26,9 @@ pub mod bo;
 pub mod cross;
 pub mod edges;
 pub mod events;
-pub mod scratch;
 
 pub use beams::{BeamSet, ForcedSplits, PartitionBackend, SubEdge};
 pub use bo::bentley_ottmann;
-pub use cross::{discover_intersections, discover_intersections_in, CrossEvent, BIG_BEAM};
+pub use cross::{discover_intersections, discover_intersections_gated, CrossEvent, BIG_BEAM};
 pub use edges::{collect_edges, collect_edges_refs, InputEdge, Source};
-pub use events::{event_index, event_ys, event_ys_in};
-pub use scratch::SweepScratch;
+pub use events::{event_index, event_ys};

@@ -226,7 +226,7 @@ fn partition_backends_agree_on_gis_features() {
             }
         }
         let extra: Vec<f64> = crossings.iter().map(|c| c.p.y).collect();
-        let forced = ForcedSplits::build(edges.len(), triples);
+        let forced = ForcedSplits::build(edges.len(), &triples);
         for (extra, forced) in [(&[][..], &empty), (&extra[..], &forced)] {
             assert_eq!(
                 table(extra, forced, PartitionBackend::DirectScan),

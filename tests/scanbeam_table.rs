@@ -98,7 +98,7 @@ fn lemma1_labels_alternate_per_polygon_in_every_beam() {
             }
         }
     }
-    let forced = ForcedSplits::build(edges.len(), triples);
+    let forced = ForcedSplits::build(edges.len(), &triples);
     let ys2 = event_ys(&edges, &extra, false);
     let beams2 = BeamSet::build(&edges, ys2, &forced, PartitionBackend::DirectScan, false);
 
