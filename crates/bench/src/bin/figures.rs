@@ -25,8 +25,7 @@ use polyclip::parprim::inversions::report_inversion_values;
 use polyclip::prelude::*;
 use polyclip::seqclip::{gh_clip, GhOp};
 use polyclip::sweep::{
-    bentley_ottmann, collect_edges, discover_intersections, event_ys, BeamSet, ForcedSplits,
-    PartitionBackend, Source,
+    bentley_ottmann, collect_edges, discover_intersections, event_ys, BeamSet, ForcedSplits, Source,
 };
 use polyclip_bench::*;
 use std::path::PathBuf;
@@ -159,13 +158,7 @@ fn table2() -> Vec<ResultTable> {
     ]);
     let edges = collect_edges(&subject, &clip_p);
     let ys = event_ys(&edges, &[], false);
-    let beams = BeamSet::build(
-        &edges,
-        ys,
-        &ForcedSplits::empty(edges.len()),
-        PartitionBackend::DirectScan,
-        false,
-    );
+    let beams = BeamSet::build(&edges, ys, &ForcedSplits::empty(edges.len()), None, false);
     let mut t = ResultTable::new(
         "table2_scanbeams",
         &["beam", "y_range", "edges (s=subject, c=clip; L/R label)"],
@@ -286,14 +279,7 @@ fn fig7(cfg: &Config) -> Vec<ResultTable> {
         let ys = event_ys(&edges, &[], false);
         let forced = ForcedSplits::empty(edges.len());
         let (subedges, tb) = time_best(5, || {
-            BeamSet::build(
-                &edges,
-                ys.clone(),
-                &forced,
-                PartitionBackend::DirectScan,
-                false,
-            )
-            .total_sub_edges()
+            BeamSet::build(&edges, ys.clone(), &forced, None, false).total_sub_edges()
         });
         let fragments: Vec<(Point, Point)> = union_out
             .contours()
@@ -623,10 +609,10 @@ fn pram_table() -> Vec<ResultTable> {
     vec![t, ph]
 }
 
-/// Design ablations (DESIGN.md): the Step-2 partition backend, the
-/// overlay's slab assignment, Algorithm 2's cell plan, output sensitivity
-/// at fixed n, inversion-based discovery against Bentley–Ottmann, and the
-/// overhead of an armed budget that cannot trip. Wall clock, best of 3.
+/// Design ablations (DESIGN.md): the overlay's slab assignment, Algorithm
+/// 2's cell plan, output sensitivity at fixed n, inversion-based discovery
+/// against Bentley–Ottmann, and the overhead of an armed budget that cannot
+/// trip. Wall clock, best of 3.
 fn ablations(cfg: &Config) -> Vec<ResultTable> {
     let mut t = ResultTable::new(
         "ablations",
@@ -642,24 +628,6 @@ fn ablations(cfg: &Config) -> Vec<ResultTable> {
         ]);
     };
     let seq = ClipOptions::sequential();
-
-    // Step 2: direct scan vs the §III-E segment tree, timed at the
-    // partition, the only step in which the two backends differ.
-    let n = cfg.n(20_000);
-    let (a, b) = synthetic_pair(n, 42);
-    let edges = collect_edges(&a, &b);
-    let ys = event_ys(&edges, &[], false);
-    let forced = ForcedSplits::empty(edges.len());
-    for (name, backend) in [
-        ("direct_scan", PartitionBackend::DirectScan),
-        ("segment_tree", PartitionBackend::SegmentTree),
-    ] {
-        let (beams, d) = time_best(3, || {
-            BeamSet::build(&edges, ys.clone(), &forced, backend, false)
-        });
-        let note = format!("sub_edges={}", beams.total_sub_edges());
-        row("partition_backend", name, &format!("pair n={n}"), d, note);
-    }
 
     // Overlay slab assignment: the paper's replication vs unique owner.
     let scale = cfg.scale / 4.0;
@@ -693,8 +661,9 @@ fn ablations(cfg: &Config) -> Vec<ResultTable> {
         }
     }
 
-    // Output sensitivity: n fixed, overlap (and so k) growing. The work
-    // must track k, not n².
+    // Output sensitivity: n fixed, overlap growing. k stays near zero on
+    // these blobs; what grows with the overlap is k' and the output, and
+    // the work must track those, not n².
     let n = cfg.n(8_000);
     let fixed = smooth_blob(5, Point::new(0.0, 0.0), 1.0, n, 0.3);
     for (name, dx) in [
@@ -720,7 +689,7 @@ fn ablations(cfg: &Config) -> Vec<ResultTable> {
         let inversions = || {
             let ys = event_ys(&edges, &[], false);
             let forced = ForcedSplits::empty(edges.len());
-            let beams = BeamSet::build(&edges, ys, &forced, PartitionBackend::DirectScan, false);
+            let beams = BeamSet::build(&edges, ys, &forced, None, false);
             discover_intersections(&beams, &edges, false)
         };
         for (name, (found, d)) in [
@@ -765,13 +734,12 @@ fn ablations(cfg: &Config) -> Vec<ResultTable> {
 }
 
 /// The PRAM primitives of §III that the algorithm reduces to: prefix sums
-/// (Lemma 3), merge sort, inversion counting and reporting (Lemma 4) and
-/// the segment tree (§III-E), sequential against parallel. Wall clock,
-/// best of 3.
+/// (Lemma 3), inversion counting and reporting (Lemma 4) and the segment
+/// tree (§III-E). The scan and the segment tree's build run sequential
+/// against parallel. Wall clock, best of 3.
 fn primitives(cfg: &Config) -> Vec<ResultTable> {
     use polyclip::parprim::{
-        count_inversions, inclusive_scan, par_count_inversions, par_inclusive_scan, par_merge_sort,
-        report_inversions,
+        count_inversions, inclusive_scan, par_inclusive_scan, report_inversions,
     };
     use polyclip::segtree::SegmentTree;
     let mut t = ResultTable::new("primitives", &["primitive", "variant", "n", "best_ms"]);
@@ -791,28 +759,10 @@ fn primitives(cfg: &Config) -> Vec<ResultTable> {
         let par = best3(|| par_inclusive_scan(&xs, |a, b| a + b));
         rows("scan", n, &[("seq", seq), ("par", par)]);
     }
-    for n in [cfg.n(100_000), cfg.n(1_000_000)] {
-        let xs = xorshift_data(n);
-        let sort = |f: fn(&mut [u64])| {
-            best3(|| {
-                let mut v = xs.clone();
-                f(&mut v);
-                v
-            })
-        };
-        let par = sort(|v| par_merge_sort(v, |a, b| a.cmp(b)));
-        let std = sort(|v| v.sort_unstable());
-        rows(
-            "merge_sort",
-            n,
-            &[("par_merge_sort", par), ("std_sort", std)],
-        );
-    }
     for n in [cfg.n(10_000), cfg.n(100_000)] {
         let xs = xorshift_data(n);
         let seq = best3(|| count_inversions(&xs));
-        let par = best3(|| par_count_inversions(&xs));
-        rows("inversions", n, &[("count_seq", seq), ("count_par", par)]);
+        rows("inversions", n, &[("count_seq", seq)]);
     }
     // Reporting is output-sensitive: near-sorted input, sparse inversions.
     let n = cfg.n(100_000);

@@ -57,8 +57,9 @@ use crate::sanitize::{sanitize_set, SanitizeOptions, SanitizeReport};
 use crate::slabindex::{SlabIndex, Span};
 use crate::stats::ClipStats;
 use polyclip_geom::{Contour, OrdF64, Point, PolygonSet};
-use polyclip_parprim::{par_sort_dedup_gated, stealpool};
+use polyclip_parprim::stealpool;
 use polyclip_seqclip::{band_clip_contour_into, xband_clip_contour_into};
+use rayon::prelude::*;
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -457,10 +458,8 @@ pub(crate) struct Frozen<'a> {
 
 impl<'a> Frozen<'a> {
     /// Freeze a subject: reject non-finite input, sanitize (honoring
-    /// `opts.sanitize`), sort the event schedule under `gate` and cache
-    /// per-contour extents. Only the sort can start threads (`rayon::join`
-    /// inside `parprim::par_sort_dedup_gated`, above `parprim::SEQ_CUTOFF`
-    /// keys).
+    /// `opts.sanitize`), sort the event schedule, check `gate` and cache
+    /// per-contour extents.
     pub(crate) fn new(
         subject: &'a PolygonSet,
         opts: &ClipOptions,
@@ -476,7 +475,9 @@ impl<'a> Frozen<'a> {
         let t_san = Instant::now();
         let (subject, repairs) = sanitized(subject, opts);
         let t_sanitize = t_san.elapsed();
-        let ys = par_sort_dedup_gated(event_ys(&subject), Some(gate));
+        let mut ys = event_ys(&subject);
+        ys.par_sort_unstable();
+        ys.dedup();
         budget::check(gate)?;
         let extents = subject
             .contours()
@@ -597,11 +598,12 @@ pub(crate) fn clip_frozen(
     };
 
     // Step 1, query side: the query's event y's that are not already on
-    // the frozen schedule. Above the parprim cutoff the sort-and-dedup runs
-    // on the rayon pool. The combined schedule is then read by
+    // the frozen schedule. The combined schedule is then read by
     // order-statistic selection — the frozen side is never re-sorted.
     let gate = &armed.gate;
-    let mut extra = par_sort_dedup_gated(event_ys(query), Some(gate));
+    let mut extra = event_ys(query);
+    extra.par_sort_unstable();
+    extra.dedup();
     extra.retain(|y| frozen.ys.binary_search(y).is_err());
     budget::check(gate)?;
 
@@ -1602,10 +1604,11 @@ mod tests {
             (1, 100, 4),
             (5, 7, 64),
         ] {
-            let ys: Vec<OrdF64> = (0..distinct * reps)
+            let mut ys: Vec<OrdF64> = (0..distinct * reps)
                 .map(|i| OrdF64::new((i % distinct) as f64))
                 .collect();
-            let ys = par_sort_dedup_gated(ys, None);
+            ys.par_sort_unstable();
+            ys.dedup();
             let b = slab_boundaries(&ys, requested);
             for w in b.windows(2) {
                 assert!(w[0] < w[1], "distinct={distinct} requested={requested}");

@@ -13,21 +13,25 @@
 //! * **cancellation** — a cloneable [`CancelToken`] another thread can fire;
 //!   the pipeline observes it at its next checkpoint;
 //! * **work limits** — `max_intersections` / `max_output_vertices`, enforced
-//!   against the lock-free [`WorkMeter`] *before* the corresponding `O(k)`
-//!   allocation is made (count-then-report lets us refuse the report phase);
+//!   against the lock-free [`WorkMeter`]. No beam materialises its `O(k)`
+//!   crossing report past the budget: the inversion reporter gets the
+//!   gate's remaining allowance ([`Gate::intersections_left`]) and stops
+//!   within one run of pairs (at most half the beam) past it, and the
+//!   beam's crossing events are built only after its pairs pass
+//!   [`Gate::intersections_would_exceed`];
 //! * **partial results** — with `allow_partial`, Algorithm 2 returns the
 //!   union of the slabs that finished before the budget blew, marked by
 //!   [`Degradation::PartialResult`](crate::Degradation::PartialResult) and
 //!   by `completed_slabs < total_slabs` in [`ClipStats`](crate::ClipStats);
 //!   strict mode rejects as usual.
 //!
-//! Checkpoints are deliberately coarse — per scanbeam, per merge block, per
-//! segment-tree batch, per slab — so the unarmed/unlimited path stays within
-//! noise (<1 % on `gis_multi` at p = 8; see the `budget_overhead` rows of
-//! `figures ablations`). A blown budget surfaces as
-//! [`ClipError::DeadlineExceeded`], [`ClipError::BudgetExceeded`], or
-//! [`ClipError::Cancelled`]; no partially-built geometry ever escapes an
-//! API boundary.
+//! Checkpoints are deliberately coarse — per input edge in the partition
+//! fill, per scanbeam, per run of reported crossing pairs, per slab — so
+//! the unarmed/unlimited path stays within noise (<1 % on `gis_multi` at
+//! p = 8; see the `budget_overhead` rows of `figures ablations`). A blown
+//! budget surfaces as [`ClipError::DeadlineExceeded`],
+//! [`ClipError::BudgetExceeded`], or [`ClipError::Cancelled`]; no
+//! partially-built geometry ever escapes an API boundary.
 //!
 //! Recovery paths (the output repair ladder, the slab retry→pristine ladder)
 //! deliberately run *budget-exempt but still cancellable*: re-arming a

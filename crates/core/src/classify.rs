@@ -137,18 +137,12 @@ fn delta(rule: FillRule, winding: i8) -> i32 {
 mod tests {
     use super::*;
     use polyclip_geom::PolygonSet;
-    use polyclip_sweep::{collect_edges, event_ys, BeamSet, ForcedSplits, PartitionBackend};
+    use polyclip_sweep::{collect_edges, event_ys, BeamSet, ForcedSplits};
 
     fn beams(a: &PolygonSet, b: &PolygonSet) -> (BeamSet, Vec<polyclip_sweep::InputEdge>) {
         let edges = collect_edges(a, b);
         let ys = event_ys(&edges, &[], false);
-        let bs = BeamSet::build(
-            &edges,
-            ys,
-            &ForcedSplits::empty(edges.len()),
-            PartitionBackend::DirectScan,
-            false,
-        );
+        let bs = BeamSet::build(&edges, ys, &ForcedSplits::empty(edges.len()), None, false);
         (bs, edges)
     }
 

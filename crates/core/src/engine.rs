@@ -25,12 +25,11 @@
 //! mode is the repository's stand-in for the GPC library used by the
 //! paper's Algorithm 2 (same algorithm family, same asymptotics). Which of
 //! those parallel paths start threads depends on the executor. On the
-//! vendored rayon stand-in only `rayon::join` does, and the one `join` user
-//! here is the event sort (`parprim::par_merge_sort`, above
-//! `parprim::SEQ_CUTOFF` keys). Every `par_iter`-style loop — the partition
-//! fill, per-beam discovery (including the reporter for beams of at least
-//! [`BIG_BEAM`] sub-edges), per-beam classification and fragment gathering
-//! — runs sequentially on the calling thread.
+//! vendored rayon stand-in no engine phase does: the event sort
+//! (`par_sort_unstable`), the per-beam sorts, per-beam discovery,
+//! classification and fragment gathering all run on the calling thread.
+//! Only the `rayon::join` in `ops::union_all`/`xor_all` and the
+//! work-stealing pool of Algorithm 2's refined plans start threads.
 
 use crate::budget::{self, ExecBudget, Gate};
 use crate::classify::{classify_beam, BeamOutput, BoolOp};
@@ -46,7 +45,6 @@ use polyclip_geom::{BBox, Contour, FillRule, Point, PolygonSet};
 use polyclip_sweep::cross::{discover_residual_crossings, CrossEvent};
 use polyclip_sweep::{
     collect_edges_refs, discover_intersections_gated, event_ys, BeamSet, ForcedSplits, InputEdge,
-    PartitionBackend, BIG_BEAM,
 };
 use rayon::prelude::*;
 use std::borrow::Cow;
@@ -58,10 +56,9 @@ pub struct ClipOptions {
     pub fill_rule: FillRule,
     /// Take the parallel code paths (Algorithm 1) or the sequential ones
     /// (the GPC-equivalent baseline); output is identical either way. On
-    /// the vendored rayon stand-in only the `rayon::join` users start
-    /// threads: the engine's event sort above `parprim::SEQ_CUTOFF` keys
-    /// and the `union_all`/`xor_all` reduction tree. The per-beam loops run
-    /// sequentially (see the module docs).
+    /// the vendored rayon stand-in no engine phase starts a thread (see
+    /// the module docs); only the `rayon::join` in the
+    /// `union_all`/`xor_all` reduction tree and the steal pool do.
     pub parallel: bool,
     /// Snap-rounding grid cell for intersection vertices. `0.0` (the
     /// default) disables snapping — results are bit-identical to the
@@ -383,17 +380,9 @@ fn prepare_edges(
         return Ok(None);
     }
     let empty_forced = ForcedSplits::empty(edges.len());
-    let beams_a = BeamSet::build_gated(
-        &edges,
-        ys_a,
-        &empty_forced,
-        PartitionBackend::DirectScan,
-        opts.parallel,
-        Some(gate),
-    );
+    let beams_a = BeamSet::build(&edges, ys_a, &empty_forced, Some(gate), opts.parallel);
     budget::check(gate)?;
-    let crossings =
-        discover_intersections_gated(&beams_a, &edges, opts.parallel, Some(gate), BIG_BEAM);
+    let crossings = discover_intersections_gated(&beams_a, &edges, opts.parallel, Some(gate));
     budget::check(gate)?;
 
     // Turn crossings into forced splits (both edges share the intersection
@@ -456,13 +445,12 @@ fn prepare_edges(
         let forced = ForcedSplits::build(edges.len(), &triples);
         drop(beams.take());
         let ys_b = event_ys(&edges, &extra, opts.parallel);
-        let bs = beams.insert(BeamSet::build_gated(
+        let bs = beams.insert(BeamSet::build(
             &edges,
             ys_b,
             &forced,
-            PartitionBackend::DirectScan,
-            opts.parallel,
             Some(gate),
+            opts.parallel,
         ));
         budget::check(gate)?;
         refine += 1;
@@ -470,8 +458,7 @@ fn prepare_edges(
             // Bound hit: count what is left so the degradation report is
             // concrete. A genuine (unfaulted) run only lands here after
             // MAX_REFINE rounds that each made progress.
-            let leftover =
-                discover_residual_crossings(bs, opts.parallel, Some(gate), BIG_BEAM).len();
+            let leftover = discover_residual_crossings(bs, opts.parallel, Some(gate)).len();
             budget::check(gate)?;
             if leftover > 0 || forced_exhaust {
                 report.degradations.push(Degradation::RefinementExhausted {
@@ -481,7 +468,7 @@ fn prepare_edges(
             }
             break;
         }
-        let mut residual = discover_residual_crossings(bs, opts.parallel, Some(gate), BIG_BEAM);
+        let mut residual = discover_residual_crossings(bs, opts.parallel, Some(gate));
         budget::check(gate)?;
         if resilience::fault_residual_storm(opts) && refine == 1 {
             // Synthetic crossing pinned to an edge endpoint: never strictly
@@ -1074,49 +1061,41 @@ mod tests {
         }
     }
 
-    /// The engine partitions with the direct scan; the segment tree (the
-    /// paper's §III-E backend, kept in `sweep`) must reproduce the clip when
-    /// it re-partitions the engine's final Round-B schedule. Every interior
-    /// split is forced to the x the engine used, so what is under test is
-    /// the edge-to-beam assignment, the one step the backends differ in.
+    /// The engine partitions with the direct scan. The paper's §III-E
+    /// segment tree, stabbed over the engine's final Round-B schedule, must
+    /// list exactly the edges the scan put into each beam.
     #[test]
     fn segment_tree_backend_agrees() {
+        use polyclip_segtree::SegmentTree;
+        use polyclip_sweep::event_index;
         let a = PolygonSet::from_xy(&[(0.0, 0.0), (5.0, 0.5), (4.0, 3.0), (1.0, 2.5)]);
         let b = PolygonSet::from_xy(&[(2.0, -1.0), (6.0, 1.5), (3.0, 4.0)]);
-        let opts = opts_seq();
         let gate = Gate::unlimited();
         let mut report = PrepReport::default();
-        let op = BoolOp::Union;
-        let scan = prepare(&a, &b, Some(op), &opts, &mut report, &gate)
+        let scan = prepare(&a, &b, Some(BoolOp::Union), &opts_seq(), &mut report, &gate)
             .unwrap()
             .expect("the inputs overlap");
         assert!(scan.k > 0, "the inputs must cross");
-        let mut triples = Vec::new();
-        for i in 0..scan.beams.n_beams() {
-            let y = scan.beams.y_top(i);
-            for s in scan.beams.beam(i) {
-                if y < scan.edges[s.edge_id as usize].hi.y {
-                    triples.push((s.edge_id, y, s.xt));
-                }
-            }
+        let (ys, n_beams) = (&scan.beams.ys, scan.beams.n_beams());
+        let spans: Vec<(usize, usize)> = scan
+            .edges
+            .iter()
+            .map(|e| (event_index(ys, e.lo.y), event_index(ys, e.hi.y)))
+            .collect();
+        let (offsets, items) = SegmentTree::build_by_sort(n_beams, &spans, true).par_stab_all();
+        for i in 0..n_beams {
+            let mut listed: Vec<u32> = items[offsets[i]..offsets[i + 1]]
+                .iter()
+                .map(|&e| scan.edges[e as usize].id)
+                .collect();
+            listed.sort_unstable();
+            let mut held: Vec<u32> = scan.beams.beam(i).iter().map(|s| s.edge_id).collect();
+            held.sort_unstable();
+            assert_eq!(
+                held, listed,
+                "beam {i}: segment tree and partition disagree"
+            );
         }
-        let forced = ForcedSplits::build(scan.edges.len(), &triples);
-        let tree = Prepared {
-            beams: BeamSet::build(
-                &scan.edges,
-                scan.beams.ys.clone(),
-                &forced,
-                PartitionBackend::SegmentTree,
-                false,
-            ),
-            edges: scan.edges.clone(),
-            k: scan.k,
-        };
-        let via_tree = clip_prepared(Some(tree), PrepReport::default(), op, &opts, &gate).unwrap();
-        let via_scan = clip_prepared(Some(scan), report, op, &opts, &gate).unwrap();
-        assert_eq!(via_scan.result, via_tree.result);
-        assert_eq!(via_scan.stats.n_subedges, via_tree.stats.n_subedges);
-        assert_eq!(via_scan.result, clip(&a, &b, op, &opts));
     }
 
     #[test]

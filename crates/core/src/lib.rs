@@ -8,11 +8,10 @@
 //!   Vatti's algorithm / the GPC library): Algorithm 1 of the paper, with a
 //!   sequential mode and a parallel mode in which every phase (event sort,
 //!   partition, intersection discovery, per-beam classification, merge)
-//!   takes its parallel code path. On the vendored rayon stand-in only
-//!   `rayon::join` starts threads: the event sort above
-//!   `parprim::SEQ_CUTOFF` keys and the `ops::union_all`/`xor_all`
-//!   reduction use it, while the `par_iter` loops (per-beam discovery and
-//!   classification among them) run sequentially;
+//!   takes its parallel code path. On the vendored rayon stand-in no
+//!   engine phase starts a thread: the `par_iter` loops and
+//!   `par_sort_unstable` run sequentially, and only the
+//!   `ops::union_all`/`xor_all` reduction's `rayon::join` does;
 //! * [`classify`] — per-scanbeam region classification (Lemmas 1–3: edge
 //!   labels alternate, contributing vertices by parity prefix sums);
 //! * [`horizontal`] — reconstruction of horizontal boundary runs between

@@ -37,7 +37,6 @@ use crate::classify::BoolOp;
 use crate::engine::{try_clip_with_stats_gated, ClipOptions};
 use crate::resilience::{ClipError, ClipOutcome, Degradation, InputRole};
 use polyclip_geom::{BBox, FillRule, OrdF64, PolygonSet};
-use polyclip_parprim::par_sort_dedup_gated;
 use rayon::prelude::*;
 use std::time::{Duration, Instant};
 
@@ -181,9 +180,9 @@ fn drive_overlay<T: Sync>(
     let boxes_a: Vec<BBox> = a.features.iter().map(|f| f.bbox()).collect();
     let boxes_b: Vec<BBox> = b.features.iter().map(|f| f.bbox()).collect();
     let pairs = candidate_pairs(&boxes_a, &boxes_b);
-    let (events, tasks) = plan(&boxes_a, &boxes_b, &pairs);
-    // Sorted and deduplicated in parallel above the parprim cutoff.
-    let ys = par_sort_dedup_gated(events, Some(&gate));
+    let (mut ys, tasks) = plan(&boxes_a, &boxes_b, &pairs);
+    ys.par_sort_unstable();
+    ys.dedup();
     budget::check(&gate)?;
     let boundaries = if ys.len() >= 2 {
         slab_boundaries(&ys, n_slabs.max(1))

@@ -93,7 +93,7 @@ pub fn pram_cost(
     let mut phases = Vec::new();
 
     // Step 1 — sort 2n event y's (Cole's merge sort: O(n log n) work,
-    // O(log n) span; our practical sort has O(log² n) span).
+    // O(log n) span; charged at a parallel merge sort's O(log² n) span).
     phases.push(PhaseCost {
         name: "step1_event_sort",
         work: 2.0 * n as f64 * lg(2 * n),

@@ -86,9 +86,7 @@ pub struct PreparedLayer {
 impl PreparedLayer {
     /// Freeze a subject layer: reject non-finite input, sanitize (honoring
     /// `opts.sanitize`), sort the event schedule and cache per-contour
-    /// extents. Only the event sort can start threads (`rayon::join`
-    /// inside `parprim::par_sort_dedup_gated`, above `parprim::SEQ_CUTOFF`
-    /// keys). The returned layer is immutable; clip it with
+    /// extents. The returned layer is immutable; clip it with
     /// [`clip_prepared`] using the *same* sanitize setting for bit-identity
     /// with the cold path.
     pub fn build(subject: &PolygonSet, opts: &ClipOptions) -> Result<Arc<Self>, ClipError> {

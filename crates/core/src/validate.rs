@@ -8,9 +8,7 @@
 //! want to know whether they need a [`crate::engine::dissolve`] pass.
 
 use polyclip_geom::{PolygonSet, SegmentIntersection};
-use polyclip_sweep::{
-    collect_edges, discover_intersections, event_ys, BeamSet, ForcedSplits, PartitionBackend,
-};
+use polyclip_sweep::{collect_edges, discover_intersections, event_ys, BeamSet, ForcedSplits};
 
 /// A violation found by [`validate`].
 #[derive(Clone, PartialEq, Debug)]
@@ -127,13 +125,7 @@ pub fn validate(p: &PolygonSet) -> ValidationReport {
     if edges.len() >= 2 {
         let ys = event_ys(&edges, &[], false);
         if ys.len() >= 2 {
-            let beams = BeamSet::build(
-                &edges,
-                ys,
-                &ForcedSplits::empty(edges.len()),
-                PartitionBackend::DirectScan,
-                false,
-            );
+            let beams = BeamSet::build(&edges, ys, &ForcedSplits::empty(edges.len()), None, false);
             for ev in discover_intersections(&beams, &edges, false) {
                 report.violations.push(Violation::EdgesCross {
                     edges: (ev.e1, ev.e2),

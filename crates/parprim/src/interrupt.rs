@@ -13,16 +13,17 @@
 //!   events processed and vertices emitted;
 //! * [`Gate`] — a cancel token + optional deadline + optional work limits
 //!   bundled behind two check entry points: [`Gate::poll`] (two relaxed
-//!   atomic loads, safe to call per scanbeam / per merge block) and
+//!   atomic loads, safe to call per input edge or per scanbeam) and
 //!   [`Gate::checkpoint`] (adds an `Instant::now()` clock read and the
 //!   meter-vs-limit comparisons; called at phase boundaries).
 //!
-//! Checks are deliberately **coarse**: per scanbeam in the sweep, per batch
-//! in the segment-tree count-then-report path, per merge block in the
-//! parallel sort, per slab in Algorithm 2. A tripped gate makes the gated
-//! primitives bail out early with truncated output; callers observe the trip
-//! at the next phase boundary and surface a typed error, so truncated data
-//! never escapes an API boundary.
+//! Checks are deliberately **coarse**: per input edge in the partition
+//! fill, per scanbeam in the sweep, per slab in Algorithm 2. The one finer
+//! check is the intersection allowance ([`Gate::intersections_left`]), which
+//! the inversion reporter compares after each run of pairs it emits. A
+//! tripped gate makes the gated primitives bail out early with truncated
+//! output; callers observe the trip at the next phase boundary and surface
+//! a typed error, so truncated data never escapes an API boundary.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
@@ -258,10 +259,19 @@ impl Gate {
         None
     }
 
+    /// How many more intersections the limit allows: `None` without a
+    /// `max_intersections`, else the limit less what the meter holds
+    /// (saturating at zero). The inversion reporter stops once it has
+    /// reported more pairs than this, so a beam never materialises more
+    /// than one run of pairs past the budget.
+    pub fn intersections_left(&self) -> Option<u64> {
+        self.max_intersections
+            .map(|limit| limit.saturating_sub(self.meter.intersections()))
+    }
+
     /// Would crediting `extra` more intersections exceed the limit? Trips
-    /// the gate if so. Lets inversion reporting refuse the `O(k)` fill phase
-    /// *before* allocating the output, which is the whole point of
-    /// count-then-report.
+    /// the gate if so. Discovery asks this before it turns a beam's reported
+    /// pairs into crossing events.
     ///
     /// The refused count IS credited to the meter: the work was *discovered*
     /// even though its report was never allocated. This keeps the overflow
@@ -371,6 +381,23 @@ mod tests {
         // Gates sharing the meter now see the blown budget at checkpoint.
         let sibling = g.child_with_deadline(None);
         assert_eq!(sibling.checkpoint(), Some(TripReason::BudgetExceeded));
+    }
+
+    #[test]
+    fn intersections_left_is_the_unspent_limit() {
+        assert_eq!(Gate::unlimited().intersections_left(), None);
+        let g = Gate::new(
+            CancelToken::new(),
+            None,
+            Some(10),
+            None,
+            Arc::new(WorkMeter::new()),
+        );
+        assert_eq!(g.intersections_left(), Some(10));
+        g.meter().add_intersections(8);
+        assert_eq!(g.intersections_left(), Some(2));
+        g.meter().add_intersections(5);
+        assert_eq!(g.intersections_left(), Some(0), "saturates past the limit");
     }
 
     #[test]

@@ -10,15 +10,12 @@
 //! The paper extends Cole's merge sort so that the merge step first *counts*
 //! cross-inversions (one run of the sort), then — after output-sensitive
 //! processor allocation — *reports* each inversion pair in O(1) per pair
-//! (a second run assisted by the `Cnt`/`Sum` auxiliary arrays). Our multicore
-//! realization keeps the same two-phase structure: a counting pass using
-//! merge-sort (sequential) or sorted-halves + binary-search ranks (parallel),
-//! then a count → prefix-sum → fill reporting pass
-//! ([`crate::pack::scatter_offsets`]).
-
-use crate::pack::scatter_offsets;
-use crate::SEQ_CUTOFF;
-use rayon::prelude::*;
+//! (a second run assisted by the `Cnt`/`Sum` auxiliary arrays). Here both
+//! are sequential merge sorts: [`count_inversions`] counts, and
+//! [`report_inversions_in`] reports each pair as its merge emits it. In
+//! place of the count that would refuse an over-budget report, the reporter
+//! takes an allowance and stops once it has emitted more pairs than that,
+//! so a beam never materialises more than its share of a work budget.
 
 /// Count inversions `(i < j, xs[i] > xs[j])` by merge sort. `O(n log n)`.
 pub fn count_inversions<T: Ord + Copy>(xs: &[T]) -> u64 {
@@ -75,7 +72,7 @@ fn count_rec<T: Ord + Copy>(xs: &mut [T], buf: &mut [T]) -> u64 {
 pub fn report_inversions<T: Ord + Copy>(xs: &[T]) -> Vec<(usize, usize)> {
     let mut scratch = InvScratch::default();
     let mut out = Vec::new();
-    report_inversions_in(xs, &mut scratch, &mut out);
+    report_inversions_in(xs, None, &mut scratch, &mut out);
     out
 }
 
@@ -90,10 +87,17 @@ pub struct InvScratch {
 
 /// [`report_inversions`] into caller-supplied buffers: `out` is cleared and
 /// filled with the inversion pairs; `scratch` is reused across calls so the
-/// steady state performs no allocation. Results are identical to
-/// [`report_inversions`].
+/// steady state performs no allocation.
+///
+/// With `allowance: Some(a)` the merge sort stops as soon as `out` holds
+/// more than `a` pairs. It checks after each run of pairs it emits for one
+/// right-hand element, and such a run holds at most `xs.len() / 2` pairs,
+/// so a stopped report holds between `a + 1` and `a + xs.len() / 2` genuine
+/// inversions. A report that never exceeds `a` is identical to
+/// [`report_inversions`], pair order included.
 pub fn report_inversions_in<T: Ord + Copy>(
     xs: &[T],
+    allowance: Option<u64>,
     scratch: &mut InvScratch,
     out: &mut Vec<(usize, usize)>,
 ) {
@@ -102,25 +106,30 @@ pub fn report_inversions_in<T: Ord + Copy>(
     scratch.idx.extend(0..xs.len());
     scratch.buf.clear();
     scratch.buf.resize(xs.len(), 0);
-    report_rec(xs, &mut scratch.idx, &mut scratch.buf, out);
+    let cap = allowance.map_or(usize::MAX, |a| usize::try_from(a).unwrap_or(usize::MAX));
+    report_rec(xs, &mut scratch.idx, &mut scratch.buf, cap, out);
 }
 
+/// The reporting merge sort over `idx`. Returns `true` once `out` holds
+/// more than `cap` pairs, abandoning the sort.
 fn report_rec<T: Ord + Copy>(
     vals: &[T],
     idx: &mut [usize],
     buf: &mut [usize],
+    cap: usize,
     out: &mut Vec<(usize, usize)>,
-) {
+) -> bool {
     let n = idx.len();
     if n <= 1 {
-        return;
+        return false;
     }
     let mid = n / 2;
     {
         let (il, ir) = idx.split_at_mut(mid);
         let (bl, br) = buf.split_at_mut(mid);
-        report_rec(vals, il, bl, out);
-        report_rec(vals, ir, br, out);
+        if report_rec(vals, il, bl, cap, out) || report_rec(vals, ir, br, cap, out) {
+            return true;
+        }
     }
     let (mut i, mut j, mut k) = (0, mid, 0);
     while i < mid && j < n {
@@ -130,6 +139,9 @@ fn report_rec<T: Ord + Copy>(
             // genuine (i < j) inversion of the input.
             for &li in &idx[i..mid] {
                 out.push((li, idx[j]));
+            }
+            if out.len() > cap {
+                return true;
             }
             buf[k] = idx[j];
             j += 1;
@@ -150,6 +162,7 @@ fn report_rec<T: Ord + Copy>(
         k += 1;
     }
     idx.copy_from_slice(&buf[..n]);
+    false
 }
 
 /// Report inversions as **value pairs** `(xs[i], xs[j])` — the form of the
@@ -159,175 +172,6 @@ pub fn report_inversion_values<T: Ord + Copy>(xs: &[T]) -> Vec<(T, T)> {
         .into_iter()
         .map(|(i, j)| (xs[i], xs[j]))
         .collect()
-}
-
-/// Parallel inversion count: fork-join on halves, cross-count by ranking the
-/// right half's elements in the sorted left half. `O(n log n)` work,
-/// polylogarithmic span.
-pub fn par_count_inversions<T>(xs: &[T]) -> u64
-where
-    T: Ord + Copy + Send + Sync + Default,
-{
-    if xs.len() <= SEQ_CUTOFF {
-        return count_inversions(xs);
-    }
-    let mid = xs.len() / 2;
-    let (l, r) = xs.split_at(mid);
-    let ((cl, mut sl), (cr, sr)) = rayon::join(
-        || {
-            let c = par_count_inversions(l);
-            let mut s = l.to_vec();
-            crate::sort::par_merge_sort(&mut s, |a, b| a.cmp(b));
-            (c, s)
-        },
-        || {
-            let c = par_count_inversions(r);
-            let mut s = r.to_vec();
-            crate::sort::par_merge_sort(&mut s, |a, b| a.cmp(b));
-            (c, s)
-        },
-    );
-    // Cross inversions: for each right element, the number of strictly
-    // greater elements in the (sorted) left half.
-    let cross: u64 = sr
-        .par_iter()
-        .map(|x| (sl.len() - sl.partition_point(|y| y <= x)) as u64)
-        .sum();
-    sl.clear(); // release early; values no longer needed
-    cl + cr + cross
-}
-
-/// Parallel inversion reporting, two-phase (the paper's count-then-report):
-///
-/// 1. for each position `j`, count the inversions `(i, j)` it participates
-///    in as the *right* element (an order-statistics query on a Fenwick-style
-///    sweep is possible; here each `j` queries the set of earlier positions
-///    via a merge-sorted prefix structure built per block);
-/// 2. prefix-sum the counts, allocate the exact output, and fill each `j`'s
-///    range in parallel.
-///
-/// Output order is unspecified; pairs are `(i, j)`, `i < j`, `xs[i] > xs[j]`.
-pub fn par_report_inversions<T>(xs: &[T]) -> Vec<(usize, usize)>
-where
-    T: Ord + Copy + Send + Sync + Default,
-{
-    par_report_inversions_gated(xs, None)
-}
-
-/// [`par_report_inversions`] under a cooperative [`Gate`](crate::Gate): polls once per
-/// block while building the sorted snapshots, checkpoints between the count
-/// and fill phases, and — crucially — asks the gate whether crediting the
-/// counted total would blow `max_intersections` *before* allocating and
-/// filling the `O(k)` output. A tripped gate yields an empty (or truncated)
-/// vector; callers must check the gate before trusting the result.
-pub fn par_report_inversions_gated<T>(
-    xs: &[T],
-    gate: Option<&crate::interrupt::Gate>,
-) -> Vec<(usize, usize)>
-where
-    T: Ord + Copy + Send + Sync + Default,
-{
-    let n = xs.len();
-    if n <= SEQ_CUTOFF {
-        return report_inversions(xs);
-    }
-    // Sorted prefix snapshots per block boundary let every position find its
-    // left-partners with binary search. Block count is O(threads); each
-    // position scans at most `block` in-block predecessors plus queries the
-    // sorted snapshots — O((n/B + B) log n) per element worst case, but with
-    // output-sensitive fill the dominant cost is the k writes, as in Lemma 4.
-    let threads = rayon::current_num_threads().max(1);
-    let nblocks = (threads * 4).min(n.max(1));
-    let block = n.div_ceil(nblocks);
-
-    // Sorted copy of each block, paired with original positions.
-    let sorted_blocks: Vec<Vec<(T, usize)>> = xs
-        .par_chunks(block)
-        .enumerate()
-        .map(|(bi, c)| {
-            // Per-block poll: a tripped gate degrades remaining blocks to
-            // empty snapshots (counts below become garbage, discarded by the
-            // caller's gate check).
-            if gate.is_some_and(|g| g.is_tripped()) {
-                return Vec::new();
-            }
-            let mut v: Vec<(T, usize)> = c
-                .iter()
-                .enumerate()
-                .map(|(o, &x)| (x, bi * block + o))
-                .collect();
-            v.sort_unstable();
-            v
-        })
-        .collect();
-    if let Some(g) = gate {
-        if g.checkpoint().is_some() {
-            return Vec::new();
-        }
-    }
-
-    // Phase 1: per-position counts.
-    let counts: Vec<usize> = (0..n)
-        .into_par_iter()
-        .map(|j| {
-            let x = xs[j];
-            let bj = j / block;
-            // Full earlier blocks: elements strictly greater than x.
-            let mut c = 0usize;
-            for sb in &sorted_blocks[..bj] {
-                c += sb.len() - sb.partition_point(|&(v, _)| v <= x);
-            }
-            // Same block, earlier positions.
-            c += xs[(bj * block)..j].iter().filter(|&&v| v > x).count();
-            c
-        })
-        .collect();
-
-    let (offsets, total) = scatter_offsets(&counts);
-    if let Some(g) = gate {
-        // The count phase just told us k exactly; refuse the O(k) allocation
-        // and fill if it would blow the intersection budget, and bail if the
-        // deadline passed or cancellation arrived while counting.
-        if g.intersections_would_exceed(total as u64) || g.checkpoint().is_some() {
-            return Vec::new();
-        }
-    }
-
-    // Phase 2: fill. Each position writes its own disjoint range.
-    let mut out = vec![(0usize, 0usize); total];
-    let mut slices: Vec<&mut [(usize, usize)]> = Vec::with_capacity(n);
-    {
-        let mut rest: &mut [(usize, usize)] = &mut out;
-        for &c in &counts {
-            let (head, tail) = rest.split_at_mut(c);
-            slices.push(head);
-            rest = tail;
-        }
-    }
-    let _ = offsets;
-    slices.into_par_iter().enumerate().for_each(|(j, dst)| {
-        if dst.is_empty() || gate.is_some_and(|g| g.is_tripped()) {
-            return;
-        }
-        let x = xs[j];
-        let bj = j / block;
-        let mut k = 0usize;
-        for sb in &sorted_blocks[..bj] {
-            let start = sb.partition_point(|&(v, _)| v <= x);
-            for &(_, i) in &sb[start..] {
-                dst[k] = (i, j);
-                k += 1;
-            }
-        }
-        for (i, &v) in xs.iter().enumerate().take(j).skip(bj * block) {
-            if v > x {
-                dst[k] = (i, j);
-                k += 1;
-            }
-        }
-        debug_assert_eq!(k, dst.len());
-    });
-    out
 }
 
 #[cfg(test)]
@@ -415,22 +259,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_count_agrees_with_sequential() {
-        let mut s = 123456789u64;
-        let mut rng = move || {
-            s ^= s << 13;
-            s ^= s >> 7;
-            s ^= s << 17;
-            s
-        };
-        for n in [100usize, SEQ_CUTOFF + 1, 40_000] {
-            let xs: Vec<u64> = (0..n).map(|_| rng() % 1000).collect();
-            assert_eq!(par_count_inversions(&xs), count_inversions(&xs), "n={n}");
-        }
-    }
-
-    #[test]
-    fn parallel_report_agrees_with_sequential() {
+    fn allowance_stops_the_report_within_one_run() {
         let mut s = 987654321u64;
         let mut rng = move || {
             s ^= s << 13;
@@ -438,19 +267,30 @@ mod tests {
             s ^= s << 17;
             s
         };
-        // Keep inversion counts manageable: near-sorted input with sparse swaps.
-        let n = SEQ_CUTOFF * 3;
-        let mut xs: Vec<u64> = (0..n as u64).collect();
-        for _ in 0..200 {
-            let i = (rng() % n as u64) as usize;
-            let j = (rng() % n as u64) as usize;
-            xs.swap(i, j);
+        let mut scratch = InvScratch::default();
+        let mut out = Vec::new();
+        for n in [2usize, 17, 300, 2_000] {
+            let xs: Vec<u64> = (0..n).map(|_| rng() % 1000).collect();
+            let full = report_inversions(&xs);
+            report_inversions_in(&xs, None, &mut scratch, &mut out);
+            assert_eq!(out, full, "n={n}: no allowance reports every pair");
+            let total = full.len() as u64;
+            report_inversions_in(&xs, Some(total), &mut scratch, &mut out);
+            assert_eq!(out, full, "n={n}: an allowance of k reports every pair");
+            let brute = brute_pairs(&xs);
+            for a in [0u64, 1, 10, total / 3, total.saturating_sub(1)] {
+                if a >= total {
+                    continue;
+                }
+                report_inversions_in(&xs, Some(a), &mut scratch, &mut out);
+                let got = out.len() as u64;
+                assert!(
+                    a < got && got <= a + n as u64 / 2,
+                    "n={n} a={a}: {got} pairs"
+                );
+                assert!(out.iter().all(|p| brute.contains(p)), "n={n} a={a}");
+            }
         }
-        let mut par: Vec<(usize, usize)> = par_report_inversions(&xs);
-        let mut seq: Vec<(usize, usize)> = report_inversions(&xs);
-        par.sort_unstable();
-        seq.sort_unstable();
-        assert_eq!(par, seq);
     }
 
     #[test]
@@ -458,7 +298,6 @@ mod tests {
         let xs = [2u32, 2, 2, 2];
         assert_eq!(count_inversions(&xs), 0);
         assert!(report_inversions(&xs).is_empty());
-        assert_eq!(par_count_inversions(&xs), 0);
     }
 
     #[test]

@@ -106,8 +106,8 @@
 //! | re-export | crate | contents |
 //! |---|---|---|
 //! | [`geom`] | `polyclip-geom` | points, segments, contours, robust predicates |
-//! | [`parprim`] | `polyclip-parprim` | scans, packing, parallel sort, inversions |
-//! | [`segtree`] | `polyclip-segtree` | segment tree, count-then-report queries |
+//! | [`parprim`] | `polyclip-parprim` | scans, packing, inversions, budget gate, steal pool |
+//! | [`segtree`] | `polyclip-segtree` | segment tree, count-then-report queries (the paper's Step 2, test reference) |
 //! | [`sweep`] | `polyclip-sweep` | scanbeams, virtual vertices, intersection discovery |
 //! | [`seqclip`] | `polyclip-seqclip` | Sutherland–Hodgman, Liang–Barsky, Greiner–Hormann |
 //! | [`core`] | `polyclip-core` | the clipping engine, Algorithm 1 & 2, layer overlay |

@@ -3,28 +3,23 @@
 //! Every non-horizontal edge is split at each event y interior to its span,
 //! producing *sub-edges* that span exactly one scanbeam. The split vertices
 //! are the paper's **virtual vertices**; their total count is the k' term of
-//! the output-sensitive complexity. Two backends implement the partition:
+//! the output-sensitive complexity.
 //!
-//! * [`PartitionBackend::DirectScan`] — two event lookups give each edge its
-//!   beam span, a difference array over the spans prefix-sums to the beam
-//!   offsets, and one pass over the edges writes every sub-edge at its
-//!   beam's cursor: the plain count→allocate→fill pattern;
-//! * [`PartitionBackend::SegmentTree`] — the paper's §III-E construction: a
-//!   segment tree over the event intervals answers "which edges are active
-//!   in beam i" with counting queries first and reporting queries after the
-//!   output-sensitive allocation.
-//!
-//! Either way each beam's bucket is then sorted left to right. Both
-//! backends produce identical [`BeamSet`]s, for Round A and for a Round-B
-//! rebuild with forced splits, and so does a global sort of every edge's
-//! sub-edges (all asserted in tests); `figures ablations` compares their
-//! cost. The engine always partitions by direct scan.
+//! The partition is a direct scan: two event lookups give each edge its
+//! beam span, a difference array over the spans prefix-sums to the beam
+//! offsets, and one pass over the edges writes every sub-edge at its beam's
+//! cursor — the plain count→allocate→fill pattern. Each beam's bucket is
+//! then sorted left to right. The paper partitions with a segment tree's
+//! count-then-report queries (§III-E), which lost to the scan by 2.5× on
+//! this repository's executor; `polyclip_segtree` keeps that construction,
+//! and tests check that its stabbing queries list exactly the edges the
+//! scan writes into each beam, and that a global sort of every edge's
+//! sub-edges gives the same set.
 
 use crate::edges::{InputEdge, Source};
 use crate::events::event_index;
 use polyclip_geom::OrdF64;
 use polyclip_parprim::Gate;
-use polyclip_segtree::SegmentTree;
 use rayon::prelude::*;
 
 /// Placeholder sub-edge used to pre-size fill buffers; every slot is
@@ -139,16 +134,6 @@ impl ForcedSplits {
     }
 }
 
-/// Which implementation performs the Step-2 partition.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum PartitionBackend {
-    /// Span offsets → prefix sum → bucketed fill → per-beam sort. Default.
-    #[default]
-    DirectScan,
-    /// Parallel segment tree with count-then-report queries (§III-E).
-    SegmentTree,
-}
-
 /// Edges partitioned into scanbeams: the scanbeam table of the paper,
 /// with per-beam sub-edges sorted left-to-right.
 #[derive(Clone, Debug)]
@@ -160,116 +145,63 @@ pub struct BeamSet {
 }
 
 impl BeamSet {
-    /// Partition `edges` into the scanbeams bounded by `ys`.
+    /// Partition `edges` into the scanbeams bounded by `ys`, under an
+    /// optional cooperative [`Gate`].
     ///
-    /// `ys` must contain every edge endpoint y (and every forced split y);
-    /// `parallel` runs the per-beam sorts, and the segment tree's build and
-    /// report fill, as rayon tasks.
+    /// `ys` must contain every edge endpoint y (and every forced split y).
+    /// The beam offsets come before any sub-edge is written: each edge's
+    /// beam span comes from two event lookups, and a difference array over
+    /// the spans prefix-sums into the offsets. One pass over the edges, in
+    /// id order, then writes every sub-edge at its beam's cursor, and each
+    /// beam is sorted by [`SubEdge::order_key`]; `parallel` runs those sorts
+    /// as rayon tasks. The key `(beam, xb, xt, edge_id)` is a strict total
+    /// order, so the set does not depend on `parallel`.
+    ///
+    /// Gating: the fill polls per input edge and the sorts poll per beam.
+    /// Sub-edge incidences (the paper's `k'` scale) are credited to the
+    /// gate's work meter. A tripped gate leaves the `BeamSet` truncated —
+    /// callers must check the gate before using it.
     pub fn build(
         edges: &[InputEdge],
         ys: Vec<f64>,
         forced: &ForcedSplits,
-        backend: PartitionBackend,
-        parallel: bool,
-    ) -> Self {
-        Self::build_gated(edges, ys, forced, backend, parallel, None)
-    }
-
-    /// [`build`](Self::build) under a cooperative [`Gate`].
-    ///
-    /// Both backends know the beam offsets before they write a sub-edge.
-    /// The direct scan takes each edge's beam span from two event lookups,
-    /// prefix-sums a difference array over the spans into the offsets, and
-    /// then writes every sub-edge at its beam's cursor, walking the edges in
-    /// id order. The segment tree's count-then-report pass lists each beam's
-    /// edges contiguously, so its report offsets are the beam offsets. Each
-    /// beam is then sorted by [`SubEdge::order_key`]; `parallel` runs those
-    /// sorts as rayon tasks, and for the segment tree also its build and
-    /// its report fill. Output is bit-identical across backends: both fill
-    /// the same sub-edge multiset and the sort key `(beam, xb, xt,
-    /// edge_id)` is a strict total order.
-    ///
-    /// Gating: the direct-scan fill polls per input edge, the segment-tree
-    /// path uses the gated count-then-report queries, and the sorts poll
-    /// per beam. Sub-edge incidences (the paper's `k'` scale) are credited
-    /// to the gate's work meter. A tripped gate leaves the `BeamSet`
-    /// truncated — callers must check the gate before using it.
-    pub fn build_gated(
-        edges: &[InputEdge],
-        ys: Vec<f64>,
-        forced: &ForcedSplits,
-        backend: PartitionBackend,
-        parallel: bool,
         gate: Option<&Gate>,
+        parallel: bool,
     ) -> Self {
         let n_beams = ys.len().saturating_sub(1);
         let tripped = || gate.is_some_and(|g| g.is_tripped());
+        // Offsets first, from a difference array over the spans. A slot can
+        // dip below zero while the spans are added in, so the array is kept
+        // modulo 2^64; every prefix sum is a beam's edge count, so the sums
+        // come out exact.
         let spans: Vec<(usize, usize)> = edges.iter().map(|e| beam_span(&ys, e)).collect();
-        let (beam_start, mut sub) = match backend {
-            PartitionBackend::DirectScan => {
-                // Offsets first, from a difference array over the spans. A
-                // slot can dip below zero while the spans are added in, so
-                // the array is kept modulo 2^64; every prefix sum is a
-                // beam's edge count, so the sums come out exact.
-                let mut counts = vec![0usize; n_beams + 1];
-                for &(i0, i1) in &spans {
-                    counts[i0] = counts[i0].wrapping_add(1);
-                    counts[i1] = counts[i1].wrapping_sub(1);
-                }
-                let mut beam_start = Vec::with_capacity(n_beams + 1);
-                beam_start.push(0);
-                let mut active = 0usize;
-                for b in 0..n_beams {
-                    active = active.wrapping_add(counts[b]);
-                    beam_start.push(beam_start[b] + active);
-                }
-                // One fill: every sub-edge is written at its beam's cursor.
-                let mut cursor = beam_start[..n_beams].to_vec();
-                let mut sub = vec![DUMMY_SUB; beam_start[n_beams]];
-                for (e, &span) in edges.iter().zip(&spans) {
-                    // Per-edge interruption point: the remaining slots keep
-                    // their placeholder.
-                    if tripped() {
-                        break;
-                    }
-                    for s in EdgeSplitter::new(e, &ys, forced, span) {
-                        let c = &mut cursor[s.beam as usize];
-                        sub[*c] = s;
-                        *c += 1;
-                    }
-                }
-                (beam_start, sub)
+        let mut counts = vec![0usize; n_beams + 1];
+        for &(i0, i1) in &spans {
+            counts[i0] = counts[i0].wrapping_add(1);
+            counts[i1] = counts[i1].wrapping_sub(1);
+        }
+        let mut beam_start = Vec::with_capacity(n_beams + 1);
+        beam_start.push(0);
+        let mut active = 0usize;
+        for b in 0..n_beams {
+            active = active.wrapping_add(counts[b]);
+            beam_start.push(beam_start[b] + active);
+        }
+        // One fill: every sub-edge is written at its beam's cursor.
+        let mut cursor = beam_start[..n_beams].to_vec();
+        let mut sub = vec![DUMMY_SUB; beam_start[n_beams]];
+        for (e, &span) in edges.iter().zip(&spans) {
+            // Per-edge interruption point: the remaining slots keep their
+            // placeholder.
+            if tripped() {
+                break;
             }
-            PartitionBackend::SegmentTree => {
-                // Intervals in elementary-beam index space are the spans.
-                let tree = SegmentTree::build_by_sort(n_beams, &spans, parallel);
-                let (offsets, items) = tree.par_stab_all_gated(gate);
-                if tripped() {
-                    // Empty beams, consistent with the empty sub-edge array.
-                    (vec![0; n_beams + 1], Vec::new())
-                } else {
-                    // Reporting phase: each (beam, edge) pair becomes a
-                    // sub-edge; beams own disjoint contiguous slices.
-                    let mut sub = vec![DUMMY_SUB; items.len()];
-                    let fill = |b: usize, dst: &mut [SubEdge]| {
-                        for (d, &id) in dst.iter_mut().zip(&items[offsets[b]..offsets[b + 1]]) {
-                            *d = sub_edge_for(&edges[id as usize], &ys, b, forced);
-                        }
-                    };
-                    if parallel {
-                        buckets_mut(&mut sub, &offsets)
-                            .into_par_iter()
-                            .enumerate()
-                            .for_each(|(b, dst)| fill(b, dst));
-                    } else {
-                        for (b, dst) in buckets_mut(&mut sub, &offsets).into_iter().enumerate() {
-                            fill(b, dst);
-                        }
-                    }
-                    (offsets, sub)
-                }
+            for s in EdgeSplitter::new(e, &ys, forced, span) {
+                let c = &mut cursor[s.beam as usize];
+                sub[*c] = s;
+                *c += 1;
             }
-        };
+        }
 
         if let Some(g) = gate {
             g.meter().add_events(sub.len() as u64);
@@ -358,20 +290,6 @@ fn beam_span(ys: &[f64], e: &InputEdge) -> (usize, usize) {
     (event_index(ys, e.lo.y), event_index(ys, e.hi.y))
 }
 
-/// Compute the sub-edge of `e` in `beam` (both boundary x's).
-fn sub_edge_for(e: &InputEdge, ys: &[f64], beam: usize, forced: &ForcedSplits) -> SubEdge {
-    let yb = ys[beam];
-    let yt = ys[beam + 1];
-    SubEdge {
-        beam: beam as u32,
-        xb: x_on_edge(e, yb, forced),
-        xt: x_on_edge(e, yt, forced),
-        src: e.src,
-        winding: e.winding,
-        edge_id: e.id,
-    }
-}
-
 /// x of edge `e` at event height `y`: endpoint-exact, then forced vertices,
 /// then interpolation. Pure function of its arguments, so the two beams
 /// sharing a scanline obtain bit-identical coordinates.
@@ -449,18 +367,14 @@ mod tests {
     use crate::edges::collect_edges;
     use crate::events::event_ys;
     use polyclip_geom::PolygonSet;
+    use polyclip_segtree::SegmentTree;
     use proptest::prelude::*;
 
-    fn beams_of(
-        p: &PolygonSet,
-        q: &PolygonSet,
-        backend: PartitionBackend,
-        parallel: bool,
-    ) -> (Vec<InputEdge>, BeamSet) {
+    fn beams_of(p: &PolygonSet, q: &PolygonSet, parallel: bool) -> (Vec<InputEdge>, BeamSet) {
         let edges = collect_edges(p, q);
         let ys = event_ys(&edges, &[], false);
         let forced = ForcedSplits::empty(edges.len());
-        let bs = BeamSet::build(&edges, ys, &forced, backend, parallel);
+        let bs = BeamSet::build(&edges, ys, &forced, None, parallel);
         (edges, bs)
     }
 
@@ -468,7 +382,7 @@ mod tests {
     fn triangle_splits_into_two_beams() {
         // Triangle with apex between the base corners' y's.
         let p = PolygonSet::from_xy(&[(0.0, 0.0), (4.0, 1.0), (2.0, 2.0)]);
-        let (edges, bs) = beams_of(&p, &PolygonSet::new(), PartitionBackend::DirectScan, false);
+        let (edges, bs) = beams_of(&p, &PolygonSet::new(), false);
         assert_eq!(edges.len(), 3);
         assert_eq!(bs.n_beams(), 2);
         // Beam 0 (y 0..1): edges (0,0)-(4,1) and (0,0)-(2,2) → 2 sub-edges.
@@ -490,7 +404,7 @@ mod tests {
     fn shared_scanline_coordinates_match_exactly() {
         let p = PolygonSet::from_xy(&[(0.1, 0.0), (4.3, 0.7), (2.9, 2.1), (0.4, 1.3)]);
         let q = PolygonSet::from_xy(&[(1.0, 0.3), (3.0, 0.2), (2.0, 1.9)]);
-        let (_, bs) = beams_of(&p, &q, PartitionBackend::DirectScan, false);
+        let (_, bs) = beams_of(&p, &q, false);
         // For every pair of vertically adjacent beams, each edge present in
         // both must have top-x (below) == bottom-x (above), bit-exact.
         for b in 0..bs.n_beams().saturating_sub(1) {
@@ -538,22 +452,17 @@ mod tests {
         }
     }
 
-    /// Both partition backends, serially and in parallel, build the set a
-    /// global sort gives ([`reference`]), for Round A (endpoint events only)
-    /// and for a Round-B rebuild that forces a split at each of Round A's
-    /// crossings, the way the engine's refinement rounds do. Returns the
-    /// number of forced splits.
+    /// The partition, serially and in parallel, builds the set a global
+    /// sort gives ([`reference`]), and the paper's segment tree lists the
+    /// same edges in every beam ([`assert_segment_tree_lists_beams`]), for
+    /// Round A (endpoint events only) and for a Round-B rebuild that forces
+    /// a split at each of Round A's crossings, the way the engine's
+    /// refinement rounds do. Returns the number of forced splits.
     fn assert_backends_agree(p: &PolygonSet, q: &PolygonSet) -> usize {
         use crate::cross::discover_intersections;
         let edges = collect_edges(p, q);
         let empty = ForcedSplits::empty(edges.len());
-        let round_a = BeamSet::build(
-            &edges,
-            event_ys(&edges, &[], false),
-            &empty,
-            PartitionBackend::DirectScan,
-            false,
-        );
+        let round_a = BeamSet::build(&edges, event_ys(&edges, &[], false), &empty, None, false);
         let mut triples = Vec::new();
         let mut extra = Vec::new();
         for c in discover_intersections(&round_a, &edges, false) {
@@ -569,15 +478,37 @@ mod tests {
         let forced = ForcedSplits::build(edges.len(), &triples);
         for (extra, forced) in [(&[][..], &empty), (&extra[..], &forced)] {
             let want = reference(&edges, event_ys(&edges, extra, false), forced);
-            for backend in [PartitionBackend::DirectScan, PartitionBackend::SegmentTree] {
-                for parallel in [false, true] {
-                    let ys = event_ys(&edges, extra, false);
-                    let got = BeamSet::build(&edges, ys, forced, backend, parallel);
-                    assert_identical(&got, &want);
-                }
+            for parallel in [false, true] {
+                let ys = event_ys(&edges, extra, false);
+                let got = BeamSet::build(&edges, ys, forced, None, parallel);
+                assert_identical(&got, &want);
+                assert_segment_tree_lists_beams(&edges, &got, parallel);
             }
         }
         n_forced
+    }
+
+    /// The paper's Step 2 (§III-E): a segment tree over the edges' beam
+    /// spans, whose count-then-report stabbing queries list each beam's
+    /// active edges. Beam by beam, it must list exactly the edge ids the
+    /// partition wrote into `bs`.
+    fn assert_segment_tree_lists_beams(edges: &[InputEdge], bs: &BeamSet, parallel: bool) {
+        let spans: Vec<(usize, usize)> = edges.iter().map(|e| beam_span(&bs.ys, e)).collect();
+        let tree = SegmentTree::build_by_sort(bs.n_beams(), &spans, parallel);
+        let (offsets, items) = tree.par_stab_all();
+        for b in 0..bs.n_beams() {
+            let mut listed: Vec<u32> = items[offsets[b]..offsets[b + 1]]
+                .iter()
+                .map(|&i| edges[i as usize].id)
+                .collect();
+            listed.sort_unstable();
+            let mut held: Vec<u32> = bs.beam(b).iter().map(|s| s.edge_id).collect();
+            held.sort_unstable();
+            assert_eq!(
+                held, listed,
+                "beam {b}: segment tree and partition disagree"
+            );
+        }
     }
 
     /// The set one global sort gives: every edge's sub-edges in edge order,
@@ -614,7 +545,7 @@ mod tests {
             .unwrap();
         let ys = event_ys(&edges, &[2.0], false);
         let forced = ForcedSplits::build(edges.len(), &[(diag.id, 2.0, 0.75)]);
-        let bs = BeamSet::build(&edges, ys, &forced, PartitionBackend::DirectScan, false);
+        let bs = BeamSet::build(&edges, ys, &forced, None, false);
         // The diagonal's sub-edge below y=2 ends at x=0.75, not at 1.0.
         let below: Vec<&SubEdge> = bs.beam(0).iter().filter(|s| s.edge_id == diag.id).collect();
         assert_eq!(below.len(), 1);
@@ -641,8 +572,8 @@ mod tests {
     fn parallel_build_is_deterministic() {
         let p = PolygonSet::from_xy(&[(0.0, 0.0), (5.0, 0.5), (4.0, 3.0), (1.0, 2.5)]);
         let q = PolygonSet::from_xy(&[(2.0, 1.0), (6.0, 1.5), (3.0, 4.0)]);
-        let (_, a) = beams_of(&p, &q, PartitionBackend::DirectScan, false);
-        let (_, b) = beams_of(&p, &q, PartitionBackend::DirectScan, true);
+        let (_, a) = beams_of(&p, &q, false);
+        let (_, b) = beams_of(&p, &q, true);
         assert_eq!(a.total_sub_edges(), b.total_sub_edges());
         for i in 0..a.n_beams() {
             for (x, y) in a.beam(i).iter().zip(b.beam(i)) {

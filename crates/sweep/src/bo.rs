@@ -185,7 +185,7 @@ fn _unused(_: Point) {}
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::beams::{BeamSet, ForcedSplits, PartitionBackend};
+    use crate::beams::{BeamSet, ForcedSplits};
     use crate::cross::{brute_force_crossings, discover_intersections};
     use crate::edges::collect_edges;
     use crate::events::event_ys;
@@ -228,13 +228,7 @@ mod tests {
         let edges = collect_edges(&a, &b);
         let bo = bentley_ottmann(&edges);
         let ys = event_ys(&edges, &[], false);
-        let beams = BeamSet::build(
-            &edges,
-            ys,
-            &ForcedSplits::empty(edges.len()),
-            PartitionBackend::DirectScan,
-            false,
-        );
+        let beams = BeamSet::build(&edges, ys, &ForcedSplits::empty(edges.len()), None, false);
         let inv = discover_intersections(&beams, &edges, false);
         assert_eq!(pair_set(&bo), pair_set(&inv));
     }

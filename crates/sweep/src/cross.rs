@@ -15,7 +15,7 @@
 use crate::beams::{BeamSet, SubEdge};
 use crate::edges::InputEdge;
 use polyclip_geom::{OrdF64, Point, Segment, SegmentIntersection};
-use polyclip_parprim::inversions::{par_report_inversions_gated, report_inversions_in, InvScratch};
+use polyclip_parprim::inversions::{report_inversions_in, InvScratch};
 use polyclip_parprim::Gate;
 use rayon::prelude::*;
 
@@ -31,12 +31,6 @@ pub struct CrossEvent {
     pub p: Point,
 }
 
-/// Beams whose active list is at least this long use the parallel
-/// inversion reporter internally (nested parallelism over huge beams).
-/// The gated discovery entry points take the cutoff as their `grain`
-/// parameter; the engine passes this constant.
-pub const BIG_BEAM: usize = 16 * 1024;
-
 /// Discover all transversal edge crossings.
 ///
 /// `beams` must be a Round-A beam set (split at endpoint events only);
@@ -46,29 +40,31 @@ pub fn discover_intersections(
     edges: &[InputEdge],
     parallel: bool,
 ) -> Vec<CrossEvent> {
-    discover_intersections_gated(beams, edges, parallel, None, BIG_BEAM)
+    discover_intersections_gated(beams, edges, parallel, None)
 }
 
 /// [`discover_intersections`] under a cooperative [`Gate`].
 ///
 /// Gating: each scanbeam polls the gate before doing any work (the
-/// per-scanbeam checkpoint of the bounded-execution design), credits its
-/// discovered crossings to the work meter, and big beams (at least `grain`
-/// sub-edges) run the gated parallel inversion reporter, which refuses the
-/// `O(k)` fill when `max_intersections` would blow. A tripped gate yields a
-/// truncated event list — callers must check the gate.
+/// per-scanbeam checkpoint of the bounded-execution design) and credits
+/// its discovered crossings to the work meter. The inversion reporter gets
+/// the gate's remaining `max_intersections` allowance and stops once a
+/// beam's pairs exceed it, so an over-budget beam materialises at most one
+/// run of pairs past the budget before it trips the gate. A tripped gate
+/// yields a truncated event list — callers must check the gate.
 ///
 /// Event order is the same on both paths (beam order, then within-beam
-/// pair order), so downstream forced-split dedup sees the same first-wins
-/// winner.
+/// pair order), so the forced splits built from the events are the same
+/// too. Where two events give one edge the same split y,
+/// `ForcedSplits::build` keeps one of them deterministically, though not
+/// necessarily the first.
 pub fn discover_intersections_gated(
     beams: &BeamSet,
     edges: &[InputEdge],
     parallel: bool,
     gate: Option<&Gate>,
-    grain: usize,
 ) -> Vec<CrossEvent> {
-    discover_on(beams, On::Edges(edges), parallel, gate, grain)
+    discover_on(beams, On::Edges(edges), parallel, gate)
 }
 
 /// Discover *residual* crossings in a split beam set: inversions evaluated
@@ -88,9 +84,8 @@ pub fn discover_residual_crossings(
     beams: &BeamSet,
     parallel: bool,
     gate: Option<&Gate>,
-    grain: usize,
 ) -> Vec<CrossEvent> {
-    discover_on(beams, On::SubEdges, parallel, gate, grain)
+    discover_on(beams, On::SubEdges, parallel, gate)
 }
 
 /// The segments an inverted pair of sub-edges is intersected on.
@@ -120,7 +115,6 @@ fn discover_on(
     on: On<'_>,
     parallel: bool,
     gate: Option<&Gate>,
-    grain: usize,
 ) -> Vec<CrossEvent> {
     let n = beams.n_beams();
     if parallel {
@@ -134,7 +128,7 @@ fn discover_on(
                 let mut bs = BeamScratch::default();
                 let mut acc = Vec::new();
                 for b in c * chunk..((c + 1) * chunk).min(n) {
-                    beam_crossings_in(beams, on, b, gate, grain, &mut bs, &mut acc);
+                    beam_crossings_in(beams, on, b, gate, &mut bs, &mut acc);
                 }
                 acc
             })
@@ -143,7 +137,7 @@ fn discover_on(
         let mut bs = BeamScratch::default();
         let mut out = Vec::new();
         for b in 0..n {
-            beam_crossings_in(beams, on, b, gate, grain, &mut bs, &mut out);
+            beam_crossings_in(beams, on, b, gate, &mut bs, &mut out);
         }
         out
     }
@@ -160,8 +154,9 @@ fn beam_chunk_size(n_beams: usize) -> usize {
 }
 
 /// Inversion pairs (bottom order vs top order) of one beam's sub-edges,
-/// left in `bs.pairs`.
-fn beam_inversions_in(sub: &[SubEdge], gate: Option<&Gate>, grain: usize, bs: &mut BeamScratch) {
+/// left in `bs.pairs`. The report stops once it holds more than
+/// `allowance` pairs.
+fn beam_inversions_in(sub: &[SubEdge], allowance: Option<u64>, bs: &mut BeamScratch) {
     bs.pairs.clear();
     let m = sub.len();
     if m < 2 {
@@ -178,11 +173,7 @@ fn beam_inversions_in(sub: &[SubEdge], gate: Option<&Gate>, grain: usize, bs: &m
     for (t, &p) in bs.top_order.iter().enumerate() {
         bs.rank[p as usize] = t as u32;
     }
-    if m >= grain.max(2) {
-        bs.pairs = par_report_inversions_gated(&bs.rank, gate);
-    } else {
-        report_inversions_in(&bs.rank, &mut bs.inv, &mut bs.pairs);
-    }
+    report_inversions_in(&bs.rank, allowance, &mut bs.inv, &mut bs.pairs);
 }
 
 /// Crossings inside a single beam, intersected on `on`, appended to `out`.
@@ -191,7 +182,6 @@ fn beam_crossings_in(
     on: On<'_>,
     b: usize,
     gate: Option<&Gate>,
-    grain: usize,
     bs: &mut BeamScratch,
     out: &mut Vec<CrossEvent>,
 ) {
@@ -203,10 +193,11 @@ fn beam_crossings_in(
     let sub = beams.beam(b);
     // `sub` is in bottom order (xb, then xt); inversions against the top
     // order (xt, then xb) are exactly the crossing pairs.
-    beam_inversions_in(sub, gate, grain, bs);
+    beam_inversions_in(sub, gate.and_then(Gate::intersections_left), bs);
     if let Some(g) = gate {
-        // Credit before materializing the events; a beam that would blow
-        // `max_intersections` latches the gate instead of allocating O(k).
+        // Credit before materializing the events; a beam whose report
+        // stopped at the allowance blows `max_intersections` and latches
+        // the gate instead of building its events.
         if g.intersections_would_exceed(bs.pairs.len() as u64) {
             return;
         }
@@ -276,7 +267,7 @@ pub fn brute_force_crossings(edges: &[InputEdge]) -> Vec<CrossEvent> {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::beams::{BeamSet, ForcedSplits, PartitionBackend};
+    use crate::beams::{BeamSet, ForcedSplits};
     use crate::edges::collect_edges;
     use crate::events::event_ys;
     use polyclip_geom::PolygonSet;
@@ -285,13 +276,7 @@ pub(crate) mod tests {
     fn round_a(a: &PolygonSet, b: &PolygonSet) -> (Vec<InputEdge>, BeamSet) {
         let edges = collect_edges(a, b);
         let ys = event_ys(&edges, &[], false);
-        let beams = BeamSet::build(
-            &edges,
-            ys,
-            &ForcedSplits::empty(edges.len()),
-            PartitionBackend::DirectScan,
-            false,
-        );
+        let beams = BeamSet::build(&edges, ys, &ForcedSplits::empty(edges.len()), None, false);
         (edges, beams)
     }
 
@@ -379,26 +364,21 @@ pub(crate) mod tests {
         let (edges, beams) = round_a(&a, &b);
         let brute = pair_set(&brute_force_crossings(&edges));
         assert!(!brute.is_empty());
-        // `grain = 1` sends every beam to the parallel inversion reporter;
-        // `BIG_BEAM` keeps these small beams on the sequential one. The two
-        // reporters leave pair order unspecified, so compare sets. On the
-        // Round-A set every sub-edge lies on its input edge, so the residual
-        // pass must find the same pairs.
+        // On the Round-A set every sub-edge lies on its input edge, so the
+        // residual pass must find the same pairs.
         for parallel in [false, true] {
-            for grain in [1, BIG_BEAM] {
-                let events = discover_intersections_gated(&beams, &edges, parallel, None, grain);
-                assert_eq!(
-                    pair_set(&events),
-                    brute,
-                    "parallel={parallel} grain={grain}: inversion discovery disagrees with brute force"
-                );
-                let residual = discover_residual_crossings(&beams, parallel, None, grain);
-                assert_eq!(
-                    pair_set(&residual),
-                    brute,
-                    "parallel={parallel} grain={grain}: residual discovery disagrees with brute force"
-                );
-            }
+            let events = discover_intersections(&beams, &edges, parallel);
+            assert_eq!(
+                pair_set(&events),
+                brute,
+                "parallel={parallel}: inversion discovery disagrees with brute force"
+            );
+            let residual = discover_residual_crossings(&beams, parallel, None);
+            assert_eq!(
+                pair_set(&residual),
+                brute,
+                "parallel={parallel}: residual discovery disagrees with brute force"
+            );
         }
     }
 

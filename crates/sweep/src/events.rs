@@ -2,13 +2,16 @@
 
 use crate::edges::InputEdge;
 use polyclip_geom::OrdF64;
-use polyclip_parprim::sort::par_merge_sort;
+use rayon::prelude::*;
 
 /// Sorted, deduplicated event y-coordinates of all edge endpoints, plus any
 /// `extra` values (Round B adds the intersection y's here). Consecutive
 /// events bound the scanbeams; because duplicates are removed, every
 /// scanbeam has strictly positive height — "intervals with `y_i` equal to
 /// `y_{i+1}` are not considered as they do not form a valid scanbeam".
+/// `parallel` sorts with `par_sort_unstable`, else with `sort_unstable`.
+/// Both give the same y's; only where the edges hold both `-0.0` and
+/// `+0.0`, which compare equal, may the surviving zero's sign differ.
 pub fn event_ys(edges: &[InputEdge], extra: &[f64], parallel: bool) -> Vec<f64> {
     let mut ord = Vec::with_capacity(2 * edges.len() + extra.len());
     for e in edges {
@@ -17,7 +20,7 @@ pub fn event_ys(edges: &[InputEdge], extra: &[f64], parallel: bool) -> Vec<f64> 
     }
     ord.extend(extra.iter().map(|&y| OrdF64::new(y)));
     if parallel {
-        par_merge_sort(&mut ord, |a, b| a.cmp(b));
+        ord.par_sort_unstable();
     } else {
         ord.sort_unstable();
     }

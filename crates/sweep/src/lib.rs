@@ -12,14 +12,13 @@
 //!   table);
 //! * [`beams`] — partitioning edges into scanbeams by splitting each edge at
 //!   every event y interior to its span. The split points are the paper's
-//!   **virtual vertices** (contributing the k' term of the complexity), and
-//!   both a direct count→scan→scatter backend and a segment-tree backend
-//!   (§III-E) are provided;
+//!   **virtual vertices** (contributing the k' term of the complexity),
+//!   written by one direct count→scan→scatter pass;
 //! * [`cross`] — discovering the k edge intersections *output-sensitively*:
 //!   within a scanbeam every active sub-edge spans the full beam, so a pair
 //!   crosses iff its order at the bottom scanline differs from its order at
-//!   the top scanline — an inversion, counted and reported with the extended
-//!   merge sort of [`polyclip_parprim::inversions`] (Lemma 4).
+//!   the top scanline — an inversion, reported by the merge sort of
+//!   [`polyclip_parprim::inversions`] (Lemma 4).
 
 pub mod beams;
 pub mod bo;
@@ -27,8 +26,8 @@ pub mod cross;
 pub mod edges;
 pub mod events;
 
-pub use beams::{BeamSet, ForcedSplits, PartitionBackend, SubEdge};
+pub use beams::{BeamSet, ForcedSplits, SubEdge};
 pub use bo::bentley_ottmann;
-pub use cross::{discover_intersections, discover_intersections_gated, CrossEvent, BIG_BEAM};
+pub use cross::{discover_intersections, discover_intersections_gated, CrossEvent};
 pub use edges::{collect_edges, collect_edges_refs, InputEdge, Source};
 pub use events::{event_index, event_ys};

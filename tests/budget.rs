@@ -299,6 +299,45 @@ fn max_intersections_yields_valid_partial_result() {
     assert!(matches!(strict, Err(ClipError::BudgetExceeded { .. })));
 }
 
+// (d) One dense beam stops at the intersection allowance. Every vertex of
+// the zig-zag lies on y = 0 or y = 1, so Round A has a single beam of more
+// than 16,384 sub-edges; its teeth lean alternately ~1,000 teeth right and
+// left, so that beam holds about 10⁷ crossings. Capped at 1,000, the
+// inversion reporter stops within one run of pairs (at most half the
+// beam) past the cap, and the meter credits only the pairs it reported.
+// Never clip this input without a cap.
+#[test]
+fn dense_beam_stops_at_the_intersection_allowance() {
+    let (teeth, lean) = (8_192, 1_000.25);
+    let mut zigzag = Vec::with_capacity(2 * teeth);
+    for i in 0..teeth {
+        let x = i as f64;
+        zigzag.push((x, 0.0));
+        zigzag.push((if i % 2 == 0 { x + lean } else { x - lean }, 1.0));
+    }
+    let zigzag = PolygonSet::from_xy(&zigzag);
+    let budget = ExecBudget {
+        max_intersections: Some(1_000),
+        ..Default::default()
+    };
+    for base in [ClipOptions::sequential(), ClipOptions::default()] {
+        let opts = with_budget(base, budget.clone());
+        match try_clip(&zigzag, &square(0.0, 0.0, 1.0), BoolOp::Union, &opts) {
+            Err(ClipError::BudgetExceeded { work }) => assert!(
+                1_000 < work.intersections && work.intersections <= 1_000 + 16_384,
+                "parallel={}: the meter credited {} intersections",
+                opts.parallel,
+                work.intersections
+            ),
+            other => panic!(
+                "parallel={}: expected BudgetExceeded, got {:?}",
+                opts.parallel,
+                other.map(|o| o.stats)
+            ),
+        }
+    }
+}
+
 /// Strategy: a random, possibly self-intersecting polygon in [0, 4]².
 fn arb_polygon(n: std::ops::Range<usize>) -> impl Strategy<Value = PolygonSet> {
     prop::collection::vec((0.0f64..4.0, 0.0f64..4.0), n).prop_map(|xy| PolygonSet::from_xy(&xy))

@@ -179,16 +179,18 @@ fn dissolve_is_idempotent_and_orients_output() {
     assert!((signed - eo_area(&d1)).abs() < 1e-9 * (1.0 + signed.abs()));
 }
 
-/// The engine partitions by direct scan only; the §III-E segment tree is a
-/// sweep-level backend. On two GIS features laid over each other, both
-/// backends build the same scanbeams, bit for bit, for Round A and for a
-/// Round-B rebuild split at Round A's crossings. Centred on each other the
-/// features nest without crossing, so a second placement moves the
-/// second feature's centre onto the first's bbox corner.
+/// The engine partitions by direct scan only; the §III-E segment tree is
+/// the paper's construction of the same step. On two GIS features laid over
+/// each other, its stabbing queries list exactly the edges the partition
+/// writes into each beam, for Round A and for a Round-B rebuild split at
+/// Round A's crossings. Centred on each other the features nest without
+/// crossing, so a second placement moves the second feature's centre onto
+/// the first's bbox corner.
 #[test]
 fn partition_backends_agree_on_gis_features() {
+    use polyclip::segtree::SegmentTree;
     use polyclip::sweep::{
-        collect_edges, discover_intersections, event_ys, BeamSet, ForcedSplits, PartitionBackend,
+        collect_edges, discover_intersections, event_index, event_ys, BeamSet, ForcedSplits,
     };
     let feats = generate_layer(&table3_spec(1), 0.002, 9);
     let a = &feats[0];
@@ -198,22 +200,9 @@ fn partition_backends_agree_on_gis_features() {
     for target in [ab.center(), Point::new(ab.xmax, ab.ymax)] {
         let shifted = b.translate(Point::new(target.x - bc.x, target.y - bc.y));
         let edges = collect_edges(a, &shifted);
-        let table = |extra: &[f64], forced: &ForcedSplits, backend| {
-            let ys = event_ys(&edges, extra, false);
-            let bs = BeamSet::build(&edges, ys, forced, backend, false);
-            let ys: Vec<u64> = bs.ys.iter().map(|y| y.to_bits()).collect();
-            let subs: Vec<_> = (0..bs.n_beams())
-                .flat_map(|i| bs.beam(i).iter())
-                .map(|s| {
-                    let x = (s.xb.to_bits(), s.xt.to_bits());
-                    (s.beam, x, s.edge_id, s.winding, s.src)
-                })
-                .collect();
-            (ys, subs)
-        };
         let empty = ForcedSplits::empty(edges.len());
         let ys = event_ys(&edges, &[], false);
-        let round_a = BeamSet::build(&edges, ys, &empty, PartitionBackend::DirectScan, false);
+        let round_a = BeamSet::build(&edges, ys, &empty, None, false);
         let crossings = discover_intersections(&round_a, &edges, false);
         crossed += crossings.len();
         let mut triples = Vec::new();
@@ -228,11 +217,26 @@ fn partition_backends_agree_on_gis_features() {
         let extra: Vec<f64> = crossings.iter().map(|c| c.p.y).collect();
         let forced = ForcedSplits::build(edges.len(), &triples);
         for (extra, forced) in [(&[][..], &empty), (&extra[..], &forced)] {
-            assert_eq!(
-                table(extra, forced, PartitionBackend::DirectScan),
-                table(extra, forced, PartitionBackend::SegmentTree),
-                "segment-tree partition must be observationally identical"
-            );
+            let bs = BeamSet::build(&edges, event_ys(&edges, extra, false), forced, None, false);
+            let spans: Vec<(usize, usize)> = edges
+                .iter()
+                .map(|e| (event_index(&bs.ys, e.lo.y), event_index(&bs.ys, e.hi.y)))
+                .collect();
+            let tree = SegmentTree::build_by_sort(bs.n_beams(), &spans, true);
+            let (offsets, items) = tree.par_stab_all();
+            for i in 0..bs.n_beams() {
+                let mut listed: Vec<u32> = items[offsets[i]..offsets[i + 1]]
+                    .iter()
+                    .map(|&e| edges[e as usize].id)
+                    .collect();
+                listed.sort_unstable();
+                let mut held: Vec<u32> = bs.beam(i).iter().map(|s| s.edge_id).collect();
+                held.sort_unstable();
+                assert_eq!(
+                    held, listed,
+                    "beam {i}: segment tree and partition disagree"
+                );
+            }
         }
     }
     assert!(crossed > 0, "one placement must cross");

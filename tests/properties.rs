@@ -175,10 +175,8 @@ proptest! {
 
     #[test]
     fn inversion_primitives_agree(xs in prop::collection::vec(0u32..1000, 0..300)) {
-        use polyclip::parprim::{count_inversions, par_count_inversions, report_inversions};
-        let c = count_inversions(&xs);
-        prop_assert_eq!(c, par_count_inversions(&xs));
-        prop_assert_eq!(c as usize, report_inversions(&xs).len());
+        use polyclip::parprim::{count_inversions, report_inversions};
+        prop_assert_eq!(count_inversions(&xs) as usize, report_inversions(&xs).len());
     }
 
     #[test]
@@ -186,14 +184,5 @@ proptest! {
         use polyclip::parprim::{exclusive_scan, inclusive_scan, par_exclusive_scan, par_inclusive_scan};
         prop_assert_eq!(inclusive_scan(&xs, |a, b| a + b), par_inclusive_scan(&xs, |a, b| a + b));
         prop_assert_eq!(exclusive_scan(&xs, 0, |a, b| a + b), par_exclusive_scan(&xs, 0, |a, b| a + b));
-    }
-
-    #[test]
-    fn sort_primitive_sorts(mut xs in prop::collection::vec(0u64..1000, 0..5000)) {
-        use polyclip::parprim::par_merge_sort;
-        let mut want = xs.clone();
-        want.sort_unstable();
-        par_merge_sort(&mut xs, |a, b| a.cmp(b));
-        prop_assert_eq!(xs, want);
     }
 }

@@ -11,8 +11,7 @@
 
 use polyclip::prelude::*;
 use polyclip::sweep::{
-    collect_edges, discover_intersections, event_ys, BeamSet, ForcedSplits, PartitionBackend,
-    Source,
+    collect_edges, discover_intersections, event_ys, BeamSet, ForcedSplits, Source,
 };
 
 /// The test scene: subject is a bow-tie-like self-intersecting quadrilateral,
@@ -41,7 +40,7 @@ fn scanbeam_table_lists_active_edges_per_beam() {
         &edges,
         ys.clone(),
         &ForcedSplits::empty(edges.len()),
-        PartitionBackend::DirectScan,
+        None,
         false,
     );
     assert_eq!(beams.n_beams(), ys.len() - 1);
@@ -78,13 +77,7 @@ fn lemma1_labels_alternate_per_polygon_in_every_beam() {
     let (s, c) = scene();
     let edges = collect_edges(&s, &c);
     let ys = event_ys(&edges, &[], false);
-    let beams = BeamSet::build(
-        &edges,
-        ys,
-        &ForcedSplits::empty(edges.len()),
-        PartitionBackend::DirectScan,
-        false,
-    );
+    let beams = BeamSet::build(&edges, ys, &ForcedSplits::empty(edges.len()), None, false);
     // Use a crossing-free rebuild: insert intersection events first.
     let cross = discover_intersections(&beams, &edges, false);
     let mut extra: Vec<f64> = cross.iter().map(|e| e.p.y).collect();
@@ -100,7 +93,7 @@ fn lemma1_labels_alternate_per_polygon_in_every_beam() {
     }
     let forced = ForcedSplits::build(edges.len(), &triples);
     let ys2 = event_ys(&edges, &extra, false);
-    let beams2 = BeamSet::build(&edges, ys2, &forced, PartitionBackend::DirectScan, false);
+    let beams2 = BeamSet::build(&edges, ys2, &forced, None, false);
 
     for b in 0..beams2.n_beams() {
         for src in [Source::Subject, Source::Clip] {
@@ -176,13 +169,7 @@ fn figure2_style_intersection_counts() {
     let (s, c) = scene();
     let edges = collect_edges(&s, &c);
     let ys = event_ys(&edges, &[], false);
-    let beams = BeamSet::build(
-        &edges,
-        ys,
-        &ForcedSplits::empty(edges.len()),
-        PartitionBackend::DirectScan,
-        false,
-    );
+    let beams = BeamSet::build(&edges, ys, &ForcedSplits::empty(edges.len()), None, false);
     let cross = discover_intersections(&beams, &edges, false);
     let self_cross = cross
         .iter()
